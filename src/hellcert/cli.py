@@ -82,7 +82,11 @@ def _grid(text: str):
     """Parse '0.1,0.2,0.3' or 'start:stop:step' (stop inclusive up to rounding)."""
     if ":" in text:
         start, stop, step = (float(v) for v in text.split(":"))
+        if not step > 0:
+            raise ValueError(f"grid {text!r}: step must be positive")
         n = int(round((stop - start) / step)) + 1
+        if n < 1:
+            raise ValueError(f"grid {text!r} has no points")
         return [start + i * step for i in range(n)]
     return [float(v) for v in text.split(",")]
 
@@ -121,7 +125,7 @@ def _certify_sample(args, sample: EmpiricalSample, report: dict, extras=None) ->
 
 
 def _cmd_certify(args) -> int:
-    losses = read_losses(args.file, args.format)
+    losses = read_losses(args.file, args.format, ceiling=args.max_loss)
     sample = EmpiricalSample(losses, ceiling=args.max_loss)
     report = base_report("certify", None, {"radius_policy": "reject_beyond_validity"})
     code = _certify_sample(args, sample, report)
@@ -454,10 +458,7 @@ def main(argv=None) -> int:
     except OracleDisagreementError as exc:
         print(f"solver diagnostic: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -15,7 +15,10 @@ byte-identical outputs.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
+import math
 from typing import Iterable
 
 import numpy as np
@@ -79,8 +82,16 @@ def detect_format(path) -> str:
 def _parse_float(path, line_no, text, what):
     try:
         return float(text)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise InputFormatError(path, line_no, f"bad {what}: {text!r}") from exc
+
+
+def _json_number(path, line_no, obj, key):
+    """A JSONL field must be a JSON number: null, booleans and strings are rejected."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputFormatError(path, line_no, f"{key} must be a number, got {json.dumps(value)}")
+    return value
 
 
 def _iter_csv(path, expected_header, n_fields):
@@ -112,22 +123,32 @@ def _iter_jsonl(path, keys):
         yield i, obj
 
 
-def read_losses(path, fmt: str = "auto") -> np.ndarray:
+def read_losses(path, fmt: str = "auto", ceiling: float = math.inf) -> np.ndarray:
+    """Losses in file order; NaN or a loss outside [0, ceiling] is an error at its line."""
     if fmt == "auto":
         fmt = detect_format(path)
-    values = []
     if fmt == "csv_losses":
-        for i, parts in _iter_csv(path, "loss", 1):
-            values.append(_parse_float(path, i, parts[0], "loss"))
+        records = functools.partial(_iter_csv, path, "loss", 1)
+        values = [_parse_float(path, i, parts[0], "loss") for i, parts in records()]
     elif fmt == "jsonl":
-        for i, obj in _iter_jsonl(path, ("loss",)):
-            values.append(_parse_float(path, i, obj["loss"], "loss"))
+        records = functools.partial(_iter_jsonl, path, ("loss",))
+        values = [_parse_float(path, i, _json_number(path, i, obj, "loss"), "loss")
+                  for i, obj in records()]
     else:
         raise InputFormatError(path, 0, f"format {fmt!r} does not carry plain losses")
-    return np.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=float)
+    bad = ~((values >= 0.0) & (values <= ceiling))
+    if bad.any():
+        # Only the failing path pays for a second pass to recover the line number.
+        i = int(np.argmax(bad))
+        line_no = next(itertools.islice(records(), i, None))[0]
+        raise InputFormatError(path, line_no, f"loss {float(values[i])!r} is outside [0, {ceiling}]")
+    return values
 
 
 def _parse_int(path, line_no, text, what):
+    if isinstance(text, float) and not text.is_integer():
+        raise InputFormatError(path, line_no, f"bad {what}: {text!r}")
     try:
         return int(text)
     except (TypeError, ValueError) as exc:
@@ -144,8 +165,8 @@ def read_predictions(path, fmt: str = "auto"):
             labels.append(_parse_int(path, i, parts[1], "label"))
     elif fmt == "jsonl":
         for i, obj in _iter_jsonl(path, ("pred", "label")):
-            preds.append(_parse_int(path, i, obj["pred"], "pred"))
-            labels.append(_parse_int(path, i, obj["label"], "label"))
+            preds.append(_parse_int(path, i, _json_number(path, i, obj, "pred"), "pred"))
+            labels.append(_parse_int(path, i, _json_number(path, i, obj, "label"), "label"))
     else:
         raise InputFormatError(path, 0, f"format {fmt!r} does not carry predictions")
     return np.asarray(preds), np.asarray(labels)
@@ -161,8 +182,8 @@ def read_scores(path, fmt: str = "auto"):
             labels.append(_parse_int(path, i, parts[1], "label"))
     elif fmt == "jsonl":
         for i, obj in _iter_jsonl(path, ("score", "label")):
-            scores.append(_parse_float(path, i, obj["score"], "score"))
-            labels.append(_parse_int(path, i, obj["label"], "label"))
+            scores.append(_parse_float(path, i, _json_number(path, i, obj, "score"), "score"))
+            labels.append(_parse_int(path, i, _json_number(path, i, obj, "label"), "label"))
     else:
         raise InputFormatError(path, 0, f"format {fmt!r} does not carry scores")
     return np.asarray(scores, dtype=float), np.asarray(labels)

@@ -147,12 +147,13 @@ def jsd_loss_vector(p_true: np.ndarray) -> np.ndarray:
 def auc_estimate(sample: ScoredSample) -> float:
     """All-pairs AUC estimate: fraction of (positive, negative) pairs with s_+ >= s_-.
 
-    Ties count as successes (the ">=" convention), not as 1/2.
+    Ties count as successes (the ">=" convention), not as 1/2.  Sort and
+    bisection count the pairs in O(n log n) time and linear memory.
     """
     pos = sample.positives
     neg = sample.negatives
-    wins = pos[:, None] >= neg[None, :]
-    return float(np.mean(wins))
+    wins = np.searchsorted(np.sort(neg), pos, side="right").sum()
+    return float(wins / (pos.size * neg.size))
 
 
 def auc_pair_sample(sample: ScoredSample, seed: int) -> EmpiricalSample:

@@ -55,10 +55,6 @@ def _elu(z: np.ndarray) -> np.ndarray:
     return np.where(z > 0.0, z, np.expm1(np.minimum(z, 0.0)))
 
 
-def _elu_prime(z: np.ndarray) -> np.ndarray:
-    return np.where(z > 0.0, 1.0, np.exp(np.minimum(z, 0.0)))
-
-
 @dataclass
 class SmallNetwork:
     """Weight matrices (out, in) per layer; ELU after every layer."""
@@ -96,15 +92,13 @@ class SmallNetwork:
         return a
 
     def activations(self, x: np.ndarray):
-        """(pre-activation, post-activation) pairs per layer, for backprop."""
+        """Input and post-activations per layer; backprop takes ELU' as min(a, 0) + 1."""
         a = np.asarray(x, dtype=float)
-        pres, posts = [], [a]
+        posts = [a]
         for w in self.weights:
-            z = a @ w.T
-            a = _elu(z)
-            pres.append(z)
+            a = _elu(a @ w.T)
             posts.append(a)
-        return pres, posts
+        return posts
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -139,12 +133,12 @@ def per_sample_losses(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray) -> np
 def batch_loss_and_param_grads(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray):
     """Mean loss over the batch and gradients for every weight matrix."""
     y_idx = np.asarray(y_idx)
-    pres, posts = net.activations(x)
+    posts = net.activations(x)
     losses, d = _loss_and_logit_grad(posts[-1], y_idx)
     d = d / x.shape[0]
     grads = [None] * net.n_layers
     for j in range(net.n_layers - 1, -1, -1):
-        d = d * _elu_prime(pres[j])
+        d = d * (np.minimum(posts[j + 1], 0.0) + 1.0)
         grads[j] = d.T @ posts[j]
         if j > 0:
             d = d @ net.weights[j]
@@ -154,10 +148,10 @@ def batch_loss_and_param_grads(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarr
 def per_sample_losses_and_input_grads(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray):
     """Per-sample losses and d(loss_i)/d(x_i); rows are independent."""
     y_idx = np.asarray(y_idx)
-    pres, posts = net.activations(x)
+    posts = net.activations(x)
     losses, d = _loss_and_logit_grad(posts[-1], y_idx)
     for j in range(net.n_layers - 1, -1, -1):
-        d = d * _elu_prime(pres[j])
+        d = d * (np.minimum(posts[j + 1], 0.0) + 1.0)
         d = d @ net.weights[j]
     return losses, d
 

@@ -145,18 +145,21 @@ def wasserstein_dual_certificate(
     net: SmallNetwork,
     x: np.ndarray,
     y_idx: np.ndarray,
-    shift_budget: float,
+    shift_budget,
     gamma_grid=None,
-) -> float:
+):
     """Dual upper bound min over gamma of gamma * budget + mean penalized maximum.
 
     ``shift_budget`` is the Wasserstein budget in the same units as the cost
     ||x - x0||^2 (so a dislocation delta has budget ||delta||^2 under the
-    default convention).  Grid points below the gradient Lipschitz constant
-    L* are rejected: concavity of the inner problem is what makes the inner
-    maxima trustworthy.
+    default convention).  A scalar budget gives a float, an array of budgets
+    one certificate each; the penalized maxima do not depend on the budget,
+    so each gamma's inner ascent runs once.  Grid points below the gradient
+    Lipschitz constant L* are rejected: concavity of the inner problem is
+    what makes the inner maxima trustworthy.
     """
-    if shift_budget < 0:
+    budgets = np.asarray(shift_budget, dtype=float)
+    if np.any(budgets < 0):
         raise ValueError("shift budget must be non-negative")
     profile = lipschitz_profile(net)
     if gamma_grid is None:
@@ -168,11 +171,11 @@ def wasserstein_dual_certificate(
     def value_and_grad(xb):
         return per_sample_losses_and_input_grads(net, xb, y_idx)
 
-    best = math.inf
+    best = np.full(budgets.shape, math.inf)
     for gamma in gamma_grid:
         phi, _ = maximize_penalized(value_and_grad, x, float(gamma))
-        best = min(best, float(gamma) * shift_budget + float(phi.mean()))
-    return best
+        best = np.minimum(best, float(gamma) * budgets + float(phi.mean()))
+    return float(best) if best.ndim == 0 else best
 
 
 def lipschitz_certificate(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray,
@@ -264,18 +267,16 @@ def compare_certificates(
             net = train_network(net, data.x_train, data.y_train, steps=train_steps).network
             profile = lipschitz_profile(net)
             grid = dual_gamma_grid(profile.l_star)
-            for norm_delta in delta_grid:
+            budgets = [d**2 if budget_convention == "squared" else d for d in delta_grid]
+            duals = wasserstein_dual_certificate(net, data.x_eval, data.y_eval, budgets, grid)
+            for norm_delta, dual in zip(delta_grid, duals):
                 wasserstein, hellinger = shift_distances(norm_delta)
-                w_budget = norm_delta**2 if budget_convention == "squared" else norm_delta
                 x_shifted = data.x_eval + norm_delta * direction[None, :]
                 shifted_loss = float(
                     per_sample_losses(net, x_shifted, data.y_eval).mean()
                 )
                 gram = gramian_certificate_on_task(
                     net, data.x_eval, data.y_eval, norm_delta, confidence_delta
-                )
-                dual = wasserstein_dual_certificate(
-                    net, data.x_eval, data.y_eval, w_budget, grid
                 )
                 lip = lipschitz_certificate(net, data.x_eval, data.y_eval, wasserstein)
                 rows.append(
@@ -285,7 +286,7 @@ def compare_certificates(
                         wasserstein=wasserstein,
                         empirical_loss_shifted=shifted_loss,
                         gramian_cert=gram.bound,
-                        dual_cert=dual,
+                        dual_cert=float(dual),
                         lipschitz_cert=lip,
                         width=int(width),
                         depth=int(depth),

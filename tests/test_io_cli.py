@@ -337,3 +337,48 @@ def test_cli_determinism_certify(tmp_path):
     main(["certify", path, "--rho", "0.02", "--output", str(a)])
     main(["certify", path, "--rho", "0.02", "--output", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------- input faults
+
+
+@pytest.mark.parametrize(
+    "name, text, line",
+    [
+        ("null.jsonl", '{"loss": 0.5}\n{"loss": null}\n', 2),
+        ("bool.jsonl", '{"loss": 0.5}\n{"loss": true}\n', 2),
+        ("list.jsonl", '{"loss": 0.5}\n{"loss": [0.3]}\n', 2),
+        ("string.jsonl", '{"loss": 0.5}\n{"loss": "abc"}\n', 2),
+        ("nan.jsonl", '{"loss": 0.5}\n{"loss": 0.25}\n{"loss": NaN}\n', 3),
+        ("nan.csv", "loss\n0.5\nnan\n0.25\n", 3),
+        ("range.csv", "loss\n0.5\n\n0.25\n1.5\n", 5),
+        ("negative.jsonl", '{"loss": 0.5}\n\n{"loss": -0.1}\n', 3),
+    ],
+)
+def test_certify_bad_loss_reports_file_and_line(tmp_path, capsys, name, text, line):
+    f = tmp_path / name
+    f.write_text(text)
+    assert main(["certify", str(f), "--rho", "0.1"]) == 1
+    assert f"{f}:{line}:" in capsys.readouterr().err
+
+
+def test_read_predictions_rejects_boolean_and_fractional_jsonl(tmp_path):
+    f = tmp_path / "p.jsonl"
+    f.write_text('{"pred": 1, "label": 1}\n{"pred": 1, "label": true}\n')
+    with pytest.raises(InputFormatError, match=r":2: label must be a number"):
+        read_predictions(f)
+    f.write_text('{"pred": 1.5, "label": 1}\n')
+    with pytest.raises(InputFormatError, match=r":1: bad pred"):
+        read_predictions(f)
+
+
+def test_oracle_directory_exit_1(tmp_path, capsys):
+    assert main(["oracle", str(tmp_path)]) == 1
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["0:1:0", "0:1:-0.1", "1:0:0.1"])
+def test_mixture_bad_gamma_range_exit_1(tmp_path, grid):
+    csv = tmp_path / "mix.csv"
+    assert main(["mixture", "--gamma-grid", grid, "--samples", "50", "--csv", str(csv)]) == 1
+    assert not csv.exists()

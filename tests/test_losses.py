@@ -162,3 +162,16 @@ def test_auc_pair_mean_over_seeds_matches_estimate():
     means = np.asarray(means)
     se = means.std(ddof=1) / math.sqrt(means.size)
     assert abs(means.mean() - target) <= 3 * se + 1e-12
+
+
+def test_auc_estimate_equals_all_pairs_mean_with_ties():
+    gen = stream(78)
+    for case in range(300):
+        n = int(gen.integers(2, 60))
+        # Few distinct levels so ties across and within classes are common.
+        scores = np.round(gen.standard_normal(n), int(gen.integers(0, 2)))
+        labels = np.where(gen.random(n) < 0.5, 1, -1)
+        labels[0], labels[1] = 1, -1
+        sample = ScoredSample(scores, labels)
+        pos, neg = sample.positives, sample.negatives
+        assert auc_estimate(sample) == float(np.mean(pos[:, None] >= neg[None, :])), case

@@ -6,6 +6,7 @@ import pytest
 from hellcert.network import (
     SmallNetwork,
     TrainingDivergenceError,
+    _loss_and_logit_grad,
     batch_loss,
     batch_loss_and_param_grads,
     golden_section_max,
@@ -184,3 +185,22 @@ def test_jsd_head_maximizer_interior():
     x, v = golden_section_max(objective, 1e-12, 1.0 - 1e-12, tol=1e-10)
     assert 0.05 < x < 0.95
     assert v > objective(1e-9) and v > objective(1.0 - 1e-9)
+
+
+def test_input_gradients_match_exp_backprop_reference():
+    # Reference backprop with ELU' = exp(z) on the pre-activations; the
+    # library takes min(a, 0) + 1 from the post-activation, equal to rounding.
+    net = SmallNetwork.initialize(hidden=(8, 8), seed=5)
+    gen = stream(13)
+    x = 3.0 * gen.standard_normal((200, 2))
+    y = gen.integers(0, 2, size=200)
+    a, pres = x, []
+    for w in net.weights:
+        pres.append(a @ w.T)
+        a = np.where(pres[-1] > 0.0, pres[-1], np.expm1(np.minimum(pres[-1], 0.0)))
+    _, ref = _loss_and_logit_grad(a, y)
+    for j in range(net.n_layers - 1, -1, -1):
+        ref = ref * np.where(pres[j] > 0.0, 1.0, np.exp(np.minimum(pres[j], 0.0)))
+        ref = ref @ net.weights[j]
+    _, grads = per_sample_losses_and_input_grads(net, x, y)
+    assert np.allclose(grads, ref, rtol=1e-12, atol=1e-15)

@@ -5,9 +5,11 @@ import pytest
 
 from hellcert.finite_sample import ConfidenceBudget, EmpiricalSample, corollary_upper_bound
 from hellcert.network import SmallNetwork, lipschitz_profile, jsd_head_constants, per_sample_losses, train_network
+from hellcert import synthetic
 from hellcert.rng import stream
 from hellcert.synthetic import (
     GaussianMixtureTask,
+    compare_certificates,
     dual_gamma_grid,
     gramian_certificate_on_task,
     lipschitz_certificate,
@@ -155,3 +157,45 @@ def test_gramian_certificate_monotone_in_shift(small_trained):
     # Zero dislocation collapses to the radius-0 certificate: the mean loss.
     emp = float(per_sample_losses(net, data.x_eval, data.y_eval).mean())
     assert bounds[0] == emp
+
+
+def test_dual_certificate_array_budgets_match_scalar_calls(small_trained):
+    data, net = small_trained
+    x, y = data.x_eval[:200], data.y_eval[:200]
+    grid = dual_gamma_grid(lipschitz_profile(net).l_star)
+    budgets = np.array([0.0, 0.25, 1.0, 4.0])
+    certs = wasserstein_dual_certificate(net, x, y, budgets, grid)
+    assert certs.shape == budgets.shape
+    for b, cert in zip(budgets, certs):
+        assert cert == wasserstein_dual_certificate(net, x, y, float(b), grid)
+    assert isinstance(wasserstein_dual_certificate(net, x, y, 0.25, grid), float)
+    with pytest.raises(ValueError, match="non-negative"):
+        wasserstein_dual_certificate(net, x, y, np.array([0.5, -1e-9, 1.0]), grid)
+
+
+def test_compare_certificates_solves_each_inner_ascent_once_per_network(monkeypatch):
+    calls, duals = [], []
+    ascent = synthetic.maximize_penalized
+    dual = synthetic.wasserstein_dual_certificate
+
+    def counted_ascent(*args, **kwargs):
+        calls.append((len(duals), args[2]))  # (network, gamma)
+        return ascent(*args, **kwargs)
+
+    def recorded_dual(net, x, y, budgets, grid):
+        duals.append((net, x, y, grid))
+        return dual(net, x, y, budgets, grid)
+
+    monkeypatch.setattr(synthetic, "maximize_penalized", counted_ascent)
+    monkeypatch.setattr(synthetic, "wasserstein_dual_certificate", recorded_dual)
+    delta_grid = (0.01, 0.5, 1.0)
+    rows = compare_certificates(
+        widths=(2, 3), depths=(1,), delta_grid=delta_grid, seed=3,
+        n_train=200, n_eval=300, train_steps=100,
+    )
+    assert len(duals) == 2 and len(rows) == 2 * len(delta_grid)
+    assert len(calls) == 2 * synthetic.DUAL_GRID_POINTS
+    assert len(set(calls)) == len(calls)  # one call per gamma per network
+    for k, row in enumerate(rows):
+        net, x, y, grid = duals[k // len(delta_grid)]
+        assert row.dual_cert == dual(net, x, y, row.norm_delta**2, grid)
