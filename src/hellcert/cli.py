@@ -43,7 +43,7 @@ from .io import (
     write_csv,
 )
 from .losses import PredictionSample, ScoredSample, auc_estimate, auc_pair_sample, zero_one_stats
-from .oracle import DiscreteInstance, OracleDisagreementError, worst_case_inf, worst_case_sup
+from .oracle import GAP_TOL, DiscreteInstance, OracleDisagreementError, worst_case_inf, worst_case_sup
 from .shifts import auc_composite_radius
 from .synthetic import SWEEP_COLUMNS, compare_certificates
 
@@ -191,7 +191,7 @@ def _cmd_oracle(args) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: bad instance file: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    report = base_report("oracle", None, {"solver_agreement_tol": 1e-6})
+    report = base_report("oracle", None, {"duality_gap_tol": GAP_TOL})
     sup = worst_case_sup(inst)
     inf = worst_case_inf(inst)
     exact_mean = float(inst.p.probs @ inst.losses)

@@ -173,20 +173,33 @@ def read_predictions(path, fmt: str = "auto"):
 
 
 def read_scores(path, fmt: str = "auto"):
+    """Scores and labels in file order; a non-finite score or a label not -1/+1 fails at its line."""
     if fmt == "auto":
         fmt = detect_format(path)
     scores, labels = [], []
     if fmt == "csv_scores":
-        for i, parts in _iter_csv(path, "score,label", 2):
+        records = functools.partial(_iter_csv, path, "score,label", 2)
+        for i, parts in records():
             scores.append(_parse_float(path, i, parts[0], "score"))
             labels.append(_parse_int(path, i, parts[1], "label"))
     elif fmt == "jsonl":
-        for i, obj in _iter_jsonl(path, ("score", "label")):
+        records = functools.partial(_iter_jsonl, path, ("score", "label"))
+        for i, obj in records():
             scores.append(_parse_float(path, i, _json_number(path, i, obj, "score"), "score"))
             labels.append(_parse_int(path, i, _json_number(path, i, obj, "label"), "label"))
     else:
         raise InputFormatError(path, 0, f"format {fmt!r} does not carry scores")
-    return np.asarray(scores, dtype=float), np.asarray(labels)
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    bad = ~np.isfinite(scores) | ~np.isin(labels, (-1, 1))
+    if bad.any():
+        # Only the failing path pays for a second pass to recover the line number.
+        i = int(np.argmax(bad))
+        line_no = next(itertools.islice(records(), i, None))[0]
+        if not math.isfinite(scores[i]):
+            raise InputFormatError(path, line_no, f"score {float(scores[i])!r} is not finite")
+        raise InputFormatError(path, line_no, f"label {int(labels[i])} is not -1 or +1")
+    return scores, labels
 
 
 def format_number(x) -> str:

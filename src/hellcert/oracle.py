@@ -3,16 +3,20 @@
 For a discrete base distribution p and per-point losses, the ball constraint
 H(p, q) <= rho becomes linear after the substitution u_i = sqrt(q_i):
 
-    maximize sum_i loss_i u_i^2   over  u >= 0, ||u||_2 = 1,
-                                        <sqrt(p), u> >= 1 - rho^2,
+    maximize sum_i loss_i u_i^2   over  ||u||_2 = 1,  <sqrt(p), u> >= c,
 
-a quadratic over a spherical cap.  The primary solver walks the KKT
-stationarity family u_i ~ sqrt(p_i) / (nu - loss_i) and bisects the
-multiplier nu until the affinity constraint binds; support points with
-p_i = 0 are handled by a one-dimensional search over the probability mass
-placed off-support.  A projected-gradient solver over the same cap
-cross-checks every result, and instances where the two disagree are dumped
-for inspection rather than silently resolved.
+with c = 1 - rho^2 (u >= 0 may be dropped: |u| does at least as well).
+Weak duality bounds the maximum, for every nu >= max_i loss_i, by
+
+    g(nu) = nu - c^2 / S(nu),   S(nu) = sum_i p_i / (nu - loss_i),
+
+and g'(nu) = 0 exactly where the KKT family u_i ~ sqrt(p_i) / (nu - loss_i)
+has affinity <sqrt(p), u> = c.  One bisection on nu therefore yields both a
+feasible primal (taken at the feasible end of the bracket) and a proven
+optimality gap g(nu) - primal.  Points with p_i = 0 only constrain nu: they
+receive mass only when the affinity already meets c at nu = max loss, where
+the optimum is in closed form.  An instance whose proven gap exceeds
+``GAP_TOL`` is raised with the instance attached rather than returned.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import stream
 from .shifts import DiscreteDistribution
 
 __all__ = [
@@ -35,26 +38,20 @@ __all__ = [
     "gram_determinant",
 ]
 
-MAX_SUPPORT = 32
-FEASIBILITY_TOL = 1e-9
-AGREEMENT_TOL = 1e-6
+GAP_TOL = 1e-6
 BISECTION_WIDTH = 1e-13
-
-_PGA_RESTARTS = 32
-_PGA_STEPS = 200
 
 
 class OracleDisagreementError(RuntimeError):
-    """The two independent solvers disagree beyond tolerance; instance attached."""
+    """The proven duality gap exceeds ``GAP_TOL``; instance attached."""
 
-    def __init__(self, instance: "DiscreteInstance", kkt_value: float, pga_value: float):
+    def __init__(self, instance: "DiscreteInstance", gap: float):
         super().__init__(
-            f"oracle solvers disagree: kkt={kkt_value:.17g} pga={pga_value:.17g} "
+            f"oracle duality gap {gap:.17g} exceeds {GAP_TOL:g} "
             f"on instance {instance.to_json()}"
         )
         self.instance = instance
-        self.kkt_value = kkt_value
-        self.pga_value = pga_value
+        self.gap = gap
 
 
 @dataclass(frozen=True)
@@ -70,8 +67,6 @@ class DiscreteInstance:
         if not isinstance(p, DiscreteDistribution):
             p = DiscreteDistribution(p)
         losses = np.asarray(losses, dtype=float)
-        if len(p) > MAX_SUPPORT:
-            raise ValueError(f"support size {len(p)} exceeds {MAX_SUPPORT}")
         if losses.shape != (len(p),):
             raise ValueError("losses must match the support size")
         if not (ceiling > 0 and math.isfinite(ceiling)):
@@ -107,216 +102,90 @@ class DiscreteInstance:
 class OracleResult:
     value: float
     maximizer: DiscreteDistribution
-    method: str  # "kkt_bisection" | "projected_gradient" | "dense_grid"
-    certified_gap: float
-
-
-def _affinity(nus: np.ndarray, a: np.ndarray, losses: np.ndarray) -> np.ndarray:
-    """<a, u(nu)> for the KKT family u(nu) ~ a / (nu - loss), vectorized over nu."""
-    w = a[None, :] / (nus[:, None] - losses[None, :])
-    return (w * a[None, :]).sum(axis=1) / np.linalg.norm(w, axis=1)
-
-
-def _kkt_on_support(a: np.ndarray, losses: np.ndarray, targets: np.ndarray):
-    """Solve the on-support cap problem for a batch of affinity targets.
-
-    ``a`` must have unit norm and strictly positive entries.  Returns the
-    optimal objective values (array) and the u-vector for the last target
-    (callers that need the maximizer pass a single target).
-    """
-    targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    values = np.empty_like(targets)
-    u_last = None
-
-    lmax = float(losses.max())
-    top = losses >= lmax
-    vertex_affinity = math.sqrt(float((a[top] ** 2).sum()))
-
-    # Targets the unconstrained vertex already satisfies.
-    easy = targets <= vertex_affinity + 1e-15
-    values[easy] = lmax
-    if easy[-1]:
-        u_last = np.where(top, a, 0.0)
-        norm = np.linalg.norm(u_last)
-        u_last = u_last / norm if norm > 0 else None
-
-    # Targets so tight that u must coincide with a itself.
-    pinned = targets >= 1.0 - 1e-12
-    values[pinned] = float((losses * a * a).sum())
-    if pinned[-1]:
-        u_last = a.copy()
-
-    todo = ~(easy | pinned)
-    if todo.any():
-        tg = targets[todo]
-        span = lmax - float(losses.min()) + 1.0
-        lo = np.full(tg.shape, lmax + 1e-14 * max(1.0, abs(lmax)))
-        hi = np.full(tg.shape, lmax + span)
-        # Grow hi until the affinity exceeds every target (affinity -> 1 as nu -> inf).
-        for _ in range(200):
-            short = _affinity(hi, a, losses) < tg
-            if not short.any():
-                break
-            hi[short] = lmax + (hi[short] - lmax) * 2.0
-        # Capped bisection: the width target can sit below one ulp once nu is
-        # large, so iterations are bounded rather than width alone.
-        for _ in range(300):
-            if float((hi - lo).max()) <= BISECTION_WIDTH:
-                break
-            mid = 0.5 * (lo + hi)
-            below = _affinity(mid, a, losses) < tg
-            lo[below] = mid[below]
-            hi[~below] = mid[~below]
-        nus = 0.5 * (lo + hi)
-        w = a[None, :] / (nus[:, None] - losses[None, :])
-        u = w / np.linalg.norm(w, axis=1, keepdims=True)
-        values[todo] = (losses[None, :] * u * u).sum(axis=1)
-        if todo[-1]:
-            u_last = u[-1]
-
-    return values, u_last
+    method: str  # "kkt_dual"
+    certified_gap: float  # proven bound on (true extremum - value), in loss units
 
 
 def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float):
-    """Global maximum of sum q_i loss_i over the Hellinger cap; returns (value, q)."""
-    a = np.sqrt(p)
-    c = 1.0 - rho * rho
-
+    """Maximize sum q_i loss_i over the Hellinger cap; returns (q, proven gap)."""
     if rho == 0.0:
-        return float((p * losses).sum()), p.copy()
+        return p.copy(), 0.0
+    e = rho * rho * (2.0 - rho * rho)  # 1 - c^2 without cancellation
 
     # Feasibility of the unconstrained optimum: all mass on the max-loss
     # coordinates, distributed proportionally to p (maximizes affinity).
+    # sqrt(top mass) >= c is tested as (mass off the top) <= 1 - c^2.
     lmax = float(losses.max())
     top = losses >= lmax
-    top_mass = float(p[top].sum())
-    if math.sqrt(top_mass) >= c:
-        q = np.where(top, p, 0.0)
-        if top_mass > 0:
-            q = q / q.sum()
-        else:
-            q = top.astype(float) / top.sum()
-        return lmax, q
+    if float(p[~top].sum()) <= e:
+        q = np.where(top, p, 0.0) if p[top].any() else top / top.sum()
+        return q / q.sum(), 0.0
 
+    # nu = lmax + t, so nu - loss = t + d is exact on the max-loss points
+    # however close to lmax the root lies (a tiny p there puts it very close).
     support = p > 0.0
-    off = ~support
-    a_s = a[support]
-    losses_s = losses[support]
+    p_s = p[support]
+    d = lmax - losses[support]
 
-    def inner(targets):
-        return _kkt_on_support(a_s, losses_s, targets)
+    def kkt_at(t):
+        """r = 1 / (nu - loss), S, T and 1 - affinity^2 of the KKT point at nu = lmax + t.
 
-    if not off.any():
-        values, u = inner(np.array([c]))
-        q = np.zeros_like(p)
-        q[support] = u * u
-        q = q / q.sum()
-        return float(values[0]), q
+        The affinity is S / sqrt(T); its deficit (T - S^2) / T is computed as
+        sum p r^2 (B - d S)^2 / T with B = sum p r d (p sums to one), which
+        keeps full relative precision when rho is tiny and nu is large.
+        """
+        r = 1.0 / (t + d)
+        pr = p_s * r
+        s = float(pr.sum())
+        pr2 = pr * r
+        t2 = float(pr2.sum())
+        return r, s, t2, float(pr2 @ (float(pr @ d) - d * s) ** 2) / t2
 
-    # Mass s placed off-support all goes to the largest off-support loss and
-    # does not contribute affinity, so the on-support part must meet the
-    # tightened target c / sqrt(1 - s).  One-dimensional search over s.
-    loff = float(losses[off].max())
-    j_off = int(np.flatnonzero(off)[np.argmax(losses[off])])
-    s_max = max(0.0, 1.0 - c * c)
+    if not p[top].any():
+        # Every max-loss point is off-support, so nu = lmax is dual feasible.
+        r, s, t2, deficit = kkt_at(0.0)
+        if deficit <= e:
+            # g is already non-decreasing at lmax, so g(lmax) is the optimum:
+            # the on-support part meets the affinity exactly and the leftover
+            # mass goes to one off-support max-loss point.
+            left = (e - deficit) / (1.0 - deficit)
+            q = np.zeros_like(p)
+            q[support] = (1.0 - left) * p_s * r * r / t2
+            q[int(np.argmax(top))] = left
+            return q, 0.0
 
-    def total_value(s_grid):
-        s_grid = np.asarray(s_grid, dtype=float)
-        targets = np.minimum(c / np.sqrt(np.maximum(1.0 - s_grid, 1e-300)), 1.0)
-        inner_vals, _ = inner(targets)
-        return s_grid * loff + (1.0 - s_grid) * inner_vals
-
-    grid = np.linspace(0.0, s_max, 513)
-    vals = total_value(grid)
-    k = int(np.argmax(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid.size - 1)]
-    for _ in range(3):
-        sub = np.linspace(lo, hi, 129)
-        sv = total_value(sub)
-        k = int(np.argmax(sv))
-        lo = sub[max(k - 1, 0)]
-        hi = sub[min(k + 1, sub.size - 1)]
-    s_best = 0.5 * (lo + hi)
-    target = min(c / math.sqrt(max(1.0 - s_best, 1e-300)), 1.0)
-    inner_vals, u = inner(np.array([target]))
-    value = s_best * loff + (1.0 - s_best) * float(inner_vals[0])
-
-    q = np.zeros_like(p)
-    q[support] = (1.0 - s_best) * u * u
-    q[j_off] += s_best
-    q = q / q.sum()
-    return value, q
-
-
-def _project_cap(u: np.ndarray, a: np.ndarray, c: float) -> np.ndarray:
-    """Approximate projection onto {u >= 0, ||u|| = 1, <a, u> >= c}, batched over rows."""
-    root = math.sqrt(max(1.0 - c * c, 0.0))
-    np.maximum(u, 0.0, out=u)
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    for _ in range(2):
-        viol = np.flatnonzero(u @ a < c)
-        if viol.size == 0:
+    # Grow hi until the affinity reaches c (the deficit -> 0 as t -> inf),
+    # then bisect to a relative width; iterations stay capped.
+    lo, hi = 0.0, float(d.max()) + 1.0
+    for _ in range(200):
+        if kkt_at(hi)[3] <= e:
             break
-        v = u[viol]
-        w = v - (v @ a)[:, None] * a[None, :]
-        wn = np.linalg.norm(w, axis=1, keepdims=True)
-        wn[wn == 0.0] = 1.0
-        v = c * a[None, :] + root * (w / wn)
-        np.maximum(v, 0.0, out=v)
-        u[viol] = v / np.linalg.norm(v, axis=1, keepdims=True)
-    return u
+        hi *= 2.0
+    for _ in range(300):
+        if hi - lo <= BISECTION_WIDTH * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if kkt_at(mid)[3] > e:
+            lo = mid
+        else:
+            hi = mid
 
-
-def _pga_max(p: np.ndarray, losses: np.ndarray, rho: float, u_start: np.ndarray, seed: int = 0):
-    """Projected gradient ascent over the cap from random restarts plus u_start.
-
-    The gradient step u + 2 step loss u is applied in fused multiplicative
-    form; the step keeps every factor positive, so iterates stay in the
-    orthant between projections.
-    """
-    a = np.sqrt(p)
-    c = 1.0 - rho * rho
-    k = p.size
-    gen = stream(seed)
-    starts = np.abs(gen.standard_normal((_PGA_RESTARTS, k))) + 1e-12
-    u = _project_cap(np.vstack([u_start[None, :], a[None, :], starts]), a, c)
-
-    scale = max(float(np.abs(losses).max()), 1e-12)
-    factor = 1.0 + (0.5 / scale) * losses[None, :]
-    polish = 1.0 + (0.125 / scale) * losses[None, :]
-    for t in range(_PGA_STEPS):
-        u = _project_cap(u * (factor if t < 3 * _PGA_STEPS // 4 else polish), a, c)
-    v = (u * u) @ losses
-    v[u @ a < c - FEASIBILITY_TOL] = -np.inf
-    j = int(np.argmax(v))
-    return float(v[j]), u[j]
+    # Primal at the feasible end; g(nu) - E_q[loss] = S/T - c^2/S equals
+    # (1 - c^2 - deficit) / S, evaluated without cancelling nu against itself.
+    r, s, t2, deficit = kkt_at(hi)
+    q = np.zeros_like(p)
+    q[support] = p_s * r * r / t2
+    return q, max((e - deficit) / s, 0.0)
 
 
 def _sign_solve(inst: DiscreteInstance, sign: float) -> OracleResult:
-    p = inst.p.probs
-    losses = sign * inst.losses
-    value_kkt, q = _solve_max(p, losses, inst.rho)
-    u_kkt = np.sqrt(q)
-    value_pga, u_pga = _pga_max(p, losses, inst.rho, u_kkt)
-    gap = value_pga - value_kkt
-    if gap > AGREEMENT_TOL:
-        raise OracleDisagreementError(inst, sign * value_kkt, sign * value_pga)
-    if gap > 0.0:
-        q = u_pga * u_pga
-        q = q / q.sum()
-        method = "projected_gradient"
-    else:
-        method = "kkt_bisection"
+    q, gap = _solve_max(inst.p.probs, sign * inst.losses, inst.rho)
+    if gap > GAP_TOL:
+        raise OracleDisagreementError(inst, gap)
     maximizer = DiscreteDistribution(q)
     # Report the exact expectation under the (renormalized) extremizer.
     value = float((maximizer.probs * inst.losses).sum())
-    return OracleResult(
-        value=value,
-        maximizer=maximizer,
-        method=method,
-        certified_gap=abs(gap),
-    )
+    return OracleResult(value=value, maximizer=maximizer, method="kkt_dual", certified_gap=gap)
 
 
 def worst_case_sup(inst: DiscreteInstance) -> OracleResult:

@@ -382,3 +382,33 @@ def test_mixture_bad_gamma_range_exit_1(tmp_path, grid):
     csv = tmp_path / "mix.csv"
     assert main(["mixture", "--gamma-grid", grid, "--samples", "50", "--csv", str(csv)]) == 1
     assert not csv.exists()
+
+
+@pytest.mark.parametrize(
+    "name, text, line, message",
+    [
+        ("nan.csv", "score,label\n0.5,1\nnan,-1\n0.2,-1\n", 3, "score nan is not finite"),
+        ("label.csv", "score,label\n0.5,1\n\n0.3,0\n", 4, "label 0 is not -1 or +1"),
+        ("inf.jsonl", '{"score": 0.5, "label": 1}\n{"score": Infinity, "label": -1}\n', 2,
+         "score inf is not finite"),
+        ("label.jsonl", '{"score": 0.5, "label": 1}\n{"score": 0.3, "label": 2}\n', 2,
+         "label 2 is not -1 or +1"),
+    ],
+)
+def test_certify_auc_bad_score_reports_file_and_line(tmp_path, capsys, name, text, line, message):
+    f = tmp_path / name
+    f.write_text(text)
+    assert main(["certify-auc", str(f), "--rho-conditional", "0.1"]) == 1
+    assert f"{f}:{line}: {message}" in capsys.readouterr().err
+
+
+def test_oracle_gap_above_tolerance_exits_3(tmp_path, capsys, monkeypatch):
+    from hellcert import oracle
+
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"p": [0.6, 0.4], "losses": [0.1, 0.8], "M": 1.0, "rho": 0.2}')
+    monkeypatch.setattr(oracle, "_solve_max", lambda p, losses, rho: (p.copy(), 2 * oracle.GAP_TOL))
+    assert main(["oracle", str(inst)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver diagnostic: oracle duality gap")
+    assert '"rho": 0.2' in err

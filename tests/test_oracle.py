@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hellcert.bounds import LossStatistics, lower_bound, upper_bound
 from hellcert.oracle import (
     DiscreteInstance,
     gram_determinant,
@@ -35,8 +36,6 @@ def test_instance_validation():
         DiscreteInstance([0.5, 0.5], [0.0], 1.0, 0.1)  # length mismatch
     with pytest.raises(ValueError):
         DiscreteInstance([0.5, 0.5], [0.0, 1.0], 1.0, 1.2)  # bad radius
-    with pytest.raises(ValueError):
-        DiscreteInstance(np.ones(40) / 40, np.zeros(40), 1.0, 0.1)  # support too big
 
 
 def test_instance_json_round_trip():
@@ -143,6 +142,89 @@ def test_maximizer_invariants():
         assert abs(q.sum() - 1.0) < 1e-12
         assert res.value == pytest.approx(float(q @ losses), abs=1e-12)
         assert hellinger_to(p, q) <= rho + 1e-9
+
+
+def test_off_support_boundary_is_closed_form():
+    # The max loss sits off-support.  At rho = 0.5 the on-support affinity at
+    # nu = max loss (0.7605) already meets c = 0.75, so the leftover mass goes
+    # off-support and the dual bound is attained; at rho = 0.4 (c = 0.84) it
+    # does not, and off-support points get no mass.
+    p = np.array([0.5, 0.3, 0.2, 0.0])
+    losses = np.array([0.1, 0.8, 0.3, 0.95])
+    res = worst_case_sup(DiscreteInstance(p, losses, 1.0, 0.5))
+    q = res.maximizer.probs
+    assert res.certified_gap == 0.0
+    assert q[3] > 0.0
+    assert abs(hellinger_to(p, q) - 0.5) <= 1e-9
+    s = float((p[:3] / (0.95 - losses[:3])).sum())
+    assert res.value == pytest.approx(0.95 - 0.75**2 / s, abs=1e-12)
+    interior = worst_case_sup(DiscreteInstance(p, losses, 1.0, 0.4))
+    assert interior.maximizer.probs[3] == 0.0
+    assert hellinger_to(p, interior.maximizer.probs) <= 0.4 + 1e-9
+
+
+def test_proven_gap_on_random_instances():
+    gen = stream(66)
+    for i in range(200):
+        k = int(gen.integers(2, 33))
+        p = gen.dirichlet(np.ones(k))
+        if i % 3 == 1:
+            p[gen.choice(k, size=int(gen.integers(1, k)), replace=False)] = 0.0
+        inst = DiscreteInstance(p, gen.random(k), 1.0, float(gen.random()))
+        for res in (worst_case_sup(inst), worst_case_inf(inst)):
+            assert res.method == "kkt_dual"
+            assert 0.0 <= res.certified_gap <= 1e-12
+            assert hellinger_to(inst.p.probs, res.maximizer.probs) <= inst.rho + 1e-9
+
+
+def test_split_atoms_match_three_points():
+    # Splitting a point into atoms that share its loss and its p-mass leaves
+    # the extremum unchanged (Cauchy-Schwarz on the affinity), so a 1000-atom
+    # instance must match its 3-point parent, itself checked on the dense grid.
+    gen = stream(67)
+    for case in range(12):
+        p = gen.dirichlet(np.ones(3))
+        if case % 3 == 2:
+            p[int(gen.integers(3))] = 0.0
+            p = p / p.sum()
+        losses = gen.random(3)
+        rho = float(gen.uniform(0.05, 0.6))
+        sizes = np.array([300, 500, 200])
+        owner = np.repeat(np.arange(3), sizes)
+        share = np.concatenate([gen.dirichlet(np.ones(n)) for n in sizes])
+        big = DiscreteInstance(p[owner] * share, losses[owner], 1.0, rho)
+        small = DiscreteInstance(p, losses, 1.0, rho)
+        assert len(big.p) == 1000
+        for solve in (worst_case_sup, worst_case_inf):
+            assert solve(big).value == pytest.approx(solve(small).value, abs=1e-9)
+        if case < 4:
+            assert worst_case_sup(small).value >= dense_grid_sup(p, losses, rho) - 1e-9
+
+
+def test_tiny_radius_matches_two_point_closed_form():
+    # Two-point instances on {0, M} attain the closed-form certificates, so
+    # they pin the solve where the ball is tiny and nu - loss is huge.
+    for ceiling, rho in ((1.0, 1e-9), (1e3, 1e-7), (1e6, 1e-5)):
+        stats = LossStatistics(0.3 * ceiling, 0.21 * ceiling * ceiling, ceiling)
+        inst = DiscreteInstance([0.7, 0.3], [0.0, ceiling], ceiling, rho)
+        sup, inf = worst_case_sup(inst), worst_case_inf(inst)
+        assert sup.value == pytest.approx(upper_bound(stats, rho).bound, rel=1e-12)
+        assert inf.value == pytest.approx(lower_bound(stats, rho).bound, rel=1e-12)
+        for res in (sup, inf):
+            assert res.certified_gap <= 1e-12 * ceiling
+            assert hellinger_to(inst.p.probs, res.maximizer.probs) <= rho + 1e-12
+
+
+def test_tiny_mass_on_max_loss_matches_off_support():
+    # A max-loss point with p = 1e-30 puts the root within ~1e-15 of the max
+    # loss; the value must match the same point taken off-support.
+    losses = [0.9, 0.5, 0.1]
+    for rho in (0.5, 0.9):
+        res = worst_case_sup(DiscreteInstance([1e-30, 0.3, 0.7], losses, 1.0, rho))
+        limit = worst_case_sup(DiscreteInstance([0.0, 0.3, 0.7], losses, 1.0, rho))
+        assert res.value == pytest.approx(limit.value, abs=1e-12)
+        assert res.certified_gap <= 1e-12
+        assert hellinger_to([1e-30, 0.3, 0.7], res.maximizer.probs) <= rho + 1e-12
 
 
 def test_gram_determinant_degenerate_cases():
