@@ -326,10 +326,21 @@ def _cmd_mixture(args) -> int:
     return EXIT_OK
 
 
+def _at_least(flag: str, value: int, minimum: int) -> int:
+    if value < minimum:
+        raise ValueError(f"{flag} must be at least {minimum}, got {value}")
+    return value
+
+
 def _cmd_synthetic_compare(args) -> int:
+    widths = [_at_least("--widths", int(w), 1) for w in args.widths.split(",")]
+    depths = [_at_least("--depths", int(d), 0) for d in args.depths.split(",")]
+    _at_least("--n-train", args.n_train, 1)
+    _at_least("--n-eval", args.n_eval, 2)  # the Gramian certificate needs a variance
+    _at_least("--train-steps", args.train_steps, 0)
     rows = compare_certificates(
-        widths=[int(w) for w in args.widths.split(",")],
-        depths=[int(d) for d in args.depths.split(",")],
+        widths=widths,
+        depths=depths,
         delta_grid=_grid(args.delta_grid),
         seed=args.seed,
         budget_convention=args.budget_convention,
@@ -350,8 +361,8 @@ def _cmd_synthetic_compare(args) -> int:
     )
     report.update(
         {
-            "widths": [int(w) for w in args.widths.split(",")],
-            "depths": [int(d) for d in args.depths.split(",")],
+            "widths": widths,
+            "depths": depths,
             "delta_grid": _grid(args.delta_grid),
             "confidence_delta": args.delta,
             "n_train": args.n_train,

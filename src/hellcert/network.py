@@ -6,6 +6,15 @@ input gradients are written out by hand (the loss-to-logits gradient has a
 closed form), which keeps the whole benchmark dependency-free and makes the
 finite-difference checks direct.
 
+Passes are allocation-free: a :class:`Workspace` holds one post-activation
+buffer per layer and one scratch buffer of n x (widest layer), and the
+forward and backward passes write into it with ``out=``.  ELU is computed in
+place as max(z, 0) + expm1(min(z, 0)), with no branch on the sign of z; the
+backward pass overwrites each spent post-activation a with ELU' =
+min(a, 0) + 1 in place, then with the error at that layer's pre-activation.
+The softmax folds its row max and row sum over the class columns, which
+beats an axis-1 reduction on rows this short.
+
 Spectral normalization keeps every operator norm at most 1, which is what
 the baseline certificates need: the gradient Lipschitz constant of the
 loss-network composition follows from the per-layer recursion
@@ -18,6 +27,7 @@ loss-network composition follows from the per-layer recursion
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,6 +39,7 @@ from .rng import stream
 
 __all__ = [
     "SmallNetwork",
+    "Workspace",
     "LipschitzProfile",
     "TrainResult",
     "TrainingDivergenceError",
@@ -51,8 +62,27 @@ class TrainingDivergenceError(RuntimeError):
     """Training loss became non-finite."""
 
 
-def _elu(z: np.ndarray) -> np.ndarray:
-    return np.where(z > 0.0, z, np.expm1(np.minimum(z, 0.0)))
+def _elu_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """ELU of z written over z; ``tmp`` is scratch of z's shape.
+
+    max(z, 0) + expm1(min(z, 0)) adds an exact 0 to one of the two terms, so
+    it equals the branching form bitwise, up to the sign of an exact zero.
+    """
+    np.minimum(z, 0.0, out=tmp)
+    np.expm1(tmp, out=tmp)
+    np.maximum(z, 0.0, out=z)
+    z += tmp
+    return z
+
+
+def _elu_backward(d: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """d * ELU'(z) written over the spent post-activation a = elu(z).
+
+    ELU' is min(a, 0) + 1: 1 where z > 0 and expm1(z) + 1 elsewhere.
+    """
+    np.minimum(a, 0.0, out=a)
+    a += 1.0
+    return np.multiply(d, a, out=a)
 
 
 @dataclass
@@ -84,27 +114,59 @@ class SmallNetwork:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Logits for a batch of row vectors."""
-        a = np.asarray(x, dtype=float)
-        for w in self.weights:
-            a = _elu(a @ w.T)
-        return a
+    def forward(self, x: np.ndarray, workspace: "Workspace" = None) -> np.ndarray:
+        """Logits for a batch of row vectors (a view into ``workspace`` when given)."""
+        return self.activations(x, workspace)[-1]
 
-    def activations(self, x: np.ndarray):
-        """Input and post-activations per layer; backprop takes ELU' as min(a, 0) + 1."""
+    def activations(self, x: np.ndarray, workspace: "Workspace" = None):
+        """Input and post-activations per layer, written into ``workspace``.
+
+        Without a workspace the call builds its own.  The returned
+        post-activations are views into the workspace, valid until its next
+        use; backprop takes ELU' as min(a, 0) + 1 from them.
+        """
         a = np.asarray(x, dtype=float)
+        ws = _workspace(self, a, workspace)
         posts = [a]
-        for w in self.weights:
-            a = _elu(a @ w.T)
-            posts.append(a)
+        for w, out in zip(self.weights, ws.posts(a.shape[0])):
+            np.matmul(posts[-1], w.T, out=out)
+            posts.append(_elu_inplace(out, ws.scratch(*out.shape)))
         return posts
 
 
+class Workspace:
+    """Buffers for passes of one network over batches of up to ``n`` rows.
+
+    One post-activation buffer per layer and one scratch buffer of
+    n x (widest layer); a batch of m <= n rows uses their leading m rows,
+    which stay C-contiguous.  Passes overwrite them, so a workspace serves
+    one pass at a time.
+    """
+
+    def __init__(self, net: SmallNetwork, n: int):
+        widths = [w.shape[0] for w in net.weights]
+        self.n = n
+        self._posts = [np.empty((n, width)) for width in widths]
+        self._scratch = np.empty(n * max(widths))
+
+    def posts(self, m: int):
+        if m > self.n:
+            raise ValueError(f"batch of {m} rows exceeds the workspace's {self.n}")
+        return [post[:m] for post in self._posts]
+
+    def scratch(self, m: int, width: int) -> np.ndarray:
+        return self._scratch[: m * width].reshape(m, width)
+
+
+def _workspace(net: SmallNetwork, x, workspace) -> Workspace:
+    return Workspace(net, len(x)) if workspace is None else workspace
+
+
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
+    """Row softmax; max and sum fold over the (few) class columns."""
+    z = logits - functools.reduce(np.maximum, logits.T)[:, None]
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / functools.reduce(np.add, e.T)[:, None]
 
 
 def _loss_and_logit_grad(logits: np.ndarray, y_idx: np.ndarray):
@@ -120,8 +182,9 @@ def _loss_and_logit_grad(logits: np.ndarray, y_idx: np.ndarray):
     return losses, grad
 
 
-def batch_loss(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray) -> float:
-    losses, _ = _loss_and_logit_grad(net.forward(x), np.asarray(y_idx))
+def batch_loss(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray,
+               workspace: Workspace = None) -> float:
+    losses, _ = _loss_and_logit_grad(net.forward(x, workspace), np.asarray(y_idx))
     return float(losses.mean())
 
 
@@ -130,29 +193,39 @@ def per_sample_losses(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray) -> np
     return losses
 
 
-def batch_loss_and_param_grads(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray):
+def batch_loss_and_param_grads(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray,
+                               workspace: Workspace = None):
     """Mean loss over the batch and gradients for every weight matrix."""
     y_idx = np.asarray(y_idx)
-    posts = net.activations(x)
+    ws = _workspace(net, x, workspace)
+    posts = net.activations(x, ws)
+    n = posts[0].shape[0]
     losses, d = _loss_and_logit_grad(posts[-1], y_idx)
-    d = d / x.shape[0]
+    d /= n
     grads = [None] * net.n_layers
     for j in range(net.n_layers - 1, -1, -1):
-        d = d * (np.minimum(posts[j + 1], 0.0) + 1.0)
+        d = _elu_backward(d, posts[j + 1])
         grads[j] = d.T @ posts[j]
         if j > 0:
-            d = d @ net.weights[j]
+            d = np.matmul(d, net.weights[j], out=ws.scratch(n, posts[j].shape[1]))
     return float(losses.mean()), grads
 
 
-def per_sample_losses_and_input_grads(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray):
-    """Per-sample losses and d(loss_i)/d(x_i); rows are independent."""
+def per_sample_losses_and_input_grads(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray,
+                                      workspace: Workspace = None):
+    """Per-sample losses and d(loss_i)/d(x_i); rows are independent.
+
+    Both are fresh arrays the caller owns; only the passes use ``workspace``.
+    """
     y_idx = np.asarray(y_idx)
-    posts = net.activations(x)
+    ws = _workspace(net, x, workspace)
+    posts = net.activations(x, ws)
+    n = posts[0].shape[0]
     losses, d = _loss_and_logit_grad(posts[-1], y_idx)
     for j in range(net.n_layers - 1, -1, -1):
-        d = d * (np.minimum(posts[j + 1], 0.0) + 1.0)
-        d = d @ net.weights[j]
+        d = _elu_backward(d, posts[j + 1])
+        out = ws.scratch(n, posts[j].shape[1]) if j > 0 else None
+        d = np.matmul(d, net.weights[j], out=out)
     return losses, d
 
 
@@ -169,15 +242,17 @@ def operator_norm(w: np.ndarray, v0=None, max_iters: int = 50, tol: float = 1e-8
         v = np.ones(n_in) + 1e-3 * np.arange(n_in)
     else:
         v = v0
-    v = v / np.linalg.norm(v)
+    # sqrt(v . v) is np.linalg.norm's own formula for real vectors, without
+    # its per-call overhead.
+    v = v / math.sqrt(v.dot(v))
     sigma = 0.0
     for _ in range(max_iters):
         u = w @ v
-        sigma_new = float(np.linalg.norm(u))
+        sigma_new = math.sqrt(u.dot(u))
         if sigma_new == 0.0:
             return 0.0, v
         v = w.T @ (u / sigma_new)
-        v_norm = float(np.linalg.norm(v))
+        v_norm = math.sqrt(v.dot(v))
         if v_norm == 0.0:
             return 0.0, v
         v = v / v_norm
@@ -224,23 +299,24 @@ def train_network(
     net = net.copy()
     y_idx = np.asarray(y_idx)
     gen = stream(seed, 1)
-    checkpoints = [batch_loss(net, x, y_idx)]
+    ws = Workspace(net, x.shape[0])  # serves the batches and the full-data checkpoints
+    checkpoints = [batch_loss(net, x, y_idx, ws)]
     for step in range(steps):
         if batch_size is None or batch_size >= x.shape[0]:
             xb, yb = x, y_idx
         else:
             pick = gen.integers(0, x.shape[0], size=batch_size)
             xb, yb = x[pick], y_idx[pick]
-        loss, grads = batch_loss_and_param_grads(net, xb, yb)
+        loss, grads = batch_loss_and_param_grads(net, xb, yb, ws)
         if not math.isfinite(loss):
             raise TrainingDivergenceError(f"loss became {loss} at step {step}")
         for j in range(net.n_layers):
             net.weights[j] = net.weights[j] - learning_rate * grads[j]
         spectral_normalize(net)
         if (step + 1) % check_every == 0:
-            checkpoints.append(batch_loss(net, x, y_idx))
+            checkpoints.append(batch_loss(net, x, y_idx, ws))
     if steps % check_every != 0:
-        checkpoints.append(batch_loss(net, x, y_idx))
+        checkpoints.append(batch_loss(net, x, y_idx, ws))
     if steps > 0:
         # Tight final projection so downstream norm checks see <= 1 + 1e-6.
         spectral_normalize(net, max_iters=500, tol=1e-12)

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import CertificateReport
 from .finite_sample import ConfidenceBudget, EmpiricalSample, corollary_upper_bound
 from .network import (
     SmallNetwork,
+    Workspace,
     lipschitz_profile,
     jsd_head_constants,
     per_sample_losses,
@@ -168,8 +168,10 @@ def wasserstein_dual_certificate(
     if np.any(gamma_grid < profile.l_star * (1.0 - 1e-12)):
         raise ValueError("every gamma must be >= L* to keep the inner problem concave")
 
+    workspace = Workspace(net, len(x))
+
     def value_and_grad(xb):
-        return per_sample_losses_and_input_grads(net, xb, y_idx)
+        return per_sample_losses_and_input_grads(net, xb, y_idx, workspace)
 
     best = np.full(budgets.shape, math.inf)
     for gamma in gamma_grid:
@@ -179,29 +181,42 @@ def wasserstein_dual_certificate(
 
 
 def lipschitz_certificate(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray,
-                          shift_budget: float) -> float:
-    """Empirical loss plus (head constant * alpha_L) times the W1 transport budget."""
-    if shift_budget < 0:
+                          shift_budget):
+    """Empirical loss plus (head constant * alpha_L) times the W1 transport budget.
+
+    A scalar budget gives a float, an array of budgets one certificate each
+    from a single loss evaluation and Lipschitz profile.
+    """
+    budgets = np.asarray(shift_budget, dtype=float)
+    if np.any(budgets < 0):
         raise ValueError("shift budget must be non-negative")
     l0_head, _ = jsd_head_constants()
     profile = lipschitz_profile(net)
     slope = l0_head * profile.alpha[-1]
-    return float(per_sample_losses(net, x, y_idx).mean()) + slope * shift_budget
+    certs = float(per_sample_losses(net, x, y_idx).mean()) + slope * budgets
+    return float(certs) if certs.ndim == 0 else certs
 
 
 def gramian_certificate_on_task(
     net: SmallNetwork,
     x: np.ndarray,
     y_idx: np.ndarray,
-    norm_delta: float,
+    norm_delta,
     confidence_delta: float = 0.01,
-) -> CertificateReport:
-    """Finite-sample JSD certificate at the Hellinger radius induced by the dislocation."""
+):
+    """Finite-sample JSD certificate at the Hellinger radius induced by the dislocation.
+
+    A scalar ||delta|| gives one report, a sequence one report each from a
+    single loss evaluation.
+    """
     losses = per_sample_losses(net, x, y_idx)
     sample = EmpiricalSample(losses, ceiling=1.0)
-    _, hellinger = shift_distances(norm_delta)
     budget = ConfidenceBudget(confidence_delta, split="two_way")
-    return corollary_upper_bound(sample, hellinger, budget)
+    reports = [
+        corollary_upper_bound(sample, shift_distances(nd)[1], budget)
+        for nd in np.ravel(norm_delta).tolist()
+    ]
+    return reports[0] if np.ndim(norm_delta) == 0 else reports
 
 
 SWEEP_COLUMNS = (
@@ -265,20 +280,24 @@ def compare_certificates(
             data = sample_task(task)
             net = SmallNetwork.initialize(hidden=(width,) * depth, seed=seed)
             net = train_network(net, data.x_train, data.y_train, steps=train_steps).network
-            profile = lipschitz_profile(net)
-            grid = dual_gamma_grid(profile.l_star)
+            # Each certificate takes the whole delta grid in one call, so it
+            # evaluates the unshifted losses and the profile once per network.
             budgets = [d**2 if budget_convention == "squared" else d for d in delta_grid]
-            duals = wasserstein_dual_certificate(net, data.x_eval, data.y_eval, budgets, grid)
-            for norm_delta, dual in zip(delta_grid, duals):
-                wasserstein, hellinger = shift_distances(norm_delta)
+            duals = wasserstein_dual_certificate(net, data.x_eval, data.y_eval, budgets)
+            grams = gramian_certificate_on_task(
+                net, data.x_eval, data.y_eval, list(delta_grid), confidence_delta
+            )
+            distances = [shift_distances(d) for d in delta_grid]
+            lips = lipschitz_certificate(
+                net, data.x_eval, data.y_eval, [w for w, _ in distances]
+            )
+            for norm_delta, (wasserstein, hellinger), dual, gram, lip in zip(
+                delta_grid, distances, duals, grams, lips
+            ):
                 x_shifted = data.x_eval + norm_delta * direction[None, :]
                 shifted_loss = float(
                     per_sample_losses(net, x_shifted, data.y_eval).mean()
                 )
-                gram = gramian_certificate_on_task(
-                    net, data.x_eval, data.y_eval, norm_delta, confidence_delta
-                )
-                lip = lipschitz_certificate(net, data.x_eval, data.y_eval, wasserstein)
                 rows.append(
                     SweepRow(
                         norm_delta=float(norm_delta),
@@ -287,7 +306,7 @@ def compare_certificates(
                         empirical_loss_shifted=shifted_loss,
                         gramian_cert=gram.bound,
                         dual_cert=float(dual),
-                        lipschitz_cert=lip,
+                        lipschitz_cert=float(lip),
                         width=int(width),
                         depth=int(depth),
                         seed=int(seed),

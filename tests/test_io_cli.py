@@ -331,6 +331,24 @@ def test_synthetic_compare_command_small(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--n-train", "0", "--n-train must be at least 1, got 0"),
+        ("--n-eval", "0", "--n-eval must be at least 2, got 0"),
+        ("--n-eval", "1", "--n-eval must be at least 2, got 1"),
+        ("--train-steps", "-5", "--train-steps must be at least 0, got -5"),
+        ("--widths", "4,0", "--widths must be at least 1, got 0"),
+        ("--depths", "-1", "--depths must be at least 0, got -1"),
+    ],
+)
+def test_synthetic_compare_bad_size_exit_1(tmp_path, capsys, flag, value, message):
+    csv = tmp_path / "sweep.csv"
+    assert main(["synthetic-compare", flag, value, "--csv", str(csv)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not csv.exists()
+
+
 def test_cli_determinism_certify(tmp_path):
     path = losses_file(tmp_path, list(stream(3).random(50)))
     a, b = tmp_path / "a.json", tmp_path / "b.json"

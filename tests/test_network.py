@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from hellcert.losses import jsd_loss_vector
 from hellcert.network import (
     SmallNetwork,
     TrainingDivergenceError,
+    Workspace,
+    _elu_inplace,
     _loss_and_logit_grad,
+    _softmax_rows,
     batch_loss,
     batch_loss_and_param_grads,
     golden_section_max,
@@ -204,3 +208,150 @@ def test_input_gradients_match_exp_backprop_reference():
         ref = ref @ net.weights[j]
     _, grads = per_sample_losses_and_input_grads(net, x, y)
     assert np.allclose(grads, ref, rtol=1e-12, atol=1e-15)
+
+
+# ------------------------------------------- references that allocate freshly
+
+
+def _ref_elu(z):
+    return np.where(z > 0.0, z, np.expm1(np.minimum(z, 0.0)))
+
+
+def _ref_softmax(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _ref_losses_and_param_grads(weights, x, y):
+    posts = [x]
+    for w in weights:
+        posts.append(_ref_elu(posts[-1] @ w.T))
+    p = _ref_softmax(posts[-1])
+    n = x.shape[0]
+    py = p[np.arange(n), y]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = np.where(py > 0.0, 0.5 * np.log(py / (1.0 + py)) / math.log(2.0) * py, 0.0)
+    d = -coef[:, None] * p
+    d[np.arange(n), y] += coef
+    d = d / n
+    grads = [None] * len(weights)
+    for j in range(len(weights) - 1, -1, -1):
+        d = d * (np.minimum(posts[j + 1], 0.0) + 1.0)
+        grads[j] = d.T @ posts[j]
+        if j > 0:
+            d = d @ weights[j]
+    return jsd_loss_vector(py), grads
+
+
+def _ref_operator_norm(w, v, max_iters, tol):
+    v = v / np.linalg.norm(v)
+    sigma = 0.0
+    for _ in range(max_iters):
+        u = w @ v
+        sigma_new = float(np.linalg.norm(u))
+        v = w.T @ (u / sigma_new)
+        v = v / float(np.linalg.norm(v))
+        if abs(sigma_new - sigma) <= tol * max(1.0, sigma_new):
+            return sigma_new, v
+        sigma = sigma_new
+    return sigma, v
+
+
+def _ref_spectral_normalize(weights, vectors, max_iters=50, tol=1e-8):
+    for j, w in enumerate(weights):
+        v0 = np.ones(w.shape[1]) + 1e-3 * np.arange(w.shape[1]) if vectors[j] is None else vectors[j]
+        sigma, vectors[j] = _ref_operator_norm(w, v0, max_iters, tol)
+        if sigma > 1.0:
+            weights[j] = w / sigma
+
+
+def _ref_train(net, x, y, steps, batch_size, check_every):
+    weights = [w.copy() for w in net.weights]
+    vectors = [None if v is None else v.copy() for v in net._power_vectors]
+    gen = stream(0, 1)
+    checkpoints = [float(_ref_losses_and_param_grads(weights, x, y)[0].mean())]
+    for step in range(steps):
+        if batch_size is None:
+            xb, yb = x, y
+        else:
+            pick = gen.integers(0, x.shape[0], size=batch_size)
+            xb, yb = x[pick], y[pick]
+        _, grads = _ref_losses_and_param_grads(weights, xb, yb)
+        weights = [w - 0.5 * g for w, g in zip(weights, grads)]
+        _ref_spectral_normalize(weights, vectors)
+        if (step + 1) % check_every == 0:
+            checkpoints.append(float(_ref_losses_and_param_grads(weights, x, y)[0].mean()))
+    if steps % check_every != 0:
+        checkpoints.append(float(_ref_losses_and_param_grads(weights, x, y)[0].mean()))
+    _ref_spectral_normalize(weights, vectors, max_iters=500, tol=1e-12)
+    return weights, tuple(checkpoints)
+
+
+# ------------------------------------------------------------------- kernels
+
+
+def test_elu_inplace_equals_branching_form():
+    edges = np.array([0.0, -0.0, -1e-300, 1e-300, -800.0, 800.0, np.inf, -np.inf, np.nan])
+    z = np.concatenate([3.0 * stream(21).standard_normal(4991), edges]).reshape(-1, 8)
+    ref = _ref_elu(z)
+    got = _elu_inplace(z.copy(), np.empty_like(z))
+    # Equal by value (so +0 == -0) and NaN where the reference has NaN.
+    assert np.array_equal(got, ref, equal_nan=True)
+    # Away from zero, equal bit for bit.
+    nonzero = ref != 0.0
+    assert np.array_equal(got[nonzero].view(np.int64), ref[nonzero].view(np.int64))
+
+
+@pytest.mark.parametrize("classes", [2, 8])
+def test_column_folded_softmax_matches_axis_reductions(classes):
+    logits = 4.0 * stream(22, classes).standard_normal((3000, classes))
+    logits[:5] = [[-800.0] * classes, [800.0] * classes, [0.0] * classes,
+                  [1e-300] * classes, list(range(classes))]
+    got, ref = _softmax_rows(logits), _ref_softmax(logits)
+    if classes == 2:
+        assert np.array_equal(got, ref)
+    else:
+        # From 8 terms up NumPy sums a row pairwise and the fold left to
+        # right, so the row sum, hence each probability, may differ by the
+        # rounding of 7 additions.
+        np.testing.assert_allclose(got, ref, rtol=8 * np.finfo(float).eps, atol=0.0)
+
+
+def test_workspace_reuse_matches_fresh_calls():
+    net = SmallNetwork.initialize(hidden=(8, 5), seed=6)
+    gen = stream(23)
+    ws = Workspace(net, 60)
+    batches = [(gen.standard_normal((60, 2)), gen.integers(0, 2, size=60)),
+               (2.0 * gen.standard_normal((60, 2)), gen.integers(0, 2, size=60)),
+               (gen.standard_normal((17, 2)), gen.integers(0, 2, size=17))]
+    kept = []
+    for x, y in batches:
+        fresh_loss, fresh_grads = batch_loss_and_param_grads(net, x, y)
+        loss, grads = batch_loss_and_param_grads(net, x, y, ws)
+        assert loss == fresh_loss
+        assert all(np.array_equal(g, f) for g, f in zip(grads, fresh_grads))
+        fresh_losses, fresh_gx = per_sample_losses_and_input_grads(net, x, y)
+        losses, gx = per_sample_losses_and_input_grads(net, x, y, ws)
+        assert np.array_equal(losses, fresh_losses) and np.array_equal(gx, fresh_gx)
+        assert batch_loss(net, x, y, ws) == batch_loss(net, x, y)
+        kept.append((gx, gx.copy(), losses, losses.copy()))
+    # Returned arrays belong to the caller: later calls leave them alone.
+    for gx, gx_copy, losses, losses_copy in kept:
+        assert np.array_equal(gx, gx_copy) and np.array_equal(losses, losses_copy)
+    with pytest.raises(ValueError, match="exceeds"):
+        per_sample_losses_and_input_grads(net, np.zeros((61, 2)), np.zeros(61, dtype=int), ws)
+
+
+@pytest.mark.parametrize("batch_size", [None, 32])
+def test_train_network_matches_fresh_allocating_reference(batch_size):
+    gen = stream(24)
+    n = 300
+    y = gen.integers(0, 2, size=n)
+    x = (2.0 * y - 1.0)[:, None] * np.array([2.0, 0.0]) + gen.standard_normal((n, 2))
+    net = SmallNetwork.initialize(hidden=(16, 16), seed=24)
+    result = train_network(net, x, y, steps=30, batch_size=batch_size, check_every=7)
+    weights, checkpoints = _ref_train(net, x, y, 30, batch_size, 7)
+    assert result.checkpoint_losses == checkpoints
+    for got, ref in zip(result.network.weights, weights):
+        assert np.array_equal(got, ref)

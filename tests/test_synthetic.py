@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -173,6 +174,51 @@ def test_dual_certificate_array_budgets_match_scalar_calls(small_trained):
         wasserstein_dual_certificate(net, x, y, np.array([0.5, -1e-9, 1.0]), grid)
 
 
+def test_lipschitz_and_gramian_array_forms_match_scalar_calls(small_trained):
+    data, net = small_trained
+    x, y = data.x_eval[:300], data.y_eval[:300]
+    deltas = [0.0, 0.3, 1.5]
+    lips = lipschitz_certificate(net, x, y, np.array(deltas))
+    grams = gramian_certificate_on_task(net, x, y, deltas, 0.01)
+    assert lips.shape == (3,) and len(grams) == 3
+    for d, lip, gram in zip(deltas, lips, grams):
+        assert lip == lipschitz_certificate(net, x, y, d)
+        single = gramian_certificate_on_task(net, x, y, d, 0.01)
+        assert (gram.radius, gram.raw_bound, gram.bound) == (single.radius, single.raw_bound, single.bound)
+    assert isinstance(lipschitz_certificate(net, x, y, 0.3), float)
+    with pytest.raises(ValueError, match="non-negative"):
+        lipschitz_certificate(net, x, y, np.array([0.5, -1e-9]))
+
+
+def test_compare_certificates_evaluates_unshifted_losses_once_per_certificate(monkeypatch):
+    losses_calls, profile_calls = collections.Counter(), collections.Counter()
+    nets = []  # holds every network, so no id is reused
+    losses, profile = synthetic.per_sample_losses, synthetic.lipschitz_profile
+
+    def counted_losses(net, x, y):
+        nets.append(net)
+        losses_calls[id(net), x.tobytes()] += 1
+        return losses(net, x, y)
+
+    def counted_profile(net):
+        nets.append(net)
+        profile_calls[id(net)] += 1
+        return profile(net)
+
+    monkeypatch.setattr(synthetic, "per_sample_losses", counted_losses)
+    monkeypatch.setattr(synthetic, "lipschitz_profile", counted_profile)
+    delta_grid = (0.01, 0.5, 1.0)
+    compare_certificates(
+        widths=(2, 3), depths=(1,), delta_grid=delta_grid, seed=3,
+        n_train=200, n_eval=300, train_steps=100,
+    )
+    # Per network: each shifted set once, and the unshifted set once for the
+    # Gramian and once for the Lipschitz certificate, whatever the grid size.
+    assert sorted(losses_calls.values()) == [1] * 6 + [2] * 2
+    # One profile for the dual's concavity check, one for the Lipschitz slope.
+    assert list(profile_calls.values()) == [2, 2]
+
+
 def test_compare_certificates_solves_each_inner_ascent_once_per_network(monkeypatch):
     calls, duals = [], []
     ascent = synthetic.maximize_penalized
@@ -182,7 +228,7 @@ def test_compare_certificates_solves_each_inner_ascent_once_per_network(monkeypa
         calls.append((len(duals), args[2]))  # (network, gamma)
         return ascent(*args, **kwargs)
 
-    def recorded_dual(net, x, y, budgets, grid):
+    def recorded_dual(net, x, y, budgets, grid=None):
         duals.append((net, x, y, grid))
         return dual(net, x, y, budgets, grid)
 
