@@ -52,7 +52,6 @@ from .shifts import (
     DiscreteDistribution,
     auc_composite_radius,
     discrete_hellinger,
-    label_shift_hellinger,
     mixture_hellinger_disjoint,
 )
 
@@ -93,6 +92,5 @@ __all__ = [
     "DiscreteDistribution",
     "auc_composite_radius",
     "discrete_hellinger",
-    "label_shift_hellinger",
     "mixture_hellinger_disjoint",
 ]

@@ -22,7 +22,9 @@ __all__ = [
     "LossStatistics",
     "CertificateReport",
     "RadiusValidityError",
+    "check_radius",
     "c_rho",
+    "validity_radius",
     "max_valid_radius_upper",
     "max_valid_radius_lower",
     "upper_bound",
@@ -101,16 +103,23 @@ class CertificateReport:
             raise ValueError("populated certificate with radius beyond validity")
 
 
-def _check_radius(rho: float) -> None:
+def check_radius(rho: float) -> None:
+    """Reject a Hellinger radius outside [0, 1]."""
     if not (0.0 <= rho <= 1.0):
         raise ValueError(f"Hellinger radius must lie in [0, 1], got {rho}")
 
 
 def c_rho(rho: float) -> float:
     """Radius coefficient sqrt(rho^2 (1-rho^2)^2 (2-rho^2)); zero at rho in {0, 1}."""
-    _check_radius(rho)
+    check_radius(rho)
     r2 = rho * rho
     return math.sqrt(r2 * (1.0 - r2) ** 2 * (2.0 - r2))
+
+
+def validity_radius(ratio2: float) -> float:
+    """sqrt(1 - 1/sqrt(1 + r^2)): where the sign condition behind a certificate
+    fails, for the squared ratio r^2 of its headroom to its spread."""
+    return math.sqrt(1.0 - 1.0 / math.sqrt(1.0 + ratio2))
 
 
 def max_valid_radius_upper(stats: LossStatistics) -> float:
@@ -126,8 +135,7 @@ def max_valid_radius_upper(stats: LossStatistics) -> float:
         # Unreachable through the constructor (Bhatia-Davis forces V = 0
         # when E = M) but kept as a hard guard.
         raise ValueError("mean equals ceiling with positive variance")
-    t2 = gap * gap / stats.variance
-    return math.sqrt(1.0 - 1.0 / math.sqrt(1.0 + t2))
+    return validity_radius(gap * gap / stats.variance)
 
 
 def max_valid_radius_lower(stats: LossStatistics) -> float:
@@ -135,8 +143,7 @@ def max_valid_radius_lower(stats: LossStatistics) -> float:
     if stats.variance <= 0.0:
         return 1.0
     # Bhatia-Davis forces mean > 0 whenever variance > 0.
-    t2 = stats.mean * stats.mean / stats.variance
-    return math.sqrt(1.0 - 1.0 / math.sqrt(1.0 + t2))
+    return validity_radius(stats.mean * stats.mean / stats.variance)
 
 
 def upper_bound(stats: LossStatistics, rho: float) -> CertificateReport:
@@ -146,7 +153,7 @@ def upper_bound(stats: LossStatistics, rho: float) -> CertificateReport:
     with the V/(M-E) correction taken as 0 in the V = 0 limit.  Raises
     :class:`RadiusValidityError` when rho exceeds :func:`max_valid_radius_upper`.
     """
-    _check_radius(rho)
+    check_radius(rho)
     mv = max_valid_radius_upper(stats)
     if rho > mv:
         raise RadiusValidityError(rho, mv)
@@ -170,7 +177,7 @@ def lower_bound(stats: LossStatistics, rho: float) -> CertificateReport:
     Value:  E - 2 C(rho) sqrt(V) - rho^2 (2 - rho^2) [E - V / E],
     with the V/E correction taken as 0 in the E = 0 limit (which forces V = 0).
     """
-    _check_radius(rho)
+    check_radius(rho)
     mv = max_valid_radius_lower(stats)
     if rho > mv:
         raise RadiusValidityError(rho, mv)
@@ -201,7 +208,7 @@ def classification_error_upper(error_rate: float, rho: float) -> CertificateRepo
     """
     if not (0.0 <= error_rate <= 1.0):
         raise ValueError(f"error rate must lie in [0, 1], got {error_rate}")
-    _check_radius(rho)
+    check_radius(rho)
     mv = math.sqrt(1.0 - math.sqrt(error_rate))
     if rho > mv:
         raise RadiusValidityError(rho, mv)

@@ -1,51 +1,39 @@
 """Command-line interface.
 
-Subcommands::
+Each subcommand is one entry of :data:`COMMANDS` (``hellcert --help`` lists
+them): its help, its handler and its arguments, from which the parser is
+built.  A handler returns the report and the exit code, and :func:`main`
+writes the report.  Handlers look the library functions up as module
+globals when they run, so wrapping one of those names here wraps every call
+the CLI makes to it.
 
-    certify            finite-sample certificate for a file of losses
-    certify-accuracy   0-1 loss certificate from (pred, label) records
-    certify-auc        AUC lower certificate from (score, label) records
-    oracle             exact discrete worst case for an instance JSON
-    label-shift        random label-shift scatter vs. certificate curve
-    mixture            disjoint-support mixture curve (0-1 loss and AUC)
-    synthetic-compare  Gaussian-mixture sweep against Wasserstein baselines
-
-Exit codes: 0 success, 1 input error, 2 validity-radius violation,
-3 solver diagnostic.  All randomness flows through seeded counter-based
-streams and reports default to a null timestamp, so identical command lines
-produce byte-identical outputs.
+Exit codes: 0 success, 1 input error (usage errors included), 2
+validity-radius violation, 3 solver diagnostic.  All randomness flows
+through seeded counter-based streams and reports default to a null
+timestamp, so identical command lines produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
+import math
+import operator
 import sys
 
 from . import __version__
 from .bounds import LossStatistics, RadiusValidityError, classification_error_upper
-from .experiments import certificate_band, label_shift_experiment, mixture_experiment
-from .finite_sample import (
-    ConfidenceBudget,
-    DegenerateSampleError,
-    EmpiricalSample,
-    corollary_lower_bound,
-    corollary_upper_bound,
-    max_valid_radius_empirical,
-    max_valid_radius_empirical_lower,
-)
-from .io import (
-    InputFormatError,
-    base_report,
-    json_document,
-    read_losses,
-    read_predictions,
-    read_scores,
-    write_csv,
-)
+from .experiments import (LabelShiftPoint, MixtureCell, certificate_band, label_shift_experiment,
+                          mixture_experiment)
+from .finite_sample import (ConfidenceBudget, EmpiricalSample, corollary_lower_bound,
+                            corollary_upper_bound, max_valid_radius_empirical,
+                            max_valid_radius_empirical_lower)
+from .io import base_report, json_document, read_losses, read_predictions, read_scores, write_csv
 from .losses import PredictionSample, ScoredSample, auc_estimate, auc_pair_sample, zero_one_stats
 from .oracle import GAP_TOL, DiscreteInstance, OracleDisagreementError, worst_case_inf, worst_case_sup
 from .shifts import auc_composite_radius
-from .synthetic import SWEEP_COLUMNS, compare_certificates
+from .synthetic import SweepRow, compare_certificates
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -59,413 +47,280 @@ _AUC_DECISIONS = {
 }
 
 
-def _emit(report: dict, output) -> None:
-    text = json_document(report)
-    if output:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+# List flags: argparse converts their text (the default's too) with these, and
+# names the flag and the converter when a conversion fails.
 
 
-def _sample_inputs(sample: EmpiricalSample, delta) -> dict:
-    return {
-        "n": sample.n,
-        "max_loss": sample.ceiling,
-        "empirical_mean": sample.empirical_mean,
-        "unbiased_variance": sample.unbiased_variance,
-        "delta": delta,
-    }
+def integer_list(text):
+    """Comma-separated integers."""
+    return [int(v) for v in text.split(",")]
 
 
-def _grid(text: str):
-    """Parse '0.1,0.2,0.3' or 'start:stop:step' (stop inclusive up to rounding)."""
-    if ":" in text:
-        start, stop, step = (float(v) for v in text.split(":"))
-        if not step > 0:
-            raise ValueError(f"grid {text!r}: step must be positive")
-        n = int(round((stop - start) / step)) + 1
-        if n < 1:
-            raise ValueError(f"grid {text!r} has no points")
-        return [start + i * step for i in range(n)]
-    return [float(v) for v in text.split(",")]
+def grid(text):
+    """'0.1,0.2,0.3' or 'start:stop:step' (stop inclusive up to rounding)."""
+    if ":" not in text:
+        return [float(v) for v in text.split(",")]
+    start, stop, step = (float(v) for v in text.split(":"))
+    if not (step > 0 and math.isfinite((stop - start) / step)):
+        raise argparse.ArgumentTypeError(f"{text!r}: step must be positive and the range finite")
+    n = int(round((stop - start) / step)) + 1
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} has no points")
+    return [start + i * step for i in range(n)]
 
 
-def _certify_sample(args, sample: EmpiricalSample, report: dict, extras=None) -> int:
-    delta = args.delta
-    report["inputs"] = _sample_inputs(sample, delta)
-    report["direction"] = args.direction
-    report["radius"] = args.rho
-    if extras:
-        report.update(extras)
-    if args.direction == "upper":
-        budget = ConfidenceBudget(delta, split="two_way")
-        mv = max_valid_radius_empirical(sample, budget)
-        compute = corollary_upper_bound
-    else:
-        budget = ConfidenceBudget(delta, split="three_way")
-        mv = max_valid_radius_empirical_lower(sample, budget)
-        compute = corollary_lower_bound
-    report["max_valid_radius"] = mv
+# Range checks, applied to the parsed values: each takes a flag and its value
+# (or list of values) and raises a ValueError that names the flag.
+
+
+def _at_least(minimum):
+    def check(flag, value):
+        for v in value if isinstance(value, list) else [value]:
+            if v < minimum:
+                raise ValueError(f"{flag} must be at least {minimum}, got {v}")
+
+    return check
+
+
+def _positive(flag, value):
+    if not value > 0.0:
+        raise ValueError(f"{flag} must be positive, got {value}")
+
+
+def _certify(args, report: dict, sample: EmpiricalSample, radius: float, direction: str,
+             floor_at_zero: bool = False, **inputs):
+    """The flow every certify command ends in: the finite-sample bound at ``radius``.
+
+    Beyond the validity radius the bound is null and the exit code 2, unless
+    ``floor_at_zero``: then the report carries the lower bound 0, sound at
+    any radius, and says so in ``vacuous``.  ``inputs`` adds to the sample's
+    statistics in the report.
+    """
+    upper = direction == "upper"
+    budget = ConfidenceBudget(args.delta, split="two_way" if upper else "three_way")
+    valid_radius = max_valid_radius_empirical if upper else max_valid_radius_empirical_lower
+    bound = corollary_upper_bound if upper else corollary_lower_bound
+    report["inputs"] = {"n": sample.n, "max_loss": sample.ceiling, "delta": args.delta,
+                        "empirical_mean": sample.empirical_mean,
+                        "unbiased_variance": sample.unbiased_variance, **inputs}
+    report.update(direction=direction, radius=radius, max_valid_radius=valid_radius(sample, budget))
     report["decisions"]["delta_split"] = budget.split
     try:
-        cert = compute(sample, args.rho, budget)
+        cert = bound(sample, radius, budget)
     except RadiusValidityError:
-        report["bound"] = None
-        report["raw_bound"] = None
-        report["confidence"] = None
-        return EXIT_RADIUS
-    except DegenerateSampleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    report["bound"] = cert.bound
-    report["raw_bound"] = cert.raw_bound
-    report["confidence"] = cert.confidence
-    return EXIT_OK
+        if floor_at_zero:
+            report.update(bound=0.0, raw_bound=None, confidence=1.0 - budget.delta, vacuous=True)
+            return report, EXIT_OK
+        report.update(bound=None, raw_bound=None, confidence=None)
+        return report, EXIT_RADIUS
+    report.update(bound=cert.bound, raw_bound=cert.raw_bound, confidence=cert.confidence)
+    return report, EXIT_OK
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args):
     losses = read_losses(args.file, args.format, ceiling=args.max_loss)
     sample = EmpiricalSample(losses, ceiling=args.max_loss)
     report = base_report("certify", None, {"radius_policy": "reject_beyond_validity"})
-    code = _certify_sample(args, sample, report)
-    _emit(report, args.output)
-    return code
+    return _certify(args, report, sample, args.rho, args.direction)
 
 
-def _cmd_certify_accuracy(args) -> int:
+def _cmd_certify_accuracy(args):
     preds, labels = read_predictions(args.file, args.format)
     sample = zero_one_stats(PredictionSample(preds, labels))
-    report = base_report("certify-accuracy", None, {"radius_policy": "reject_beyond_validity"})
-    error_rate = sample.empirical_mean
     try:
-        ref = classification_error_upper(error_rate, args.rho)
-        population_reference = ref.bound
+        population_reference = classification_error_upper(sample.empirical_mean, args.rho).bound
     except RadiusValidityError:
         population_reference = None
-    code = _certify_sample(
-        args, sample, report,
-        extras={"empirical_error_rate": error_rate,
-                "population_reference_upper": population_reference},
-    )
-    _emit(report, args.output)
-    return code
+    report = base_report("certify-accuracy", None, {"radius_policy": "reject_beyond_validity"})
+    report.update(empirical_error_rate=sample.empirical_mean,
+                  population_reference_upper=population_reference)
+    return _certify(args, report, sample, args.rho, args.direction)
 
 
-def _cmd_certify_auc(args) -> int:
-    scores, labels = read_scores(args.file, args.format)
-    scored = ScoredSample(scores, labels)
+def _cmd_certify_auc(args):
+    scored = ScoredSample(*read_scores(args.file, args.format))
     pairs = auc_pair_sample(scored, args.seed)
     composite = auc_composite_radius(args.rho_conditional)
-    budget = ConfidenceBudget(args.delta, split="three_way")
-    report = base_report("certify-auc", args.seed, dict(_AUC_DECISIONS, delta_split="three_way"))
-    report["inputs"] = _sample_inputs(pairs, args.delta)
-    report["inputs"]["n_positive"] = int(scored.positives.size)
-    report["inputs"]["n_negative"] = int(scored.negatives.size)
-    report["direction"] = "lower"
-    report["radius_conditional"] = args.rho_conditional
-    report["radius"] = composite
-    report["auc_point_estimate"] = auc_estimate(scored)
-    mv = max_valid_radius_empirical_lower(pairs, budget)
-    report["max_valid_radius"] = mv
-    try:
-        cert = corollary_lower_bound(pairs, composite, budget)
-        report["bound"] = cert.bound
-        report["raw_bound"] = cert.raw_bound
-        report["vacuous"] = False
-    except RadiusValidityError:
-        # 0 is a sound lower bound at any radius; fall back to it but say so.
-        report["bound"] = 0.0
-        report["raw_bound"] = None
-        report["vacuous"] = True
-    report["confidence"] = 1.0 - args.delta
-    _emit(report, args.output)
-    return EXIT_OK
+    report = base_report("certify-auc", args.seed, dict(_AUC_DECISIONS))
+    report.update(radius_conditional=args.rho_conditional, auc_point_estimate=auc_estimate(scored),
+                  vacuous=False)
+    return _certify(args, report, pairs, composite, "lower", floor_at_zero=True,
+                    n_positive=int(scored.positives.size), n_negative=int(scored.negatives.size))
 
 
-def _cmd_oracle(args) -> int:
+def _extremum(result, point: str) -> dict:
+    return {"value": result.value, point: list(result.maximizer.probs), "method": result.method,
+            "certified_gap": result.certified_gap}
+
+
+def _cmd_oracle(args):
     with open(args.instance, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
         inst = DiscreteInstance.from_json(text)
     except (ValueError, KeyError, TypeError) as exc:
-        print(f"error: bad instance file: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    report = base_report("oracle", None, {"duality_gap_tol": GAP_TOL})
+        raise ValueError(f"bad instance file: {exc}") from None
     sup = worst_case_sup(inst)
     inf = worst_case_inf(inst)
-    exact_mean = float(inst.p.probs @ inst.losses)
-    exact_var = float(inst.p.probs @ (inst.losses - exact_mean) ** 2)
-    stats = LossStatistics(exact_mean, exact_var, inst.ceiling)
-    lo, lo_triv, up, up_triv = certificate_band(stats, inst.rho)
+    mean = float(inst.p.probs @ inst.losses)
+    variance = float(inst.p.probs @ (inst.losses - mean) ** 2)
+    stats = LossStatistics(mean, variance, inst.ceiling)
+    lower, lower_trivial, upper, upper_trivial = certificate_band(stats, inst.rho)
+    report = base_report("oracle", None, {"duality_gap_tol": GAP_TOL})
     report.update(
-        {
-            "instance": {
-                "p": list(inst.p.probs),
-                "losses": list(inst.losses),
-                "M": inst.ceiling,
-                "rho": inst.rho,
-            },
-            "sup": {
-                "value": sup.value,
-                "maximizer": list(sup.maximizer.probs),
-                "method": sup.method,
-                "certified_gap": sup.certified_gap,
-            },
-            "inf": {
-                "value": inf.value,
-                "minimizer": list(inf.maximizer.probs),
-                "method": inf.method,
-                "certified_gap": inf.certified_gap,
-            },
-            "certificates": {
-                "mean": exact_mean,
-                "variance": exact_var,
-                "upper": up,
-                "upper_is_trivial": up_triv,
-                "lower": lo,
-                "lower_is_trivial": lo_triv,
-            },
-        }
+        instance=json.loads(inst.to_json()),
+        sup=_extremum(sup, "maximizer"),
+        inf=_extremum(inf, "minimizer"),
+        certificates={"mean": mean, "variance": variance, "upper": upper,
+                      "upper_is_trivial": upper_trivial, "lower": lower,
+                      "lower_is_trivial": lower_trivial},
     )
-    _emit(report, args.output)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def _cmd_label_shift(args) -> int:
+def _write_records(path, cls, records) -> None:
+    """One CSV row per dataclass record, one column per field in declaration order."""
+    names = [field.name for field in dataclasses.fields(cls)]
+    write_csv(path, names, map(operator.attrgetter(*names), records))
+
+
+def _cmd_label_shift(args):
     preds, labels = read_predictions(args.dataset, args.format)
-    result = label_shift_experiment(
-        preds,
-        labels,
-        trials=args.trials,
-        seed=args.seed,
-        unseen_classes=args.unseen_classes,
-        dirichlet_concentration=args.dirichlet_concentration,
-    )
-    write_csv(
-        args.scatter_csv,
-        ("hellinger", "loss", "mechanism"),
-        ((p.hellinger, p.loss, p.mechanism) for p in result.points),
-    )
-    write_csv(
-        args.curve_csv,
-        ("rho", "lower", "lower_is_trivial", "upper", "upper_is_trivial"),
-        result.curve,
-    )
-    report = base_report(
-        "label-shift",
-        args.seed,
-        {
-            "unseen_class_loss": "ceiling",
-            "mechanism_cycle": "trial_index_mod_3",
-            "dirichlet_concentration": args.dirichlet_concentration,
-        },
-    )
-    report.update(
-        {
-            "trials": args.trials,
-            "unseen_classes": args.unseen_classes,
-            "inputs": {
-                "n": int(len(preds)),
-                "n_classes": int(result.class_priors.size),
-                "empirical_mean": result.stats.mean,
-                "variance": result.stats.variance,
-                "max_loss": result.stats.ceiling,
-            },
-            "excluded_classes": list(result.excluded_classes),
-            "scatter_csv": args.scatter_csv,
-            "curve_csv": args.curve_csv,
-        }
-    )
-    _emit(report, args.output)
-    return EXIT_OK
+    result = label_shift_experiment(preds, labels, trials=args.trials, seed=args.seed,
+                                    unseen_classes=args.unseen_classes,
+                                    dirichlet_concentration=args.dirichlet_concentration)
+    _write_records(args.scatter_csv, LabelShiftPoint, result.points)
+    write_csv(args.curve_csv, ("rho", "lower", "lower_is_trivial", "upper", "upper_is_trivial"),
+              result.curve)
+    report = base_report("label-shift", args.seed, {
+        "unseen_class_loss": "ceiling",
+        "mechanism_cycle": "trial_index_mod_3",
+        "dirichlet_concentration": args.dirichlet_concentration,
+    })
+    stats = result.stats
+    report.update(trials=args.trials, unseen_classes=args.unseen_classes,
+                  inputs={"n": int(len(preds)), "n_classes": int(result.class_priors.size),
+                          "empirical_mean": stats.mean, "variance": stats.variance,
+                          "max_loss": stats.ceiling},
+                  excluded_classes=list(result.excluded_classes),
+                  scatter_csv=args.scatter_csv, curve_csv=args.curve_csv)
+    return report, EXIT_OK
 
 
-def _cmd_mixture(args) -> int:
-    grid = _grid(args.gamma_grid)
-    cells = mixture_experiment(grid, seed=args.seed, n_samples=args.samples)
-    write_csv(
-        args.csv,
-        (
-            "gamma",
-            "hellinger",
-            "composite_radius",
-            "loss_sampled",
-            "loss_exact",
-            "loss_lower_cert",
-            "loss_upper_cert",
-            "auc_estimate",
-            "auc_lower_cert",
-            "auc_upper_cert",
-            "n",
-        ),
-        (
-            (
-                c.gamma,
-                c.hellinger,
-                c.composite_radius,
-                c.loss_sampled,
-                c.loss_exact,
-                c.loss_lower_cert,
-                c.loss_upper_cert,
-                c.auc_estimate,
-                c.auc_lower_cert,
-                c.auc_upper_cert,
-                c.n,
-            )
-            for c in cells
-        ),
-    )
-    report = base_report(
-        "mixture",
-        args.seed,
-        dict(_AUC_DECISIONS, mixture_reference="classifier perfect on P, inverted on Q"),
-    )
-    report.update({"gamma_grid": grid, "samples": args.samples, "csv": args.csv})
-    _emit(report, args.output)
-    return EXIT_OK
+def _cmd_mixture(args):
+    cells = mixture_experiment(args.gamma_grid, seed=args.seed, n_samples=args.samples)
+    _write_records(args.csv, MixtureCell, cells)
+    report = base_report("mixture", args.seed, dict(
+        _AUC_DECISIONS, mixture_reference="classifier perfect on P, inverted on Q"))
+    report.update(gamma_grid=args.gamma_grid, samples=args.samples, csv=args.csv)
+    return report, EXIT_OK
 
 
-def _at_least(flag: str, value: int, minimum: int) -> int:
-    if value < minimum:
-        raise ValueError(f"{flag} must be at least {minimum}, got {value}")
-    return value
+def _cmd_synthetic_compare(args):
+    sizes = dict(widths=args.widths, depths=args.depths, delta_grid=args.delta_grid,
+                 n_train=args.n_train, n_eval=args.n_eval)
+    rows = compare_certificates(**sizes, seed=args.seed, budget_convention=args.budget_convention,
+                                confidence_delta=args.delta, train_steps=args.train_steps)
+    _write_records(args.csv, SweepRow, rows)
+    report = base_report("synthetic-compare", args.seed, {
+        "wasserstein_budget": args.budget_convention,
+        "dual_gamma_grid": "geometric 24 points, L* to 64 L*",
+        "training": f"full-batch gradient descent, {args.train_steps} steps",
+    })
+    report.update(sizes, confidence_delta=args.delta, csv=args.csv)
+    return report, EXIT_OK
 
 
-def _cmd_synthetic_compare(args) -> int:
-    widths = [_at_least("--widths", int(w), 1) for w in args.widths.split(",")]
-    depths = [_at_least("--depths", int(d), 0) for d in args.depths.split(",")]
-    _at_least("--n-train", args.n_train, 1)
-    _at_least("--n-eval", args.n_eval, 2)  # the Gramian certificate needs a variance
-    _at_least("--train-steps", args.train_steps, 0)
-    rows = compare_certificates(
-        widths=widths,
-        depths=depths,
-        delta_grid=_grid(args.delta_grid),
-        seed=args.seed,
-        budget_convention=args.budget_convention,
-        confidence_delta=args.delta,
-        n_train=args.n_train,
-        n_eval=args.n_eval,
-        train_steps=args.train_steps,
-    )
-    write_csv(args.csv, SWEEP_COLUMNS, (r.as_tuple() for r in rows))
-    report = base_report(
-        "synthetic-compare",
-        args.seed,
-        {
-            "wasserstein_budget": args.budget_convention,
-            "dual_gamma_grid": "geometric 24 points, L* to 64 L*",
-            "training": f"full-batch gradient descent, {args.train_steps} steps",
-        },
-    )
-    report.update(
-        {
-            "widths": widths,
-            "depths": depths,
-            "delta_grid": _grid(args.delta_grid),
-            "confidence_delta": args.delta,
-            "n_train": args.n_train,
-            "n_eval": args.n_eval,
-            "csv": args.csv,
-        }
-    )
-    _emit(report, args.output)
-    return EXIT_OK
+def _arg(*flags, check=None, **options):
+    """One argument: argparse's flags and options, and a range check of its parsed value."""
+    return flags, options, check
+
+
+_FILE = _arg("file")
+_RHO = _arg("--rho", type=float, required=True)
+_DELTA = _arg("--delta", type=float, default=0.01)
+_DIRECTION = _arg("--direction", choices=("upper", "lower"), default="upper")
+_SEED = _arg("--seed", type=int, default=0, check=_at_least(0))
+_CSV = _arg("--csv", required=True)
+_FORMAT = _arg("--format", default="auto",
+               choices=("auto", "csv_losses", "csv_predictions", "csv_scores", "jsonl"))
+_OUTPUT = _arg("--output", default=None, help="write the JSON report here (default: stdout)")
+
+# name -> (help, handler, arguments); every subcommand also takes --output.
+COMMANDS = {
+    "certify": ("finite-sample certificate for a file of losses", _cmd_certify, [
+        _FILE, _RHO, _DELTA, _arg("--max-loss", type=float, default=1.0), _DIRECTION, _FORMAT,
+    ]),
+    "certify-accuracy": ("0-1 loss certificate from (pred, label) records", _cmd_certify_accuracy, [
+        _FILE, _RHO, _DELTA, _DIRECTION, _FORMAT,
+    ]),
+    "certify-auc": ("AUC lower certificate from (score, label) records", _cmd_certify_auc, [
+        _FILE, _arg("--rho-conditional", type=float, required=True), _DELTA, _SEED, _FORMAT,
+    ]),
+    "oracle": ("exact discrete worst case for an instance JSON", _cmd_oracle, [_arg("instance")]),
+    "label-shift": ("random label-shift scatter vs. certificate curve", _cmd_label_shift, [
+        _arg("--dataset", required=True), _FORMAT, _SEED,
+        _arg("--trials", type=int, default=10000, check=_at_least(1)),
+        _arg("--unseen-classes", type=int, default=2, check=_at_least(0)),
+        _arg("--dirichlet-concentration", type=float, default=10.0, check=_positive),
+        _arg("--scatter-csv", required=True), _arg("--curve-csv", required=True),
+    ]),
+    "mixture": ("disjoint-support mixture curve (0-1 loss and AUC)", _cmd_mixture, [
+        _arg("--gamma-grid", type=grid, default="0.05:1.0:0.05"),
+        _arg("--samples", type=int, default=10000, check=_at_least(1)),
+        _SEED, _CSV,
+    ]),
+    "synthetic-compare": ("Gaussian-mixture sweep against Wasserstein baselines",
+                          _cmd_synthetic_compare, [
+        _arg("--widths", type=integer_list, default="16", check=_at_least(1)),
+        _arg("--depths", type=integer_list, default="2", check=_at_least(0)),
+        _arg("--delta-grid", type=grid, default="0.01,0.5,1.0,1.5,2.0"),
+        _arg("--budget-convention", choices=("squared", "plain"), default="squared"),
+        _arg("--n-train", type=int, default=2000, check=_at_least(1)),
+        # The Gramian certificate needs a sample variance.
+        _arg("--n-eval", type=int, default=10000, check=_at_least(2)),
+        _arg("--train-steps", type=int, default=2000, check=_at_least(0)),
+        _SEED, _DELTA, _CSV,
+    ]),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ValueError, so that it exits 1 like any input
+    error: argparse's own exit code 2 means a radius beyond validity here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hellcert",
-        description="Certified worst-case loss bounds over Hellinger balls.",
-    )
+    parser = _Parser(prog="hellcert",
+                     description="Certified worst-case loss bounds over Hellinger balls.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--output", default=None, help="write the JSON report here (default: stdout)")
-        p.add_argument(
-            "--format",
-            default="auto",
-            choices=("auto", "csv_losses", "csv_predictions", "csv_scores", "jsonl"),
-        )
-
-    p = sub.add_parser("certify", help="certificate from a file of losses")
-    p.add_argument("file")
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--max-loss", type=float, default=1.0, dest="max_loss")
-    p.add_argument("--direction", choices=("upper", "lower"), default="upper")
-    add_common(p)
-    p.set_defaults(handler=_cmd_certify)
-
-    p = sub.add_parser("certify-accuracy", help="0-1 loss certificate from predictions")
-    p.add_argument("file")
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--direction", choices=("upper", "lower"), default="upper")
-    add_common(p)
-    p.set_defaults(handler=_cmd_certify_accuracy)
-
-    p = sub.add_parser("certify-auc", help="AUC lower certificate from scores")
-    p.add_argument("file")
-    p.add_argument("--rho-conditional", type=float, required=True, dest="rho_conditional")
-    p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
-    add_common(p)
-    p.set_defaults(handler=_cmd_certify_auc)
-
-    p = sub.add_parser("oracle", help="exact discrete worst case for an instance JSON")
-    p.add_argument("instance")
-    p.add_argument("--output", default=None)
-    p.set_defaults(handler=_cmd_oracle)
-
-    p = sub.add_parser("label-shift", help="label-shift scatter and certificate curve")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--unseen-classes", type=int, default=2, dest="unseen_classes")
-    p.add_argument(
-        "--dirichlet-concentration", type=float, default=10.0, dest="dirichlet_concentration"
-    )
-    p.add_argument("--scatter-csv", required=True, dest="scatter_csv")
-    p.add_argument("--curve-csv", required=True, dest="curve_csv")
-    add_common(p)
-    p.set_defaults(handler=_cmd_label_shift)
-
-    p = sub.add_parser("mixture", help="disjoint-support mixture experiment")
-    p.add_argument("--gamma-grid", default="0.05:1.0:0.05", dest="gamma_grid")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--csv", required=True)
-    p.add_argument("--output", default=None)
-    p.set_defaults(handler=_cmd_mixture)
-
-    p = sub.add_parser("synthetic-compare", help="Gaussian-mixture certificate sweep")
-    p.add_argument("--widths", default="16")
-    p.add_argument("--depths", default="2")
-    p.add_argument("--delta-grid", default="0.01,0.5,1.0,1.5,2.0", dest="delta_grid")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--budget-convention", choices=("squared", "plain"), default="squared",
-                   dest="budget_convention")
-    p.add_argument("--n-train", type=int, default=2000, dest="n_train")
-    p.add_argument("--n-eval", type=int, default=10000, dest="n_eval")
-    p.add_argument("--train-steps", type=int, default=2000, dest="train_steps")
-    p.add_argument("--csv", required=True)
-    p.add_argument("--output", default=None)
-    p.set_defaults(handler=_cmd_synthetic_compare)
-
+    for name, (help_text, _, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flags, options, _ in (*arguments, _OUTPUT):
+            p.add_argument(*flags, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except InputFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        args = build_parser().parse_args(argv)
+        _, handler, arguments = COMMANDS[args.command]
+        for flags, _, check in arguments:
+            if check is not None:  # argparse's dest for the flag: --n-eval -> n_eval
+                check(flags[0], getattr(args, flags[0].lstrip("-").replace("-", "_")))
+        report, code = handler(args)
+        text = json_document(report)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except OracleDisagreementError as exc:
         print(f"solver diagnostic: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import LossStatistics, lower_bound, max_valid_radius_lower, max_valid_radius_upper, upper_bound
-from .losses import ScoredSample, auc_estimate
+from .losses import PredictionSample, ScoredSample, auc_estimate
 from .rng import stream
-from .shifts import DiscreteDistribution, label_shift_hellinger, mixture_hellinger_disjoint, auc_composite_radius
+from .shifts import DiscreteDistribution, auc_composite_radius, discrete_hellinger, mixture_hellinger_disjoint
 
 __all__ = [
     "LabelShiftPoint",
@@ -35,6 +35,8 @@ MECHANISMS = ("dirichlet_resample", "class_removal", "unseen_classes")
 
 @dataclass(frozen=True)
 class LabelShiftPoint:
+    """One row of the label-shift scatter CSV; the fields, in order, are its columns."""
+
     hellinger: float
     loss: float
     mechanism: str
@@ -46,7 +48,6 @@ class LabelShiftResult:
     curve: list  # (rho, lower, lower_is_trivial, upper, upper_is_trivial)
     stats: LossStatistics
     class_priors: np.ndarray
-    conditional_losses: np.ndarray
     excluded_classes: tuple
 
 
@@ -100,10 +101,8 @@ def label_shift_experiment(
     conditionals, so every scatter point is covered by the closed-form band
     at its own radius.
     """
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    if predictions.shape != labels.shape or predictions.ndim != 1 or predictions.size == 0:
-        raise ValueError("predictions and labels must be equal-length non-empty 1-d arrays")
+    sample = PredictionSample(predictions, labels)
+    predictions, labels = sample.predictions, sample.labels
     classes, counts = np.unique(labels, return_counts=True)
     k = classes.size
     priors = counts / counts.sum()
@@ -136,7 +135,7 @@ def label_shift_experiment(
             q_unseen = moved * gen.dirichlet(np.ones(unseen_classes))
             q_existing = (1.0 - moved) * priors
         q = DiscreteDistribution(np.concatenate([q_existing, q_unseen]))
-        h = label_shift_hellinger(padded_prior, q)
+        h = discrete_hellinger(padded_prior, q)
         loss = float(q.probs[:k] @ cond_loss + q.probs[k:].sum() * ceiling)
         points.append(LabelShiftPoint(hellinger=h, loss=loss, mechanism=mech))
 
@@ -145,7 +144,6 @@ def label_shift_experiment(
         curve=certificate_curve(stats, curve_points),
         stats=stats,
         class_priors=priors,
-        conditional_losses=cond_loss,
         excluded_classes=(),
     )
 
@@ -163,6 +161,8 @@ MIXTURE_CLASSIFIER = {
 
 @dataclass(frozen=True)
 class MixtureCell:
+    """One row of the mixture CSV; the fields, in order, are its columns."""
+
     gamma: float
     hellinger: float
     composite_radius: float

@@ -15,13 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import CertificateReport, RadiusValidityError, c_rho
+from .bounds import CertificateReport, RadiusValidityError, c_rho, check_radius, validity_radius
 
 __all__ = [
     "EmpiricalSample",
     "ConfidenceBudget",
     "DegenerateSampleError",
-    "StreamingMoments",
     "hoeffding_mean_upper",
     "hoeffding_mean_lower",
     "maurer_pontil_std_upper",
@@ -29,7 +28,6 @@ __all__ = [
     "max_valid_radius_empirical_lower",
     "corollary_upper_bound",
     "corollary_lower_bound",
-    "pairwise_unbiased_variance",
 ]
 
 
@@ -72,58 +70,6 @@ class EmpiricalSample:
         object.__setattr__(self, "n", int(losses.size))
         object.__setattr__(self, "empirical_mean", float(np.mean(losses)))
         object.__setattr__(self, "unbiased_variance", float(np.var(losses, ddof=1)))
-
-    @classmethod
-    def from_moments(cls, moments: "StreamingMoments", ceiling: float) -> "EmpiricalSample":
-        """Build a statistics-only sample from streamed moments (losses not retained)."""
-        self = object.__new__(cls)
-        if moments.n < 2:
-            raise ValueError("need at least 2 streamed losses")
-        empty = np.empty(0)
-        empty.setflags(write=False)
-        object.__setattr__(self, "losses", empty)
-        object.__setattr__(self, "ceiling", float(ceiling))
-        object.__setattr__(self, "n", moments.n)
-        object.__setattr__(self, "empirical_mean", moments.mean)
-        object.__setattr__(self, "unbiased_variance", moments.unbiased_variance)
-        return self
-
-
-class StreamingMoments:
-    """Single-pass, numerically stable mean/variance accumulator (Welford recurrence)."""
-
-    def __init__(self):
-        self.n = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    def update(self, values) -> "StreamingMoments":
-        for x in np.asarray(values, dtype=float).ravel():
-            self.n += 1
-            delta = x - self.mean
-            self.mean += delta / self.n
-            self._m2 += delta * (x - self.mean)
-        return self
-
-    @property
-    def unbiased_variance(self) -> float:
-        if self.n < 2:
-            raise ValueError("need at least 2 values")
-        return self._m2 / (self.n - 1)
-
-
-def pairwise_unbiased_variance(losses) -> float:
-    """Literal pairwise form (1/(n(n-1))) sum_{i<j} (x_i - x_j)^2.
-
-    O(n^2); kept as an independent oracle for the streaming/ddof=1 variance,
-    which it equals algebraically.
-    """
-    x = np.asarray(losses, dtype=float)
-    n = x.size
-    if n < 2:
-        raise ValueError("need at least 2 values")
-    diffs = x[:, None] - x[None, :]
-    return float(np.sum(np.triu(diffs * diffs, k=1)) / (n * (n - 1)))
 
 
 @dataclass(frozen=True)
@@ -186,7 +132,7 @@ def max_valid_radius_empirical(sample: EmpiricalSample, budget: ConfidenceBudget
         return 0.0
     denom = math.sqrt(sample.unbiased_variance) + m * math.sqrt(2.0 * ln2d / (n - 1))
     ratio = headroom / denom
-    return math.sqrt(1.0 - 1.0 / math.sqrt(1.0 + ratio * ratio))
+    return validity_radius(ratio * ratio)
 
 
 def max_valid_radius_empirical_lower(sample: EmpiricalSample, budget: ConfidenceBudget) -> float:
@@ -197,7 +143,7 @@ def max_valid_radius_empirical_lower(sample: EmpiricalSample, budget: Confidence
         return 0.0
     std_up = maurer_pontil_std_upper(sample, d3)
     ratio = e_lo / std_up
-    return math.sqrt(1.0 - 1.0 / math.sqrt(1.0 + ratio * ratio))
+    return validity_radius(ratio * ratio)
 
 
 def corollary_upper_bound(
@@ -220,8 +166,7 @@ def corollary_upper_bound(
     """
     if budget.split != "two_way":
         raise ValueError("upper certificate requires a two_way budget split")
-    if not (0.0 <= rho <= 1.0):
-        raise ValueError(f"Hellinger radius must lie in [0, 1], got {rho}")
+    check_radius(rho)
     mv = max_valid_radius_empirical(sample, budget)
     if rho > mv:
         raise RadiusValidityError(rho, mv)
@@ -279,8 +224,7 @@ def corollary_lower_bound(
     """
     if budget.split != "three_way":
         raise ValueError("lower certificate requires a three_way budget split")
-    if not (0.0 <= rho <= 1.0):
-        raise ValueError(f"Hellinger radius must lie in [0, 1], got {rho}")
+    check_radius(rho)
     mv = max_valid_radius_empirical_lower(sample, budget)
     if rho > mv:
         raise RadiusValidityError(rho, mv)

@@ -7,6 +7,7 @@ and the AUC ranking statistic with its i.i.d. pair-sample construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -93,55 +94,63 @@ def zero_one_stats(sample: PredictionSample) -> EmpiricalSample:
     return EmpiricalSample(losses, ceiling=1.0)
 
 
-def jsd_loss(p_y: float) -> float:
-    """Jensen-Shannon divergence (base 2) between a prediction and its one-hot target.
+def jsd_loss_vector(p_true: np.ndarray) -> np.ndarray:
+    """JSD loss (base 2) between predictions and their one-hot targets.
 
-    Only the predicted probability of the true class matters:
+    Only the predicted probability p of the true class matters:
 
-        1 + (p log2(p) - (1 + p) log2(1 + p)) / 2,   p = p_y,
+        1 + (p log2(p) - (1 + p) log2(1 + p)) / 2,
 
     which decreases from 1 at p = 0 to 0 at p = 1; x log x is taken as 0 at 0.
     """
+    p = np.asarray(p_true, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xlogx = np.where(p > 0.0, p * np.log(np.maximum(p, 1e-300)) / _LN2, 0.0)
+    return 1.0 + 0.5 * (xlogx - (1.0 + p) * np.log1p(p) / _LN2)
+
+
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Row softmax; max and sum fold over the (few) class columns."""
+    z = logits - functools.reduce(np.maximum, logits.T)[:, None]
+    e = np.exp(z)
+    return e / functools.reduce(np.add, e.T)[:, None]
+
+
+def jsd_loss_and_logit_grad(logits: np.ndarray, y_idx: np.ndarray):
+    """Per-row JSD losses and their gradients with respect to the logits.
+
+    With p = softmax(logits) and y the true class, the gradient has the
+    closed form (1/2) log2(p_y / (1 + p_y)) p_y (e_y - p).  The prefactor
+    vanishes both as p_y -> 1 (e_y - p -> 0) and as p_y -> 0
+    (p_y log p_y -> 0).
+    """
+    p = softmax_rows(logits)
+    n = logits.shape[0]
+    py = p[np.arange(n), y_idx]
+    losses = jsd_loss_vector(py)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = np.where(py > 0.0, 0.5 * np.log(py / (1.0 + py)) / _LN2 * py, 0.0)
+    grad = -coef[:, None] * p
+    grad[np.arange(n), y_idx] += coef
+    return losses, grad
+
+
+def jsd_loss(p_y: float) -> float:
+    """:func:`jsd_loss_vector` of one true-class probability, checked to lie in [0, 1]."""
     if not (0.0 <= p_y <= 1.0):
         raise ValueError(f"class probability must lie in [0, 1], got {p_y}")
-    xlogx = p_y * math.log2(p_y) if p_y > 0.0 else 0.0
-    return 1.0 + 0.5 * (xlogx - (1.0 + p_y) * math.log2(1.0 + p_y))
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return float(jsd_loss_vector(p_y))
 
 
 def jsd_gradient(logits, true_class: int) -> np.ndarray:
-    """Gradient of the JSD loss with respect to the logits.
-
-    With p = softmax(logits) and y the true class, the closed form is
-    (1/2) log2(p_y / (1 + p_y)) * p_y * (e_y - p).  The prefactor vanishes
-    both as p_y -> 1 (e_y - p -> 0) and as p_y -> 0 (p_y log p_y -> 0).
-    """
+    """Gradient of the JSD loss with respect to one finite logit vector."""
     logits = np.asarray(logits, dtype=float)
     if logits.ndim != 1:
         raise ValueError("logits must be a 1-d vector")
     if not np.all(np.isfinite(logits)):
         raise ValueError("logits must be finite")
-    p = _softmax(logits)
-    py = p[true_class]
-    if py <= 0.0:
-        return np.zeros_like(p)
-    coef = 0.5 * math.log2(py / (1.0 + py)) * py
-    e_y = np.zeros_like(p)
-    e_y[true_class] = 1.0
-    return coef * (e_y - p)
-
-
-def jsd_loss_vector(p_true: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`jsd_loss` over an array of true-class probabilities."""
-    p = np.asarray(p_true, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xlogx = np.where(p > 0.0, p * np.log(np.maximum(p, 1e-300)) / _LN2, 0.0)
-    return 1.0 + 0.5 * (xlogx - (1.0 + p) * np.log1p(p) / _LN2)
+    _, grad = jsd_loss_and_logit_grad(logits[None, :], np.array([true_class]))
+    return grad[0]
 
 
 def auc_estimate(sample: ScoredSample) -> float:

@@ -12,8 +12,9 @@ forward and backward passes write into it with ``out=``.  ELU is computed in
 place as max(z, 0) + expm1(min(z, 0)), with no branch on the sign of z; the
 backward pass overwrites each spent post-activation a with ELU' =
 min(a, 0) + 1 in place, then with the error at that layer's pre-activation.
-The softmax folds its row max and row sum over the class columns, which
-beats an axis-1 reduction on rows this short.
+The loss head is :func:`losses.jsd_loss_and_logit_grad`, whose softmax folds
+its row max and row sum over the class columns, which beats an axis-1
+reduction on rows this short.
 
 Spectral normalization keeps every operator norm at most 1, which is what
 the baseline certificates need: the gradient Lipschitz constant of the
@@ -27,14 +28,13 @@ loss-network composition follows from the per-layer recursion
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .losses import jsd_loss_vector
+from .losses import jsd_loss_and_logit_grad
 from .rng import stream
 
 __all__ = [
@@ -54,9 +54,6 @@ __all__ = [
     "jsd_head_constants",
     "golden_section_max",
 ]
-
-_LN2 = math.log(2.0)
-
 
 class TrainingDivergenceError(RuntimeError):
     """Training loss became non-finite."""
@@ -162,35 +159,15 @@ def _workspace(net: SmallNetwork, x, workspace) -> Workspace:
     return Workspace(net, len(x)) if workspace is None else workspace
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row softmax; max and sum fold over the (few) class columns."""
-    z = logits - functools.reduce(np.maximum, logits.T)[:, None]
-    e = np.exp(z)
-    return e / functools.reduce(np.add, e.T)[:, None]
-
-
-def _loss_and_logit_grad(logits: np.ndarray, y_idx: np.ndarray):
-    """Per-sample JSD losses and d(loss)/d(logits), both closed-form."""
-    p = _softmax_rows(logits)
-    n = logits.shape[0]
-    py = p[np.arange(n), y_idx]
-    losses = jsd_loss_vector(py)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.where(py > 0.0, 0.5 * np.log(py / (1.0 + py)) / _LN2 * py, 0.0)
-    grad = -coef[:, None] * p
-    grad[np.arange(n), y_idx] += coef
-    return losses, grad
+def per_sample_losses(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray,
+                      workspace: Workspace = None) -> np.ndarray:
+    losses, _ = jsd_loss_and_logit_grad(net.forward(x, workspace), np.asarray(y_idx))
+    return losses
 
 
 def batch_loss(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray,
                workspace: Workspace = None) -> float:
-    losses, _ = _loss_and_logit_grad(net.forward(x, workspace), np.asarray(y_idx))
-    return float(losses.mean())
-
-
-def per_sample_losses(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray) -> np.ndarray:
-    losses, _ = _loss_and_logit_grad(net.forward(x), np.asarray(y_idx))
-    return losses
+    return float(per_sample_losses(net, x, y_idx, workspace).mean())
 
 
 def batch_loss_and_param_grads(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray,
@@ -200,7 +177,7 @@ def batch_loss_and_param_grads(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarr
     ws = _workspace(net, x, workspace)
     posts = net.activations(x, ws)
     n = posts[0].shape[0]
-    losses, d = _loss_and_logit_grad(posts[-1], y_idx)
+    losses, d = jsd_loss_and_logit_grad(posts[-1], y_idx)
     d /= n
     grads = [None] * net.n_layers
     for j in range(net.n_layers - 1, -1, -1):
@@ -221,7 +198,7 @@ def per_sample_losses_and_input_grads(net: SmallNetwork, x: np.ndarray, y_idx: n
     ws = _workspace(net, x, workspace)
     posts = net.activations(x, ws)
     n = posts[0].shape[0]
-    losses, d = _loss_and_logit_grad(posts[-1], y_idx)
+    losses, d = jsd_loss_and_logit_grad(posts[-1], y_idx)
     for j in range(net.n_layers - 1, -1, -1):
         d = _elu_backward(d, posts[j + 1])
         out = ws.scratch(n, posts[j].shape[1]) if j > 0 else None

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import check_radius
+
 __all__ = [
     "DiscreteDistribution",
     "discrete_hellinger",
-    "label_shift_hellinger",
     "mixture_hellinger_disjoint",
     "auc_composite_radius",
 ]
@@ -58,17 +59,11 @@ def _padded(p: DiscreteDistribution, q: DiscreteDistribution):
 
 
 def discrete_hellinger(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    """Hellinger distance sqrt(0.5 sum (sqrt(p_i) - sqrt(q_i))^2), in [0, 1]."""
-    pv, qv = _padded(p, q)
-    h2 = 0.5 * float(np.sum((np.sqrt(pv) - np.sqrt(qv)) ** 2))
-    return math.sqrt(min(max(h2, 0.0), 1.0))
+    """Hellinger distance ||sqrt(p) - sqrt(q)||_2 / sqrt(2), capped at 1.
 
-
-def label_shift_hellinger(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    """Hellinger distance under label shift: (1/sqrt(2)) ||sqrt(p) - sqrt(q)||_2.
-
-    When class-conditional covariate distributions are fixed and only the
-    label marginals move, the joint distance collapses to this vector norm.
+    Under label shift, where class-conditional covariate distributions are
+    fixed and only the label marginals move, the joint distance collapses to
+    this distance between the label marginals.
     """
     pv, qv = _padded(p, q)
     return min(float(np.linalg.norm(np.sqrt(pv) - np.sqrt(qv)) / math.sqrt(2.0)), 1.0)
@@ -92,7 +87,6 @@ def auc_composite_radius(rho: float) -> float:
     squared distance is bounded by rho^2 (2 - rho^2); certify AUC at
     sqrt(rho^2 (2 - rho^2)).
     """
-    if not (0.0 <= rho <= 1.0):
-        raise ValueError(f"Hellinger radius must lie in [0, 1], got {rho}")
+    check_radius(rho)
     r2 = rho * rho
     return math.sqrt(r2 * (2.0 - r2))

@@ -47,7 +47,7 @@ __all__ = [
     "lipschitz_certificate",
     "gramian_certificate_on_task",
     "compare_certificates",
-    "SWEEP_COLUMNS",
+    "SweepRow",
 ]
 
 DUAL_GRID_POINTS = 24
@@ -219,22 +219,10 @@ def gramian_certificate_on_task(
     return reports[0] if np.ndim(norm_delta) == 0 else reports
 
 
-SWEEP_COLUMNS = (
-    "norm_delta",
-    "hellinger",
-    "wasserstein",
-    "empirical_loss_shifted",
-    "gramian_cert",
-    "dual_cert",
-    "lipschitz_cert",
-    "width",
-    "depth",
-    "seed",
-)
-
-
 @dataclass(frozen=True)
 class SweepRow:
+    """One row of the sweep CSV; the fields, in order, are its columns."""
+
     norm_delta: float
     hellinger: float
     wasserstein: float
@@ -245,9 +233,6 @@ class SweepRow:
     width: int
     depth: int
     seed: int
-
-    def as_tuple(self):
-        return tuple(getattr(self, c) for c in SWEEP_COLUMNS)
 
 
 def compare_certificates(

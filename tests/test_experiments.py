@@ -11,7 +11,7 @@ from hellcert.experiments import (
     mixture_experiment,
 )
 from hellcert.rng import stream
-from hellcert.shifts import DiscreteDistribution, label_shift_hellinger
+from hellcert.shifts import DiscreteDistribution, discrete_hellinger
 
 
 def synthetic_predictions(seed=5, n=4000, k=10):
@@ -48,12 +48,12 @@ def test_label_shift_identity_and_worst_case():
     res = label_shift_experiment(preds, labels, trials=9, seed=1)
     # Identity shift: distance 0, loss = overall empirical loss.
     pad = DiscreteDistribution(np.concatenate([res.class_priors, np.zeros(2)]))
-    assert label_shift_hellinger(pad, pad) == 0.0
+    assert discrete_hellinger(pad, pad) == 0.0
     # All mass on an unseen class: distance 1, loss = ceiling.
     worst = DiscreteDistribution(
         np.concatenate([np.zeros_like(res.class_priors), [1.0, 0.0]])
     )
-    assert label_shift_hellinger(pad, worst) == pytest.approx(1.0, abs=1e-12)
+    assert discrete_hellinger(pad, worst) == pytest.approx(1.0, abs=1e-12)
     lo, _, up, _ = certificate_band(res.stats, 1.0)
     assert lo <= res.stats.ceiling <= up + 1e-12
 

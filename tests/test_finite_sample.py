@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hellcert.bounds import LossStatistics, RadiusValidityError, max_valid_radiu
 from hellcert.finite_sample import (
     ConfidenceBudget,
     EmpiricalSample,
-    StreamingMoments,
     corollary_lower_bound,
     corollary_upper_bound,
     hoeffding_mean_lower,
@@ -17,7 +17,6 @@ from hellcert.finite_sample import (
     max_valid_radius_empirical,
     max_valid_radius_empirical_lower,
     maurer_pontil_std_upper,
-    pairwise_unbiased_variance,
 )
 from hellcert.rng import stream
 
@@ -31,12 +30,20 @@ COR_UP_REF = 0.17194693615258724  # L=0.1 S2=0.09 M=1 n=200 d=0.05 rho=0.05
 
 
 def make_sample(mean, variance, n, ceiling=1.0):
-    """Statistics-only sample via streamed moments (for formula-level tests)."""
-    m = StreamingMoments()
-    m.n = n
-    m.mean = mean
-    m._m2 = variance * (n - 1)
-    return EmpiricalSample.from_moments(m, ceiling)
+    """Statistics-only stand-in for an EmpiricalSample (for formula-level tests)."""
+    return SimpleNamespace(n=n, empirical_mean=mean, unbiased_variance=variance, ceiling=ceiling)
+
+
+def pairwise_unbiased_variance(losses) -> float:
+    """Literal pairwise form (1/(n(n-1))) sum_{i<j} (x_i - x_j)^2.
+
+    O(n^2); an independent reference for the ddof=1 variance, which it
+    equals algebraically.
+    """
+    x = np.asarray(losses, dtype=float)
+    n = x.size
+    diffs = x[:, None] - x[None, :]
+    return float(np.sum(np.triu(diffs * diffs, k=1)) / (n * (n - 1)))
 
 
 def test_sample_validation():
@@ -94,14 +101,6 @@ def test_pairwise_variance_property(values):
     assert pairwise_unbiased_variance(x) == pytest.approx(
         float(np.var(x, ddof=1)), abs=1e-10
     )
-
-
-def test_streaming_moments_match_batch():
-    gen = stream(11)
-    x = gen.random(1000)
-    m = StreamingMoments().update(x)
-    assert m.mean == pytest.approx(float(np.mean(x)), abs=1e-13)
-    assert m.unbiased_variance == pytest.approx(float(np.var(x, ddof=1)), abs=1e-13)
 
 
 def test_budget_validation():
@@ -229,11 +228,9 @@ def test_convergence_to_population_bound():
     rho, delta = 0.1, 0.05
     pop = upper_bound(LossStatistics(mean, var, 1.0), rho).bound
 
-    moments = StreamingMoments()
     gen = stream(1234)
-    for _ in range(10):
-        moments.update(values[gen.choice(4, size=100_000, p=p)])
-    sample = EmpiricalSample.from_moments(moments, 1.0)
+    draws = [values[gen.choice(4, size=100_000, p=p)] for _ in range(10)]
+    sample = EmpiricalSample(np.concatenate(draws), 1.0)
     cert = corollary_upper_bound(sample, rho, ConfidenceBudget(delta))
     assert cert.bound == pytest.approx(pop, abs=1e-2)
     assert cert.bound >= pop - 1e-3  # conservative side

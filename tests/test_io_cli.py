@@ -1,9 +1,13 @@
+import ast
+import collections
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hellcert import cli
 from hellcert.cli import main
 from hellcert.bounds import c_rho
 from hellcert.finite_sample import ConfidenceBudget, EmpiricalSample, corollary_upper_bound
@@ -19,6 +23,7 @@ from hellcert.io import (
 )
 from hellcert.losses import PredictionSample, zero_one_stats
 from hellcert.rng import stream
+from test_golden import CASES, run_case
 
 
 # ---------------------------------------------------------------- io helpers
@@ -331,22 +336,108 @@ def test_synthetic_compare_command_small(tmp_path):
     assert len(lines) == 3
 
 
+def _bad_value(argv, message):
+    # The id joins the flag, its value and the message.
+    return pytest.param(argv, message, id="-".join([*argv[1:3], message]))
+
+
+# Required output arguments per subcommand, relative to the test directory.
+_OUTPUTS = {
+    "synthetic-compare": ["--csv", "out.csv"],
+    "mixture": ["--csv", "out.csv"],
+    "label-shift": ["--dataset", "preds.csv", "--scatter-csv", "scatter.csv", "--curve-csv", "curve.csv"],
+}
+
+
 @pytest.mark.parametrize(
-    "flag, value, message",
+    "argv, message",
     [
-        ("--n-train", "0", "--n-train must be at least 1, got 0"),
-        ("--n-eval", "0", "--n-eval must be at least 2, got 0"),
-        ("--n-eval", "1", "--n-eval must be at least 2, got 1"),
-        ("--train-steps", "-5", "--train-steps must be at least 0, got -5"),
-        ("--widths", "4,0", "--widths must be at least 1, got 0"),
-        ("--depths", "-1", "--depths must be at least 0, got -1"),
+        _bad_value(["synthetic-compare", "--n-train", "0"], "--n-train must be at least 1, got 0"),
+        _bad_value(["synthetic-compare", "--n-eval", "0"], "--n-eval must be at least 2, got 0"),
+        _bad_value(["synthetic-compare", "--n-eval", "1"], "--n-eval must be at least 2, got 1"),
+        _bad_value(["synthetic-compare", "--train-steps", "-5"], "--train-steps must be at least 0, got -5"),
+        _bad_value(["synthetic-compare", "--widths", "4,0"], "--widths must be at least 1, got 0"),
+        _bad_value(["synthetic-compare", "--depths", "-1"], "--depths must be at least 0, got -1"),
+        _bad_value(["synthetic-compare", "--widths", "a"], "argument --widths: invalid integer_list value: 'a'"),
+        _bad_value(["synthetic-compare", "--delta-grid", "0.5,x"],
+                   "argument --delta-grid: invalid grid value: '0.5,x'"),
+        _bad_value(["label-shift", "--trials", "-1"], "--trials must be at least 1, got -1"),
+        _bad_value(["label-shift", "--unseen-classes", "-1"], "--unseen-classes must be at least 0, got -1"),
+        _bad_value(["label-shift", "--dirichlet-concentration", "0"],
+                   "--dirichlet-concentration must be positive, got 0.0"),
+        _bad_value(["mixture", "--samples", "0"], "--samples must be at least 1, got 0"),
+        _bad_value(["mixture", "--seed", "-1"], "--seed must be at least 0, got -1"),
+        _bad_value(["mixture", "--gamma-grid", "0:1"], "argument --gamma-grid: invalid grid value: '0:1'"),
+        _bad_value(["mixture", "--gamma-grid", "0:inf:0.1"],
+                   "argument --gamma-grid: '0:inf:0.1': step must be positive and the range finite"),
     ],
 )
-def test_synthetic_compare_bad_size_exit_1(tmp_path, capsys, flag, value, message):
-    csv = tmp_path / "sweep.csv"
-    assert main(["synthetic-compare", flag, value, "--csv", str(csv)]) == 1
+def test_synthetic_compare_bad_size_exit_1(tmp_path, capsys, monkeypatch, argv, message):
+    """Every size, count and grid flag is checked before any work, naming the flag."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "preds.csv").write_text("pred,label\n1,1\n0,1\n")
+    assert main(argv + _OUTPUTS[argv[0]]) == 1
     assert f"error: {message}" in capsys.readouterr().err
-    assert not csv.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["preds.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["certify", "f.csv", "--rho", "abc"], "--rho"),
+        (["certify", "f.csv"], "--rho"),
+        (["bogus"], "bogus"),
+    ],
+)
+def test_usage_error_exit_1_without_report(tmp_path, capsys, argv, named):
+    # Exit 2 would claim a radius beyond validity with a report to read.
+    out = tmp_path / "report.json"
+    assert main(argv + ["--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hellcert")
+    assert named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["certify", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_traced_cli_names_are_looked_up_at_call_time(tmp_path, monkeypatch):
+    """Every ``hellcert.cli`` name the benchmark's traced run wraps sees the CLI's calls.
+
+    ``perfbench/tracing.py`` times the CLI's layers by replacing these
+    module globals, so a handler or table that bound one at import time
+    would silently zero its span.  The two default-size sweeps are left out:
+    the small sweep already calls everything they call.
+    """
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(tracing.read_text(encoding="utf-8"))
+    spans = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and node.targets[0].id == "CLI_SPANS")
+    # main is the entry point, which the tracer calls itself.
+    names = sorted({name for module, name, _ in spans if module == "hellcert.cli"} - {"main"})
+    calls = collections.defaultdict(list)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name].append(len(args))
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    for case, args in CASES.items():
+        if not case.startswith("synthetic-compare-"):
+            run_case(args, tmp_path / case)
+    assert [name for name in names if not calls[name]] == []
+    # The tracer counts written rows only when the rows are the third positional argument.
+    assert set(calls["write_csv"]) == {3}
 
 
 def test_cli_determinism_certify(tmp_path):

@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from hellcert.losses import jsd_loss_vector
+from hellcert.losses import jsd_loss_and_logit_grad, jsd_loss_vector, softmax_rows
 from hellcert.network import (
     SmallNetwork,
     TrainingDivergenceError,
     Workspace,
     _elu_inplace,
-    _loss_and_logit_grad,
-    _softmax_rows,
     batch_loss,
     batch_loss_and_param_grads,
     golden_section_max,
@@ -202,7 +200,7 @@ def test_input_gradients_match_exp_backprop_reference():
     for w in net.weights:
         pres.append(a @ w.T)
         a = np.where(pres[-1] > 0.0, pres[-1], np.expm1(np.minimum(pres[-1], 0.0)))
-    _, ref = _loss_and_logit_grad(a, y)
+    _, ref = jsd_loss_and_logit_grad(a, y)
     for j in range(net.n_layers - 1, -1, -1):
         ref = ref * np.where(pres[j] > 0.0, 1.0, np.exp(np.minimum(pres[j], 0.0)))
         ref = ref @ net.weights[j]
@@ -308,7 +306,7 @@ def test_column_folded_softmax_matches_axis_reductions(classes):
     logits = 4.0 * stream(22, classes).standard_normal((3000, classes))
     logits[:5] = [[-800.0] * classes, [800.0] * classes, [0.0] * classes,
                   [1e-300] * classes, list(range(classes))]
-    got, ref = _softmax_rows(logits), _ref_softmax(logits)
+    got, ref = softmax_rows(logits), _ref_softmax(logits)
     if classes == 2:
         assert np.array_equal(got, ref)
     else:
