@@ -150,7 +150,7 @@ def _cmd_certify_auc(args):
 
 def _extremum(result, point: str) -> dict:
     return {"value": result.value, point: list(result.maximizer.probs), "method": result.method,
-            "certified_gap": result.certified_gap}
+            "certified_gap": result.certified_gap, "root_steps": result.root_steps}
 
 
 def _cmd_oracle(args):

@@ -243,10 +243,11 @@ def json_document(obj) -> str:
 
 
 def write_csv(path, header: Iterable[str], rows) -> None:
-    """CSV with LF endings and 17-significant-digit numbers."""
+    """CSV with LF endings and 17-significant-digit numbers; None is an empty cell."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(format_number(v) if not isinstance(v, str) else v for v in row))
+        lines.append(",".join("" if v is None else v if isinstance(v, str) else format_number(v)
+                              for v in row))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -11,12 +11,20 @@ Weak duality bounds the maximum, for every nu >= max_i loss_i, by
     g(nu) = nu - c^2 / S(nu),   S(nu) = sum_i p_i / (nu - loss_i),
 
 and g'(nu) = 0 exactly where the KKT family u_i ~ sqrt(p_i) / (nu - loss_i)
-has affinity <sqrt(p), u> = c.  One bisection on nu therefore yields both a
-feasible primal (taken at the feasible end of the bracket) and a proven
-optimality gap g(nu) - primal.  Points with p_i = 0 only constrain nu: they
-receive mass only when the affinity already meets c at nu = max loss, where
-the optimum is in closed form.  An instance whose proven gap exceeds
-``GAP_TOL`` is raised with the instance attached rather than returned.
+has affinity <sqrt(p), u> = c.  One root search on nu therefore yields both
+a feasible primal (taken at the feasible end of the bracket) and a proven
+optimality gap g(nu) - primal.  The search is a safeguarded Newton iteration
+on deficit^-1/2 - (1 - c^2)^-1/2, with deficit = 1 - affinity^2, started at
+nu - max loss = sqrt(Var_p(loss) / (1 - c^2)) and kept inside a bracket
+whose upper end is always feasible; it bisects whenever a Newton step would
+leave the bracket or stops shrinking.  It stops on the feasible side within
+the same relative width 1e-13 of the root as plain bisection did, after
+about 5 evaluations where bisection took about 44; ``OracleResult.root_steps``
+counts them.  Points with
+p_i = 0 only constrain nu: they receive mass only when the affinity already
+meets c at nu = max loss, where the optimum is in closed form.  An instance
+whose proven gap exceeds ``GAP_TOL`` is raised with the instance attached
+rather than returned.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ __all__ = [
 ]
 
 GAP_TOL = 1e-6
-BISECTION_WIDTH = 1e-13
+ROOT_WIDTH = 1e-13  # stopping width of the root bracket, relative to its feasible end
 
 
 class OracleDisagreementError(RuntimeError):
@@ -104,13 +112,14 @@ class OracleResult:
     maximizer: DiscreteDistribution
     method: str  # "kkt_dual"
     certified_gap: float  # proven bound on (true extremum - value), in loss units
+    root_steps: int  # KKT evaluations made; 0 on the closed forms that need none
 
 
 def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float):
-    """Maximize sum q_i loss_i over the Hellinger cap; returns (q, proven gap)."""
-    if rho == 0.0:
-        return p.copy(), 0.0
+    """Maximize sum q_i loss_i over the Hellinger cap; returns (q, proven gap, root steps)."""
     e = rho * rho * (2.0 - rho * rho)  # 1 - c^2 without cancellation
+    if e == 0.0:  # rho = 0, or so small that rho^2 underflows: the ball is {p}
+        return p.copy(), 0.0, 0
 
     # Feasibility of the unconstrained optimum: all mass on the max-loss
     # coordinates, distributed proportionally to p (maximizes affinity).
@@ -119,7 +128,7 @@ def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float):
     top = losses >= lmax
     if float(p[~top].sum()) <= e:
         q = np.where(top, p, 0.0) if p[top].any() else top / top.sum()
-        return q / q.sum(), 0.0
+        return q / q.sum(), 0.0, 0
 
     # nu = lmax + t, so nu - loss = t + d is exact on the max-loss points
     # however close to lmax the root lies (a tiny p there puts it very close).
@@ -127,23 +136,50 @@ def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float):
     p_s = p[support]
     d = lmax - losses[support]
 
+    dmax = float(d.max())
+
     def kkt_at(t):
-        """r = 1 / (nu - loss), S, T and 1 - affinity^2 of the KKT point at nu = lmax + t.
+        """r = k / (nu - loss), S, k^2 T, 1 - affinity^2 and a Newton step at nu = lmax + t.
 
-        The affinity is S / sqrt(T); its deficit (T - S^2) / T is computed as
-        sum p r^2 (B - d S)^2 / T with B = sum p r d (p sums to one), which
-        keeps full relative precision when rho is tiny and nu is large.
+        With k = t + max d, r stays near 1 however large t gets, so nothing
+        underflows; s, b and t2 below are S, B and T times k, k and k^2.  The
+        affinity is S / sqrt(T); its deficit (T - S^2) / T is computed as
+        sum p r^2 (B - d S)^2 / (T k^2) with B = sum p r d (p sums to one),
+        which keeps full relative precision when rho is tiny and nu is large.
+        Its t-derivative is -2 sum p r^3 (B' - d T)^2 / (T^2 k^3), with
+        B' = sum p r^2 d, free of cancellation the same way.  The step is
+        Newton's on h = deficit^-1/2 - e^-1/2, which rises in t and is close
+        to linear, since the deficit falls like Var_p(d) / t^2.
         """
-        r = 1.0 / (t + d)
+        k = t + dmax
+        r = t + d
+        np.divide(k, r, out=r)
+        s = float(p_s @ r)
         pr = p_s * r
-        s = float(pr.sum())
-        pr2 = pr * r
-        t2 = float(pr2.sum())
-        return r, s, t2, float(pr2 @ (float(pr @ d) - d * s) ** 2) / t2
+        b = float(pr @ d)
+        t2 = float(pr @ r)
+        pr *= r  # p r^2 from here on, then p r^3: few passes over a million atoms
+        dev = d * s
+        dev -= b
+        dev *= dev
+        deficit = float(pr @ dev) / t2 / k / k
+        np.multiply(d, t2, out=dev)
+        dev -= float(pr @ d)
+        dev *= dev
+        pr *= r
+        slope = float(pr @ dev)
+        if slope > 0.0:
+            step = deficit * k * k * k * t2 * t2 * (math.sqrt(deficit / e) - 1.0) / slope
+        else:
+            step = math.inf  # no usable derivative: the search bisects
+        return r, s / k, t2, deficit, step
 
+    steps = 0
+    lo = 0.0
     if not p[top].any():
         # Every max-loss point is off-support, so nu = lmax is dual feasible.
-        r, s, t2, deficit = kkt_at(0.0)
+        r, s, t2, deficit, _ = kkt_at(0.0)
+        steps = 1
         if deficit <= e:
             # g is already non-decreasing at lmax, so g(lmax) is the optimum:
             # the on-support part meets the affinity exactly and the leftover
@@ -152,40 +188,59 @@ def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float):
             q = np.zeros_like(p)
             q[support] = (1.0 - left) * p_s * r * r / t2
             q[int(np.argmax(top))] = left
-            return q, 0.0
+            return q, 0.0, steps
 
-    # Grow hi until the affinity reaches c (the deficit -> 0 as t -> inf),
-    # then bisect to a relative width; iterations stay capped.
-    lo, hi = 0.0, float(d.max()) + 1.0
-    for _ in range(200):
-        if kkt_at(hi)[3] <= e:
-            break
-        hi *= 2.0
-    for _ in range(300):
-        if hi - lo <= BISECTION_WIDTH * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if kkt_at(mid)[3] > e:
-            lo = mid
+    # Safeguarded Newton inside the bracket [lo, hi], hi always feasible.  The
+    # Newton step from the newest point aims a quarter of the stopping width
+    # beyond the root, on the feasible side, so that a converged step lands
+    # feasible instead of within rounding of the root.  It is taken when it
+    # stays inside the bracket and moves at most half as far as the move
+    # before last; otherwise the step doubles t until a feasible point is
+    # known, then takes the geometric midpoint (from hi * 2^-64 while lo is
+    # 0).  The search ends when the bracket is within the stopping width, or
+    # at a feasible point near the root (deficit above e / 2) whose Newton
+    # step is within half of it.
+    mean = float(p_s @ d)
+    t = math.sqrt(float(p_s @ (d - mean) ** 2)) / math.sqrt(e) or dmax
+    hi, at_hi = math.inf, None
+    before_last = last = math.inf
+    while steps < 300:
+        point = kkt_at(t)
+        steps += 1
+        deficit, step = point[3], point[4]
+        if deficit <= e:
+            hi, at_hi = t, point
+            if deficit >= 0.5 * e and abs(step) <= 0.5 * ROOT_WIDTH * t:
+                break
         else:
-            hi = mid
+            lo = t
+        if hi < math.inf and hi - lo <= ROOT_WIDTH * hi:
+            break
+        x = (t + step) * (1.0 + 0.25 * ROOT_WIDTH)
+        if not (lo < x < hi and abs(x - t) <= 0.5 * before_last):
+            x = 2.0 * t if hi == math.inf else math.sqrt(max(lo, hi * 2.0**-64)) * math.sqrt(hi)
+        before_last, last = last, abs(x - t)
+        t = x
+    if at_hi is None:
+        return p.copy(), math.inf, steps
 
     # Primal at the feasible end; g(nu) - E_q[loss] = S/T - c^2/S equals
     # (1 - c^2 - deficit) / S, evaluated without cancelling nu against itself.
-    r, s, t2, deficit = kkt_at(hi)
+    r, s, t2, deficit, _ = at_hi
     q = np.zeros_like(p)
     q[support] = p_s * r * r / t2
-    return q, max((e - deficit) / s, 0.0)
+    return q, max((e - deficit) / s, 0.0), steps
 
 
 def _sign_solve(inst: DiscreteInstance, sign: float) -> OracleResult:
-    q, gap = _solve_max(inst.p.probs, sign * inst.losses, inst.rho)
+    q, gap, steps = _solve_max(inst.p.probs, sign * inst.losses, inst.rho)
     if gap > GAP_TOL:
         raise OracleDisagreementError(inst, gap)
     maximizer = DiscreteDistribution(q)
     # Report the exact expectation under the (renormalized) extremizer.
     value = float((maximizer.probs * inst.losses).sum())
-    return OracleResult(value=value, maximizer=maximizer, method="kkt_dual", certified_gap=gap)
+    return OracleResult(value=value, maximizer=maximizer, method="kkt_dual", certified_gap=gap,
+                        root_steps=steps)
 
 
 def worst_case_sup(inst: DiscreteInstance) -> OracleResult:

@@ -23,7 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_sample import ConfidenceBudget, EmpiricalSample, corollary_upper_bound
+from .finite_sample import (
+    ConfidenceBudget,
+    EmpiricalSample,
+    corollary_upper_bound,
+    max_valid_radius_empirical,
+)
 from .network import (
     SmallNetwork,
     Workspace,
@@ -206,28 +211,35 @@ def gramian_certificate_on_task(
 ):
     """Finite-sample JSD certificate at the Hellinger radius induced by the dislocation.
 
-    A scalar ||delta|| gives one report, a sequence one report each from a
-    single loss evaluation.
+    A scalar ||delta|| gives one report, and raises ``RadiusValidityError``
+    beyond the certificate's maximum valid radius.  A sequence gives one
+    report each from a single loss evaluation, None for a radius beyond
+    validity, so that one invalid delta does not cost the others.
     """
     losses = per_sample_losses(net, x, y_idx)
     sample = EmpiricalSample(losses, ceiling=1.0)
     budget = ConfidenceBudget(confidence_delta, split="two_way")
-    reports = [
-        corollary_upper_bound(sample, shift_distances(nd)[1], budget)
-        for nd in np.ravel(norm_delta).tolist()
-    ]
-    return reports[0] if np.ndim(norm_delta) == 0 else reports
+    if np.ndim(norm_delta) == 0:
+        return corollary_upper_bound(sample, shift_distances(norm_delta)[1], budget)
+    valid = max_valid_radius_empirical(sample, budget)
+    radii = [shift_distances(nd)[1] for nd in np.ravel(norm_delta).tolist()]
+    return [corollary_upper_bound(sample, h, budget) if h <= valid else None for h in radii]
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One row of the sweep CSV; the fields, in order, are its columns."""
+    """One row of the sweep CSV; the fields, in order, are its columns.
+
+    ``gramian_cert`` is None, an empty cell, where the Hellinger radius
+    exceeds ``gramian_max_valid_radius``.
+    """
 
     norm_delta: float
     hellinger: float
     wasserstein: float
     empirical_loss_shifted: float
-    gramian_cert: float
+    gramian_cert: float | None
+    gramian_max_valid_radius: float
     dual_cert: float
     lipschitz_cert: float
     width: int
@@ -269,8 +281,10 @@ def compare_certificates(
             # evaluates the unshifted losses and the profile once per network.
             budgets = [d**2 if budget_convention == "squared" else d for d in delta_grid]
             duals = wasserstein_dual_certificate(net, data.x_eval, data.y_eval, budgets)
-            grams = gramian_certificate_on_task(
-                net, data.x_eval, data.y_eval, list(delta_grid), confidence_delta
+            # The report at delta = 0 always exists and carries the validity
+            # radius that every delta on this network's sample shares.
+            at_zero, *grams = gramian_certificate_on_task(
+                net, data.x_eval, data.y_eval, [0.0, *delta_grid], confidence_delta
             )
             distances = [shift_distances(d) for d in delta_grid]
             lips = lipschitz_certificate(
@@ -289,7 +303,8 @@ def compare_certificates(
                         hellinger=hellinger,
                         wasserstein=wasserstein,
                         empirical_loss_shifted=shifted_loss,
-                        gramian_cert=gram.bound,
+                        gramian_cert=None if gram is None else gram.bound,
+                        gramian_max_valid_radius=at_zero.max_valid_radius,
                         dual_cert=float(dual),
                         lipschitz_cert=float(lip),
                         width=int(width),

@@ -13,7 +13,9 @@ A byte-exact golden would fail on some CPUs.
 
 After an intended change of output, regenerate the goldens with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [case ...]
+
+which rewrites the named cases, or every case when none is named.
 """
 
 from __future__ import annotations
@@ -115,9 +117,12 @@ def test_comparison_catches_a_moved_number():
             assert_matches("moved", moved, want)
 
 
-def regenerate():
+def regenerate(names):
+    """Rewrite the goldens of the named cases, or of every case when none is named."""
     with tempfile.TemporaryDirectory() as tmp:
         for case, args in CASES.items():
+            if names and case not in names:
+                continue
             outputs = run_case(args, Path(tmp) / case)
             target = GOLDEN / case
             shutil.rmtree(target, ignore_errors=True)
@@ -128,4 +133,4 @@ def regenerate():
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])

@@ -1,5 +1,6 @@
 import ast
 import collections
+import csv
 import json
 import math
 from pathlib import Path
@@ -332,8 +333,28 @@ def test_synthetic_compare_command_small(tmp_path):
     code, rep = run_report(tmp_path, args)
     assert code == 0
     lines = csv.read_text().splitlines()
-    assert lines[0] == "norm_delta,hellinger,wasserstein,empirical_loss_shifted,gramian_cert,dual_cert,lipschitz_cert,width,depth,seed"
+    assert lines[0] == ("norm_delta,hellinger,wasserstein,empirical_loss_shifted,gramian_cert,"
+                        "gramian_max_valid_radius,dual_cert,lipschitz_cert,width,depth,seed")
     assert len(lines) == 3
+
+
+def test_synthetic_compare_radius_beyond_gramian_validity_exit_0(tmp_path):
+    # With 50 evaluation points the Gramian certificate is valid up to a
+    # Hellinger radius of about 0.59, below the 0.63 of delta = 2: that
+    # cell is empty, and the other deltas and certificates are still written.
+    sweep = tmp_path / "sweep.csv"
+    args = ["synthetic-compare", "--n-eval", "50", "--n-train", "300", "--train-steps", "200",
+            "--csv", str(sweep)]
+    code, _ = run_report(tmp_path, args)
+    assert code == 0
+    with open(sweep, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["norm_delta"] for row in rows] == ["0.01", "0.5", "1", "1.5", "2"]
+    for row in rows:
+        valid = float(row["hellinger"]) <= float(row["gramian_max_valid_radius"])
+        assert (row["gramian_cert"] != "") == valid
+        assert float(row["dual_cert"]) > 0.0 and float(row["lipschitz_cert"]) > 0.0
+    assert rows[-1]["gramian_cert"] == "" and rows[0]["gramian_cert"] != ""
 
 
 def _bad_value(argv, message):
@@ -516,7 +537,7 @@ def test_oracle_gap_above_tolerance_exits_3(tmp_path, capsys, monkeypatch):
 
     inst = tmp_path / "inst.json"
     inst.write_text('{"p": [0.6, 0.4], "losses": [0.1, 0.8], "M": 1.0, "rho": 0.2}')
-    monkeypatch.setattr(oracle, "_solve_max", lambda p, losses, rho: (p.copy(), 2 * oracle.GAP_TOL))
+    monkeypatch.setattr(oracle, "_solve_max", lambda p, losses, rho: (p.copy(), 2 * oracle.GAP_TOL, 0))
     assert main(["oracle", str(inst)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("solver diagnostic: oracle duality gap")

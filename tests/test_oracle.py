@@ -177,6 +177,138 @@ def test_proven_gap_on_random_instances():
             assert hellinger_to(inst.p.probs, res.maximizer.probs) <= inst.rho + 1e-9
 
 
+def bisection_steps(p, losses, rho):
+    """How many KKT evaluations the oracle's former bisection takes on an instance.
+
+    It grew t = nu - max loss from max d + 1 by doubling until the affinity
+    met c, bisected to a relative width of 1e-13 and evaluated the feasible
+    end once more; with every max-loss point off-support it first evaluated
+    t = 0.  The count is deterministic, so it bounds the Newton search per
+    instance without a timer.
+    """
+    e = rho * rho * (2.0 - rho * rho)
+    top = losses >= losses.max()
+    if rho == 0.0 or p[~top].sum() <= e:
+        return 0
+    p_s, d = p[p > 0.0], losses.max() - losses[p > 0.0]
+
+    def deficit(t):
+        r = 1.0 / (t + d)
+        pr = p_s * r
+        s, pr2 = pr.sum(), pr * r
+        return float(pr2 @ (float(pr @ d) - d * s) ** 2) / pr2.sum()
+
+    steps = 0
+    if not p[top].any():
+        steps += 1
+        if deficit(0.0) <= e:
+            return steps
+    lo, hi = 0.0, float(d.max()) + 1.0
+    for _ in range(200):
+        steps += 1
+        if deficit(hi) <= e:
+            break
+        hi *= 2.0
+    for _ in range(300):
+        if hi - lo <= 1e-13 * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        steps += 1
+        if deficit(mid) > e:
+            lo = mid
+        else:
+            hi = mid
+    return steps + 1
+
+
+def batch_instances(seed, count=200):
+    """Instances shaped like the benchmark's oracle batch: k = 2-32, a third
+    with points off the support, radii stratified over [0, 0.98)."""
+    gen = stream(seed)
+    radii = 0.98 * (gen.permutation(count) + gen.random(count)) / count
+    for i in range(count):
+        k = 2 if i % 10 == 0 else 2 + i % 31
+        p = gen.dirichlet(np.ones(k))
+        if i % 3 == 1:
+            p[gen.choice(k, size=int(gen.integers(1, k)), replace=False)] = 0.0
+        yield DiscreteInstance(p, gen.random(k), 1.0, float(radii[i]))
+
+
+# Beside a max-loss mass of 4e-8 and one of 8e-37, at rho near 1, the
+# computed deficit equals 1 - c^2 over a stretch of t far wider than the
+# stopping width: a Newton search that keeps probing there overruns.
+PLATEAU = DiscreteInstance([8.39450350178218e-37, 0.9999999603825273, 3.961747274683347e-08],
+                           [0.25, 0.25, 0.7499999999999999], 1.0, 0.9972491500922974)
+
+
+def test_root_search_evaluation_budget():
+    steps = []
+    for inst in [*batch_instances(68), PLATEAU]:
+        for sign, solve in ((1.0, worst_case_sup), (-1.0, worst_case_inf)):
+            res = solve(inst)
+            bound = bisection_steps(inst.p.probs, sign * inst.losses, inst.rho)
+            assert res.root_steps <= bound, (inst.to_json(), sign, res.root_steps, bound)
+            steps.append(res.root_steps)
+    assert np.mean(steps) <= 10.0
+
+
+def test_root_steps_zero_on_closed_forms():
+    assert worst_case_sup(DiscreteInstance([0.5, 0.5], [0.2, 0.9], 1.0, 0.0)).root_steps == 0
+    saturated = worst_case_sup(DiscreteInstance([0.6, 0.3, 0.1], [0.2, 0.5, 0.9], 1.0, 1.0))
+    assert saturated.value == 0.9 and saturated.root_steps == 0
+    # The off-support boundary form evaluates the KKT point at the max loss once.
+    boundary = worst_case_sup(DiscreteInstance([0.5, 0.3, 0.2, 0.0], [0.1, 0.8, 0.3, 0.95], 1.0, 0.5))
+    assert boundary.certified_gap == 0.0 and boundary.root_steps == 1
+
+
+def test_tiny_radii_neither_overflow_nor_stall():
+    # Below rho ~ 1e-98 the root t = nu - max loss lies beyond 1e100, where
+    # a cube of it leaves the float range; e = 1 - c^2 is subnormal at 1e-160.
+    gen = stream(70)
+    cases = [([0.5, 0.5], [0.0, 1.0], 1.0, 1e-120), ([0.5, 0.5], [0.0, 1.0], 1.0, 1e-160),
+             ([0.5, 0.5], [0.0, 1e6], 1e6, 1e-98)]
+    for rho in 10.0 ** -np.arange(12.0, 324.0, 16.0):
+        for ceiling in (1.0, 1e6):
+            p = gen.dirichlet(np.ones(6))
+            p[1] = 0.0
+            cases.append((p, ceiling * gen.random(6), ceiling, float(rho)))
+    for p, losses, ceiling, rho in cases:
+        inst = DiscreteInstance(p, losses, ceiling, rho)
+        mean = float(inst.p.probs @ inst.losses)
+        for res in (worst_case_sup(inst), worst_case_inf(inst)):
+            assert res.root_steps <= 4, (inst.to_json(), res.root_steps)
+            assert res.certified_gap <= 3e-14 * ceiling, inst.to_json()
+            assert abs(res.value - mean) <= 1e-12 * ceiling, inst.to_json()
+
+
+def stress_instances():
+    """660 instances: rho 1e-12 to 1, ceilings 1 to 1e6, k = 2-29, a third
+    off-support and half with Dirichlet(0.05) masses, some far below 1e-30."""
+    gen = stream(69)
+    j = 0
+    for rho in (1e-12, 1e-9, 1e-7, 1e-5, 1e-3, 0.01, 0.1, 0.3, 0.6, 0.9, 1.0):
+        for ceiling in (1.0, 1e2, 1e4, 1e6):
+            for _ in range(15):
+                k = 2 + j % 28
+                p = gen.dirichlet(np.full(k, 0.05 if j % 2 == 0 else 1.0))
+                if j % 3 == 1:
+                    p[gen.choice(k, size=int(gen.integers(1, k)), replace=False)] = 0.0
+                if not p.any():
+                    p[0] = 1.0
+                yield DiscreteInstance(p, ceiling * gen.random(k), ceiling, rho)
+                j += 1
+
+
+def test_stress_grid_proves_every_solve():
+    count = 0
+    for inst in stress_instances():
+        for res in (worst_case_sup(inst), worst_case_inf(inst)):
+            assert hellinger_to(inst.p.probs, res.maximizer.probs) <= inst.rho + 1e-9, inst.to_json()
+            assert res.certified_gap <= 3e-14 * inst.ceiling, inst.to_json()
+        count += 1
+    assert count == 660
+
+
 def test_split_atoms_match_three_points():
     # Splitting a point into atoms that share its loss and its p-mass leaves
     # the extremum unchanged (Cauchy-Schwarz on the affinity), so a 1000-atom

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hellcert.bounds import RadiusValidityError
 from hellcert.finite_sample import ConfidenceBudget, EmpiricalSample, corollary_upper_bound
 from hellcert.network import SmallNetwork, lipschitz_profile, jsd_head_constants, per_sample_losses, train_network
 from hellcert import synthetic
@@ -186,6 +187,12 @@ def test_lipschitz_and_gramian_array_forms_match_scalar_calls(small_trained):
         single = gramian_certificate_on_task(net, x, y, d, 0.01)
         assert (gram.radius, gram.raw_bound, gram.bound) == (single.radius, single.raw_bound, single.bound)
     assert isinstance(lipschitz_certificate(net, x, y, 0.3), float)
+    # A radius beyond the Gramian validity radius costs only its own entry.
+    beyond = [0.3, 50.0]
+    mixed = gramian_certificate_on_task(net, x, y, beyond, 0.01)
+    assert mixed[0].bound == grams[1].bound and mixed[1] is None
+    with pytest.raises(RadiusValidityError):
+        gramian_certificate_on_task(net, x, y, 50.0, 0.01)
     with pytest.raises(ValueError, match="non-negative"):
         lipschitz_certificate(net, x, y, np.array([0.5, -1e-9]))
 
