@@ -29,7 +29,8 @@ from .experiments import (LabelShiftPoint, MixtureCell, certificate_band, label_
 from .finite_sample import (ConfidenceBudget, EmpiricalSample, corollary_lower_bound,
                             corollary_upper_bound, max_valid_radius_empirical,
                             max_valid_radius_empirical_lower)
-from .io import base_report, json_document, read_losses, read_predictions, read_scores, write_csv
+from .io import (base_report, json_document, read_losses, read_predictions, read_scores, read_text,
+                 write_csv)
 from .losses import PredictionSample, ScoredSample, auc_estimate, auc_pair_sample, zero_one_stats
 from .oracle import GAP_TOL, DiscreteInstance, OracleDisagreementError, worst_case_inf, worst_case_sup
 from .shifts import auc_composite_radius
@@ -154,11 +155,12 @@ def _extremum(result, point: str) -> dict:
 
 
 def _cmd_oracle(args):
-    with open(args.instance, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(args.instance)
     try:
         inst = DiscreteInstance.from_json(text)
-    except (ValueError, KeyError, TypeError) as exc:
+    except RecursionError:
+        raise ValueError("bad instance file: nested too deeply") from None
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"bad instance file: {exc}") from None
     sup = worst_case_sup(inst)
     inf = worst_case_inf(inst)

@@ -3,12 +3,16 @@ import collections
 import csv
 import json
 import math
+import unittest.mock
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hellcert import cli
+from hellcert import io as hio
 from hellcert.cli import main
 from hellcert.bounds import c_rho
 from hellcert.finite_sample import ConfidenceBudget, EmpiricalSample, corollary_upper_bound
@@ -542,3 +546,194 @@ def test_oracle_gap_above_tolerance_exits_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("solver diagnostic: oracle duality gap")
     assert '"rho": 0.2' in err
+
+
+def _nested(depth):
+    return "[" * depth + "]" * depth
+
+
+def test_deeply_nested_jsonl_is_a_bad_line(tmp_path, capsys):
+    f = tmp_path / "deep.jsonl"
+    f.write_text('{"loss": 0.5}\n{"loss": ' + _nested(100_000) + "}\n")
+    assert main(["certify", str(f), "--rho", "0.1"]) == 1
+    assert f"error: {f}:2: bad JSON: nested too deeply\n" == capsys.readouterr().err
+
+
+def test_deeply_nested_oracle_instance_exit_1(tmp_path, capsys):
+    inst = tmp_path / "deep.json"
+    inst.write_text('{"p": ' + _nested(100_000) + ', "losses": [0.5], "M": 1, "rho": 0.1}')
+    assert main(["oracle", str(inst)]) == 1
+    assert "error: bad instance file: nested too deeply\n" == capsys.readouterr().err
+
+
+def test_non_utf8_byte_is_reported_at_its_line(tmp_path, capsys):
+    f = tmp_path / "losses.csv"
+    f.write_bytes(b"loss\n0.5\n0.25\xff\n0.75\n")
+    assert detect_format(f) == "csv_losses"  # the header alone is read
+    assert main(["certify", str(f), "--rho", "0.1"]) == 1
+    assert f"error: {f}:3: not UTF-8 (invalid start byte, byte 0xff)\n" == capsys.readouterr().err
+    inst = tmp_path / "inst.json"
+    inst.write_bytes(b'{"p": [0.5, 0.5],\n "losses": [0.1, 0.9], "M": 1, "rho": 0.1\xe9}')
+    assert main(["oracle", str(inst)]) == 1
+    assert f"error: {inst}:2: not UTF-8 (invalid continuation byte, byte 0xe9)\n" == capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- fast path against the per-line parser
+
+# reader -> (function, its CSV format, {field: kind of value})
+_READERS = {
+    "losses": (read_losses, "csv_losses", {"loss": "unit"}),
+    "predictions": (read_predictions, "csv_predictions", {"pred": "class", "label": "class"}),
+    "scores": (read_scores, "csv_scores", {"score": "real", "label": "sign"}),
+}
+_VALUES = {
+    "unit": st.floats(0.0, 1.0) | st.sampled_from([0, 1]),
+    "real": st.floats(-1e6, 1e6) | st.integers(-5, 5),
+    "class": st.integers(0, 9),
+    "sign": st.sampled_from([-1, 1]),
+}
+# Lines no reader should take as they are; each is some reader's fault.
+_ADVERSARIAL = [
+    " ", "\t ", "\x0b", "5 6,7 8", "1_0", "1_0,1", "nan", "nan,1", "inf", "-inf,-1", "1e400", "1e400,1",
+    '"0.5"', "0.5,", "0.5,1,", ",", "99999999999999999999", "99999999999999999999,1", "1,-99999999999999999999",
+    "3.0", "3.0,1", "1,3.0", "true", "0.5\r0.6", "0.5\r0.6,1", "-0.1", "1.5", "0.5,2", "0x10",
+    "\xa00.5", "\xa00.5,\xa01", "5\u01fe", "5\u01fe,1", "1,5\u01fe", "\u0663", "\u0663,\u0661",
+    '{"loss": true}', '{"loss": [[0.5]]}', '{"loss": "0.5"}', '{"loss": null}', '{"loss": 0.5}{"loss": 0.5}',
+    '{"loss": 1e400}', '{"loss": NaN}', '{"loss": 10000000000000000000000000000000}',
+    '{"pred": 3.0, "label": 1}', '{"pred": 1, "label": [1]}', '{"pred": 99999999999999999999, "label": 1}',
+    '{"score": 0.5, "label": false}', '{"score": 0.5, "label": 1.0}', '{"score": Infinity, "label": 1}',
+    '{"score": 0.5, "label": 1}{"score": 0.5, "label": 1}', "[0.5]", "null", "{}", "{",
+]
+
+
+def _csv_text(value):
+    if isinstance(value, float):
+        return st.sampled_from([repr(value), f"{value:.3e}", "+" + repr(abs(value)), f"  {value!r} "])
+    return st.sampled_from([str(value), f" {value} ", "+" + str(abs(value))])
+
+
+@st.composite
+def _valid_line(draw, fields, jsonl):
+    values = [draw(_VALUES[kind]) for kind in fields.values()]
+    if jsonl:
+        separators = draw(st.sampled_from([(",", ":"), (", ", ": ")]))
+        return draw(st.sampled_from(["", " "])) + json.dumps(dict(zip(fields, values)), separators=separators)
+    return ",".join(draw(_csv_text(v)) for v in values)
+
+
+@st.composite
+def _input_text(draw, fields, jsonl):
+    """A file of valid records in varied spellings and blank lines, with up to two adversarial lines."""
+    lines = draw(st.lists(_valid_line(fields, jsonl) | st.just(""), max_size=8))
+    for line in draw(st.lists(st.sampled_from(_ADVERSARIAL), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    if not jsonl:
+        lines.insert(0, draw(st.sampled_from([",".join(fields), " " + ",".join(fields).upper()])))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from([eol, ""]))
+
+
+def _outcome(read, path, fmt):
+    """The reader's arrays as (dtype, bytes), or its error message."""
+    try:
+        result = read(path, fmt)
+    except InputFormatError as exc:
+        return str(exc)
+    arrays = result if isinstance(result, tuple) else (result,)
+    return [(a.dtype.str, a.tolist() if a.dtype == object else a.tobytes()) for a in arrays]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), reader=st.sampled_from(sorted(_READERS)), jsonl=st.booleans())
+def test_fast_path_matches_per_line_parser(tmp_path, data, reader, jsonl):
+    """The vectorized pass returns exactly what the per-line parser returns, or leaves the file to it."""
+    read, csv_format, fields = _READERS[reader]
+    path = tmp_path / "input"
+    path.write_bytes(data.draw(_input_text(fields, jsonl)).encode("utf-8"))
+    fmt = "jsonl" if jsonl else csv_format
+    fast = _outcome(read, path, fmt)
+    with unittest.mock.patch.object(hio, "_fast", return_value=None):
+        assert fast == _outcome(read, path, fmt)
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+@pytest.mark.parametrize("jsonl", [False, True])
+def test_fast_path_matches_per_line_parser_on_each_adversarial_line(tmp_path, reader, jsonl):
+    read, csv_format, fields = _READERS[reader]
+    fmt = "jsonl" if jsonl else csv_format
+    valid = json.dumps(dict.fromkeys(fields, 1)) if jsonl else ",".join("1" * len(fields))
+    path = tmp_path / "input"
+    for line in _ADVERSARIAL:
+        header = [] if jsonl else [",".join(fields)]
+        path.write_text("\n".join([*header, valid, line, valid]) + "\n", encoding="utf-8")
+        fast = _outcome(read, path, fmt)
+        with unittest.mock.patch.object(hio, "_fast", return_value=None):
+            assert fast == _outcome(read, path, fmt), line
+
+
+@pytest.mark.parametrize(
+    "fmt, fields, text, expected",
+    [
+        ("csv_losses", {"loss": np.float64}, "loss\r\n1e-3\r\n+0.5\r\n\r\n  0.25 \r\n1", [[1e-3, 0.5, 0.25, 1.0]]),
+        ("jsonl", {"loss": np.float64}, '{"loss": 1e-3}\n\n {"loss":1} \r\n{"loss": 0.5}', [[1e-3, 1.0, 0.5]]),
+        ("csv_predictions", {"pred": np.int64, "label": np.int64}, "pred,label\n+1, 2\n\n3 ,4", [[1, 3], [2, 4]]),
+        ("jsonl", {"pred": np.int64, "label": np.int64}, '{"label": 2, "pred": 1}\n', [[1], [2]]),
+        ("csv_scores", {"score": np.float64, "label": np.int64}, "score,label\n0.5, -1\n1e-3,+1\n",
+         [[0.5, 1e-3], [-1, 1]]),
+    ],
+)
+def test_common_spellings_take_the_fast_path(tmp_path, fmt, fields, text, expected):
+    path = tmp_path / "input"
+    path.write_text(text, newline="")
+    columns = hio._fast(fmt, path, fields)
+    assert [c.tolist() for c in columns] == expected
+    assert [c.dtype for c in columns] == list(fields.values())
+    assert all(c.flags.c_contiguous for c in columns)
+
+
+# ---------------------------------------------------------------- CLI fuzz
+
+_FILE_COMMANDS = {
+    "certify": ["certify", "{path}", "--rho", "0.1"],
+    "certify-accuracy": ["certify-accuracy", "{path}", "--rho", "0.1"],
+    "certify-auc": ["certify-auc", "{path}", "--rho-conditional", "0.1"],
+    "label-shift": ["label-shift", "--dataset", "{path}", "--trials", "3",
+                    "--scatter-csv", "{dir}/scatter.csv", "--curve-csv", "{dir}/curve.csv"],
+    "oracle": ["oracle", "{path}"],
+}
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["p", "losses", "M", "rho", "loss"]), inner, max_size=4),
+    max_leaves=12,
+)
+_RECORDS = st.one_of(*(_input_text(fields, jsonl) for _, _, fields in _READERS.values()
+                       for jsonl in (False, True)))
+_FUZZ_BYTES = st.one_of(
+    st.binary(max_size=64),
+    _JSON_VALUE.map(lambda v: json.dumps(v).encode()),
+    st.tuples(_RECORDS.map(str.encode), st.binary(max_size=3), st.integers(0, 200)).map(
+        lambda t: t[0][:t[2]] + t[1] + t[0][t[2]:]),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(sorted(_FILE_COMMANDS)),
+       fmt=st.sampled_from(["auto", "csv_losses", "csv_predictions", "csv_scores", "jsonl"]),
+       suffix=st.sampled_from([".csv", ".jsonl", ".json"]), data=_FUZZ_BYTES)
+@example(command="certify", fmt="auto", suffix=".jsonl",
+         data=('{"loss": ' + _nested(100_000) + "}\n").encode())
+@example(command="oracle", fmt="auto", suffix=".json", data=('{"p": ' + _nested(100_000) + "}").encode())
+@example(command="certify", fmt="auto", suffix=".csv", data=b"loss\n0.5\n\xff\n")
+@example(command="oracle", fmt="auto", suffix=".json", data=b'{"p": [1.0]\xff}')
+@example(command="oracle", fmt="auto", suffix=".json",
+         data=b'{"p": [1], "losses": [1' + b"0" * 400 + b'], "M": 1, "rho": 0.1}')
+def test_cli_any_bytes_exits_with_a_code_and_no_traceback(tmp_path, capsys, command, fmt, suffix, data):
+    """Any file, in any format, to any subcommand that reads one: exit 0-3 and no traceback."""
+    path = tmp_path / f"input{suffix}"
+    path.write_bytes(data)
+    argv = [arg.format(path=path, dir=tmp_path) for arg in _FILE_COMMANDS[command]]
+    if command != "oracle":
+        argv += ["--format", fmt]
+    assert main(argv) in (0, 1, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
