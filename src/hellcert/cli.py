@@ -29,8 +29,8 @@ from .experiments import (LabelShiftPoint, MixtureCell, certificate_band, label_
 from .finite_sample import (ConfidenceBudget, EmpiricalSample, corollary_lower_bound,
                             corollary_upper_bound, max_valid_radius_empirical,
                             max_valid_radius_empirical_lower)
-from .io import (base_report, json_document, read_losses, read_predictions, read_scores, read_text,
-                 write_csv)
+from .io import (FORMATS, InputFormatError, base_report, json_document, read_losses,
+                 read_predictions, read_scores, read_text, write_csv)
 from .losses import PredictionSample, ScoredSample, auc_estimate, auc_pair_sample, zero_one_stats
 from .oracle import GAP_TOL, DiscreteInstance, OracleDisagreementError, worst_case_inf, worst_case_sup
 from .shifts import auc_composite_radius
@@ -74,18 +74,24 @@ def grid(text):
 # (or list of values) and raises a ValueError that names the flag.
 
 
-def _at_least(minimum):
+def _must(holds, what):
+    """A check that every value satisfies ``holds`` (NaN satisfies no comparison)."""
     def check(flag, value):
         for v in value if isinstance(value, list) else [value]:
-            if v < minimum:
-                raise ValueError(f"{flag} must be at least {minimum}, got {v}")
+            if not holds(v):
+                raise ValueError(f"{flag} must {what}, got {v}")
 
     return check
 
 
-def _positive(flag, value):
-    if not value > 0.0:
-        raise ValueError(f"{flag} must be positive, got {value}")
+def _at_least(minimum):
+    return _must(lambda v: v >= minimum, f"be at least {minimum}")
+
+
+_positive = _must(lambda v: v > 0.0, "be positive")
+_ceiling = _must(lambda v: 0.0 < v < math.inf, "be positive and finite")
+_radius = _must(lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+_confidence = _must(lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
 
 
 def _certify(args, report: dict, sample: EmpiricalSample, radius: float, direction: str,
@@ -119,14 +125,14 @@ def _certify(args, report: dict, sample: EmpiricalSample, radius: float, directi
 
 
 def _cmd_certify(args):
-    losses = read_losses(args.file, args.format, ceiling=args.max_loss)
+    losses = read_losses(args.input, args.format, ceiling=args.max_loss)
     sample = EmpiricalSample(losses, ceiling=args.max_loss)
     report = base_report("certify", None, {"radius_policy": "reject_beyond_validity"})
     return _certify(args, report, sample, args.rho, args.direction)
 
 
 def _cmd_certify_accuracy(args):
-    preds, labels = read_predictions(args.file, args.format)
+    preds, labels = read_predictions(args.input, args.format)
     sample = zero_one_stats(PredictionSample(preds, labels))
     try:
         population_reference = classification_error_upper(sample.empirical_mean, args.rho).bound
@@ -139,7 +145,7 @@ def _cmd_certify_accuracy(args):
 
 
 def _cmd_certify_auc(args):
-    scored = ScoredSample(*read_scores(args.file, args.format))
+    scored = ScoredSample(*read_scores(args.input, args.format))
     pairs = auc_pair_sample(scored, args.seed)
     composite = auc_composite_radius(args.rho_conditional)
     report = base_report("certify-auc", args.seed, dict(_AUC_DECISIONS))
@@ -155,7 +161,7 @@ def _extremum(result, point: str) -> dict:
 
 
 def _cmd_oracle(args):
-    text = read_text(args.instance)
+    text = read_text(args.input)
     try:
         inst = DiscreteInstance.from_json(text)
     except RecursionError:
@@ -187,7 +193,7 @@ def _write_records(path, cls, records) -> None:
 
 
 def _cmd_label_shift(args):
-    preds, labels = read_predictions(args.dataset, args.format)
+    preds, labels = read_predictions(args.input, args.format)
     result = label_shift_experiment(preds, labels, trials=args.trials, seed=args.seed,
                                     unseen_classes=args.unseen_classes,
                                     dirichlet_concentration=args.dirichlet_concentration)
@@ -238,30 +244,35 @@ def _arg(*flags, check=None, **options):
     return flags, options, check
 
 
-_FILE = _arg("file")
-_RHO = _arg("--rho", type=float, required=True)
-_DELTA = _arg("--delta", type=float, default=0.01)
+# Every subcommand that reads a file stores it as args.input, which main
+# names when a handler finds the whole sample at fault.
+_FILE = _arg("input", metavar="file")
+_RHO = _arg("--rho", type=float, required=True, check=_radius)
+_DELTA = _arg("--delta", type=float, default=0.01, check=_confidence)
 _DIRECTION = _arg("--direction", choices=("upper", "lower"), default="upper")
 _SEED = _arg("--seed", type=int, default=0, check=_at_least(0))
 _CSV = _arg("--csv", required=True)
-_FORMAT = _arg("--format", default="auto",
-               choices=("auto", "csv_losses", "csv_predictions", "csv_scores", "jsonl"))
+_FORMAT = _arg("--format", default="auto", choices=("auto", *FORMATS, "jsonl"))
 _OUTPUT = _arg("--output", default=None, help="write the JSON report here (default: stdout)")
 
 # name -> (help, handler, arguments); every subcommand also takes --output.
 COMMANDS = {
     "certify": ("finite-sample certificate for a file of losses", _cmd_certify, [
-        _FILE, _RHO, _DELTA, _arg("--max-loss", type=float, default=1.0), _DIRECTION, _FORMAT,
+        _FILE, _RHO, _DELTA, _arg("--max-loss", type=float, default=1.0, check=_ceiling),
+        _DIRECTION, _FORMAT,
     ]),
     "certify-accuracy": ("0-1 loss certificate from (pred, label) records", _cmd_certify_accuracy, [
         _FILE, _RHO, _DELTA, _DIRECTION, _FORMAT,
     ]),
     "certify-auc": ("AUC lower certificate from (score, label) records", _cmd_certify_auc, [
-        _FILE, _arg("--rho-conditional", type=float, required=True), _DELTA, _SEED, _FORMAT,
+        _FILE, _arg("--rho-conditional", type=float, required=True, check=_radius), _DELTA, _SEED,
+        _FORMAT,
     ]),
-    "oracle": ("exact discrete worst case for an instance JSON", _cmd_oracle, [_arg("instance")]),
+    "oracle": ("exact discrete worst case for an instance JSON", _cmd_oracle, [
+        _arg("input", metavar="instance"),
+    ]),
     "label-shift": ("random label-shift scatter vs. certificate curve", _cmd_label_shift, [
-        _arg("--dataset", required=True), _FORMAT, _SEED,
+        _arg("--dataset", dest="input", metavar="DATASET", required=True), _FORMAT, _SEED,
         _arg("--trials", type=int, default=10000, check=_at_least(1)),
         _arg("--unseen-classes", type=int, default=2, check=_at_least(0)),
         _arg("--dirichlet-concentration", type=float, default=10.0, check=_positive),
@@ -315,7 +326,12 @@ def main(argv=None) -> int:
         for flags, _, check in arguments:
             if check is not None:  # argparse's dest for the flag: --n-eval -> n_eval
                 check(flags[0], getattr(args, flags[0].lstrip("-").replace("-", "_")))
-        report, code = handler(args)
+        try:
+            report, code = handler(args)
+        except ValueError as exc:  # a fault of the whole input: name its file, as a reader does
+            if isinstance(exc, InputFormatError) or getattr(args, "input", None) is None:
+                raise
+            raise InputFormatError(args.input, 0, exc) from exc
         text = json_document(report)
         if args.output:
             with open(args.output, "w", encoding="utf-8", newline="") as fh:

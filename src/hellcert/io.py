@@ -1,11 +1,10 @@
 """File ingestion and deterministic report/CSV emission.
 
-Input formats (auto-detected from extension and header, or forced by flag):
-
-* ``csv_losses``       CSV with header ``loss``
-* ``csv_predictions``  CSV with header ``pred,label``
-* ``csv_scores``       CSV with header ``score,label``
-* ``jsonl``            one JSON object per line with the matching keys
+Each CSV input format is declared once, in :data:`FORMATS`, as its columns
+and their dtypes; its header is the column names joined by commas, and
+``jsonl`` is one JSON object per line with the same keys.  The format is
+detected from the extension and header, or forced by flag.  A float column
+is binary64; an integer column takes only integers within int64.
 
 Files are UTF-8, split into lines at ``\\n`` alone.  Blank lines are skipped
 and whitespace around a line or a CSV field is ignored, so CRLF endings read
@@ -35,6 +34,7 @@ from . import __version__
 from .rng import GENERATOR_NAME
 
 __all__ = [
+    "FORMATS",
     "InputFormatError",
     "detect_format",
     "read_text",
@@ -57,10 +57,11 @@ class InputFormatError(ValueError):
         self.line_no = line_no
 
 
-_HEADERS = {
-    "loss": "csv_losses",
-    "pred,label": "csv_predictions",
-    "score,label": "csv_scores",
+# CSV format -> {column: dtype}: the one declaration of each input format.
+FORMATS = {
+    "csv_losses": {"loss": np.float64},
+    "csv_predictions": {"pred": np.int64, "label": np.int64},
+    "csv_scores": {"score": np.float64, "label": np.int64},
 }
 
 
@@ -99,8 +100,9 @@ def detect_format(path) -> str:
     if not first:
         raise InputFormatError(path, 1, "empty file")
     header = _header(first)
-    if header in _HEADERS:
-        return _HEADERS[header]
+    for fmt, fields in FORMATS.items():
+        if header == ",".join(fields):
+            return fmt
     if header.startswith("{"):
         return "jsonl"
     raise InputFormatError(path, 1, f"unrecognized header {first!r}")
@@ -158,36 +160,24 @@ def _fast(fmt, path, fields):
         return None
 
 
-def _parse_float(path, line_no, text, what):
-    try:
-        return float(text)
-    except (ValueError, OverflowError) as exc:
-        raise InputFormatError(path, line_no, f"bad {what}: {text!r}") from exc
-
-
-def _json_number(path, line_no, obj, key):
-    """A JSONL field must be a JSON number: null, booleans and strings are rejected."""
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputFormatError(path, line_no, f"{key} must be a number, got {json.dumps(value)}")
-    return value
-
-
-def _iter_csv(path, expected_header, n_fields):
+def _iter_csv(path, fields):
+    """Yield (line number, raw field texts in table order) for each record of a CSV file."""
     lines = _lines(path)
-    if _header(next(lines, (1, ""))[1]) != expected_header:
-        raise InputFormatError(path, 1, f"expected header {expected_header!r}")
+    header = ",".join(fields)
+    if _header(next(lines, (1, ""))[1]) != header:
+        raise InputFormatError(path, 1, f"expected header {header!r}")
     for i, line in lines:
         line = line.strip()
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != n_fields:
-            raise InputFormatError(path, i, f"expected {n_fields} fields, got {len(parts)}")
+        if len(parts) != len(fields):
+            raise InputFormatError(path, i, f"expected {len(fields)} fields, got {len(parts)}")
         yield i, parts
 
 
-def _iter_jsonl(path, keys):
+def _iter_jsonl(path, fields):
+    """Yield (line number, JSON numbers in table order) for each record of a JSONL file."""
     for i, line in _lines(path):
         line = line.strip()
         if not line:
@@ -198,97 +188,71 @@ def _iter_jsonl(path, keys):
             raise InputFormatError(path, i, f"bad JSON: {exc.msg}") from exc
         except RecursionError:
             raise InputFormatError(path, i, "bad JSON: nested too deeply") from None
-        if not isinstance(obj, dict) or any(k not in obj for k in keys):
-            raise InputFormatError(path, i, f"object must carry keys {keys}")
-        yield i, obj
+        if not isinstance(obj, dict) or any(k not in obj for k in fields):
+            raise InputFormatError(path, i, f"object must carry keys {tuple(fields)}")
+        values = [obj[key] for key in fields]
+        for key, value in zip(fields, values):  # null, booleans and strings are not numbers
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InputFormatError(path, i, f"{key} must be a number, got {json.dumps(value)}")
+        yield i, values
+
+
+def _value(path, line_no, raw, name, dtype):
+    """One raw field as a Python number of the column's dtype, or an error at its line."""
+    try:
+        if dtype is np.float64:
+            return float(raw)
+        value = int(raw)
+        # A JSON float must be integral, and every integer must fit int64.
+        if (isinstance(raw, str) or value == raw) and -2**63 <= value < 2**63:
+            return value
+    except (ValueError, OverflowError):
+        pass
+    raise InputFormatError(path, line_no, f"bad {name}: {raw!r}")
+
+
+def _columns(path, fmt, own, carries):
+    """The columns of CSV format ``own``, typed by :data:`FORMATS`, and index -> line number."""
+    if fmt == "auto":
+        fmt = detect_format(path)
+    if fmt not in (own, "jsonl"):
+        raise InputFormatError(path, 0, f"format {fmt!r} does not carry {carries}")
+    fields = FORMATS[own]
+    records = functools.partial(_iter_jsonl if fmt == "jsonl" else _iter_csv, path, fields)
+    columns = _fast(fmt, path, fields)
+    if columns is None:
+        columns = [[] for _ in fields]
+        for i, values in records():
+            for column, raw, (name, dtype) in zip(columns, values, fields.items()):
+                column.append(_value(path, i, raw, name, dtype))
+        columns = [np.array(column, dtype=dtype) for column, dtype in zip(columns, fields.values())]
+    # Only the failing path pays for the second pass that recovers a line number.
+    return columns, lambda index: next(itertools.islice(records(), index, None))[0]
 
 
 def read_losses(path, fmt: str = "auto", ceiling: float = math.inf) -> np.ndarray:
     """Losses in file order; NaN or a loss outside [0, ceiling] is an error at its line."""
-    if fmt == "auto":
-        fmt = detect_format(path)
-    if fmt == "csv_losses":
-        records = functools.partial(_iter_csv, path, "loss", 1)
-    elif fmt == "jsonl":
-        records = functools.partial(_iter_jsonl, path, ("loss",))
-    else:
-        raise InputFormatError(path, 0, f"format {fmt!r} does not carry plain losses")
-    columns = _fast(fmt, path, {"loss": np.float64})
-    if columns is not None:
-        values = columns[0]
-    elif fmt == "csv_losses":
-        values = [_parse_float(path, i, parts[0], "loss") for i, parts in records()]
-    else:
-        values = [_parse_float(path, i, _json_number(path, i, obj, "loss"), "loss")
-                  for i, obj in records()]
-    values = np.asarray(values, dtype=float)
+    (values,), line_of = _columns(path, fmt, "csv_losses", "plain losses")
     bad = ~((values >= 0.0) & (values <= ceiling))
     if bad.any():
-        # Only the failing path pays for a second pass to recover the line number.
         i = int(np.argmax(bad))
-        line_no = next(itertools.islice(records(), i, None))[0]
-        raise InputFormatError(path, line_no, f"loss {float(values[i])!r} is outside [0, {ceiling}]")
+        message = f"loss {float(values[i])!r} is outside [0, {ceiling}]"
+        raise InputFormatError(path, line_of(i), message)
     return values
 
 
-def _parse_int(path, line_no, text, what):
-    if isinstance(text, float) and not text.is_integer():
-        raise InputFormatError(path, line_no, f"bad {what}: {text!r}")
-    try:
-        return int(text)
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(path, line_no, f"bad {what}: {text!r}") from exc
-
-
 def read_predictions(path, fmt: str = "auto"):
-    if fmt == "auto":
-        fmt = detect_format(path)
-    if fmt not in ("csv_predictions", "jsonl"):
-        raise InputFormatError(path, 0, f"format {fmt!r} does not carry predictions")
-    columns = _fast(fmt, path, {"pred": np.int64, "label": np.int64})
-    if columns is not None:
-        return tuple(columns)
-    preds, labels = [], []
-    if fmt == "csv_predictions":
-        for i, parts in _iter_csv(path, "pred,label", 2):
-            preds.append(_parse_int(path, i, parts[0], "pred"))
-            labels.append(_parse_int(path, i, parts[1], "label"))
-    else:
-        for i, obj in _iter_jsonl(path, ("pred", "label")):
-            preds.append(_parse_int(path, i, _json_number(path, i, obj, "pred"), "pred"))
-            labels.append(_parse_int(path, i, _json_number(path, i, obj, "label"), "label"))
-    return np.asarray(preds), np.asarray(labels)
+    """Predicted and true labels in file order."""
+    return tuple(_columns(path, fmt, "csv_predictions", "predictions")[0])
 
 
 def read_scores(path, fmt: str = "auto"):
     """Scores and labels in file order; a non-finite score or a label not -1/+1 fails at its line."""
-    if fmt == "auto":
-        fmt = detect_format(path)
-    if fmt == "csv_scores":
-        records = functools.partial(_iter_csv, path, "score,label", 2)
-    elif fmt == "jsonl":
-        records = functools.partial(_iter_jsonl, path, ("score", "label"))
-    else:
-        raise InputFormatError(path, 0, f"format {fmt!r} does not carry scores")
-    scores, labels = [], []
-    columns = _fast(fmt, path, {"score": np.float64, "label": np.int64})
-    if columns is not None:
-        scores, labels = columns
-    elif fmt == "csv_scores":
-        for i, parts in records():
-            scores.append(_parse_float(path, i, parts[0], "score"))
-            labels.append(_parse_int(path, i, parts[1], "label"))
-    else:
-        for i, obj in records():
-            scores.append(_parse_float(path, i, _json_number(path, i, obj, "score"), "score"))
-            labels.append(_parse_int(path, i, _json_number(path, i, obj, "label"), "label"))
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
+    (scores, labels), line_of = _columns(path, fmt, "csv_scores", "scores")
     bad = ~np.isfinite(scores) | ~np.isin(labels, (-1, 1))
     if bad.any():
-        # Only the failing path pays for a second pass to recover the line number.
         i = int(np.argmax(bad))
-        line_no = next(itertools.islice(records(), i, None))[0]
+        line_no = line_of(i)
         if not math.isfinite(scores[i]):
             raise InputFormatError(path, line_no, f"score {float(scores[i])!r} is not finite")
         raise InputFormatError(path, line_no, f"label {int(labels[i])} is not -1 or +1")

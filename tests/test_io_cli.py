@@ -366,8 +366,11 @@ def _bad_value(argv, message):
     return pytest.param(argv, message, id="-".join([*argv[1:3], message]))
 
 
-# Required output arguments per subcommand, relative to the test directory.
+# Required input and output arguments per subcommand, relative to the test directory.
 _OUTPUTS = {
+    "certify": ["losses.csv"],
+    "certify-accuracy": ["preds.csv"],
+    "certify-auc": ["scores.csv"],
     "synthetic-compare": ["--csv", "out.csv"],
     "mixture": ["--csv", "out.csv"],
     "label-shift": ["--dataset", "preds.csv", "--scatter-csv", "scatter.csv", "--curve-csv", "curve.csv"],
@@ -395,15 +398,33 @@ _OUTPUTS = {
         _bad_value(["mixture", "--gamma-grid", "0:1"], "argument --gamma-grid: invalid grid value: '0:1'"),
         _bad_value(["mixture", "--gamma-grid", "0:inf:0.1"],
                    "argument --gamma-grid: '0:inf:0.1': step must be positive and the range finite"),
+        _bad_value(["certify", "--max-loss", "0", "--rho", "0.1"], "--max-loss must be positive and finite, got 0.0"),
+        _bad_value(["certify", "--max-loss", "-1", "--rho", "0.1"], "--max-loss must be positive and finite, got -1.0"),
+        _bad_value(["certify", "--max-loss", "nan", "--rho", "0.1"], "--max-loss must be positive and finite, got nan"),
+        _bad_value(["certify", "--max-loss", "inf", "--rho", "0.1"], "--max-loss must be positive and finite, got inf"),
+        _bad_value(["certify", "--rho", "2"], "--rho must lie in [0, 1], got 2.0"),
+        _bad_value(["certify", "--rho", "nan"], "--rho must lie in [0, 1], got nan"),
+        _bad_value(["certify-accuracy", "--rho", "-0.1"], "--rho must lie in [0, 1], got -0.1"),
+        _bad_value(["certify", "--delta", "0", "--rho", "0.1"], "--delta must lie in (0, 1), got 0.0"),
+        _bad_value(["certify-accuracy", "--delta", "1", "--rho", "0.1"], "--delta must lie in (0, 1), got 1.0"),
+        _bad_value(["certify", "--delta", "nan", "--rho", "0.1"], "--delta must lie in (0, 1), got nan"),
+        _bad_value(["synthetic-compare", "--delta", "1.5"], "--delta must lie in (0, 1), got 1.5"),
+        _bad_value(["certify-auc", "--rho-conditional", "1.5"], "--rho-conditional must lie in [0, 1], got 1.5"),
+        _bad_value(["certify-auc", "--rho-conditional", "nan"], "--rho-conditional must lie in [0, 1], got nan"),
     ],
 )
 def test_synthetic_compare_bad_size_exit_1(tmp_path, capsys, monkeypatch, argv, message):
-    """Every size, count and grid flag is checked before any work, naming the flag."""
+    """Every size, count, grid and real-valued flag is checked before any file is read, naming the flag."""
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "preds.csv").write_text("pred,label\n1,1\n0,1\n")
+    inputs = {"losses.csv": "loss\n0.5\n0.25\n", "preds.csv": "pred,label\n1,1\n0,1\n",
+              "scores.csv": "score,label\n0.9,1\n0.1,-1\n"}
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    for reader in ("read_losses", "read_predictions", "read_scores"):
+        monkeypatch.setattr(cli, reader, unittest.mock.Mock(side_effect=AssertionError("file read")))
     assert main(argv + _OUTPUTS[argv[0]]) == 1
     assert f"error: {message}" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == ["preds.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
 
 
 @pytest.mark.parametrize(
@@ -563,7 +584,7 @@ def test_deeply_nested_oracle_instance_exit_1(tmp_path, capsys):
     inst = tmp_path / "deep.json"
     inst.write_text('{"p": ' + _nested(100_000) + ', "losses": [0.5], "M": 1, "rho": 0.1}')
     assert main(["oracle", str(inst)]) == 1
-    assert "error: bad instance file: nested too deeply\n" == capsys.readouterr().err
+    assert f"error: {inst}:0: bad instance file: nested too deeply\n" == capsys.readouterr().err
 
 
 def test_non_utf8_byte_is_reported_at_its_line(tmp_path, capsys):
@@ -576,6 +597,53 @@ def test_non_utf8_byte_is_reported_at_its_line(tmp_path, capsys):
     inst.write_bytes(b'{"p": [0.5, 0.5],\n "losses": [0.1, 0.9], "M": 1, "rho": 0.1\xe9}')
     assert main(["oracle", str(inst)]) == 1
     assert f"error: {inst}:2: not UTF-8 (invalid continuation byte, byte 0xe9)\n" == capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, name, text, message",
+    [
+        ("certify", "losses.csv", "loss\n", "need at least 2 losses for an unbiased variance, got 0"),
+        ("certify-accuracy", "preds.csv", "pred,label\n\n", "prediction sample must be non-empty"),
+        ("label-shift", "preds.csv", "pred,label\n", "prediction sample must be non-empty"),
+        ("certify-auc", "scores.csv", "score,label\n0.5,1\n0.6,1\n", "degenerate sample: both classes must be present"),
+        ("oracle", "inst.json", '{"p": [0.5, 0.5], "losses": [0.1, 0.9], "M": 1, "rho": Infinity}',
+         "bad instance file: rho must lie in [0, 1], got inf"),
+    ],
+)
+def test_whole_sample_fault_names_its_file(tmp_path, capsys, command, name, text, message):
+    """A fault of no one line is reported at line 0 of its file, as a reader reports an unreadable file."""
+    f = tmp_path / name
+    f.write_text(text)
+    assert main([arg.format(path=f, dir=tmp_path) for arg in _FILE_COMMANDS[command]]) == 1
+    assert f"error: {f}:0: {message}\n" == capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, text, line, message",
+    [
+        ("big.csv", "pred,label\n1,1\n99999999999999999999,1\n0,1\n", 3, "bad pred: '99999999999999999999'"),
+        ("big.csv", "pred,label\n1,-9223372036854775809\n", 2, "bad label: '-9223372036854775809'"),
+        ("big.jsonl", '{"pred": 1, "label": 1}\n{"pred": 9223372036854775808, "label": 1}\n', 2,
+         "bad pred: 9223372036854775808"),
+        ("big.jsonl", '{"pred": 1, "label": 99999999999999999999}\n', 1, "bad label: 99999999999999999999"),
+    ],
+)
+def test_prediction_beyond_int64_is_a_bad_line(tmp_path, capsys, name, text, line, message):
+    f = tmp_path / name
+    f.write_text(text)
+    assert main(["certify-accuracy", str(f), "--rho", "0.1"]) == 1
+    assert f"error: {f}:{line}: {message}\n" == capsys.readouterr().err
+
+
+def test_int64_extremes_are_read_on_both_paths(tmp_path, monkeypatch):
+    f = tmp_path / "p.csv"
+    f.write_text("pred,label\n9223372036854775807,-9223372036854775808\n")
+    columns = hio._fast("csv_predictions", f, hio.FORMATS["csv_predictions"])
+    assert [c.tolist() for c in columns] == [[2**63 - 1], [-2**63]]
+    monkeypatch.setattr(hio, "_fast", lambda *args: None)
+    preds, labels = read_predictions(f)
+    assert [preds.tolist(), labels.tolist()] == [[2**63 - 1], [-2**63]]
+    assert preds.dtype == labels.dtype == np.int64
 
 
 # ---------------------------------------------------------------- fast path against the per-line parser
@@ -633,14 +701,15 @@ def _input_text(draw, fields, jsonl):
     return eol.join(lines) + draw(st.sampled_from([eol, ""]))
 
 
-def _outcome(read, path, fmt):
-    """The reader's arrays as (dtype, bytes), or its error message."""
+def _outcome(read, path, fmt, csv_format):
+    """The reader's arrays as bytes, each checked to have its format table dtype, or its error message."""
     try:
         result = read(path, fmt)
     except InputFormatError as exc:
         return str(exc)
     arrays = result if isinstance(result, tuple) else (result,)
-    return [(a.dtype.str, a.tolist() if a.dtype == object else a.tobytes()) for a in arrays]
+    assert [a.dtype for a in arrays] == list(hio.FORMATS[csv_format].values())
+    return [a.tobytes() for a in arrays]
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -651,9 +720,9 @@ def test_fast_path_matches_per_line_parser(tmp_path, data, reader, jsonl):
     path = tmp_path / "input"
     path.write_bytes(data.draw(_input_text(fields, jsonl)).encode("utf-8"))
     fmt = "jsonl" if jsonl else csv_format
-    fast = _outcome(read, path, fmt)
+    fast = _outcome(read, path, fmt, csv_format)
     with unittest.mock.patch.object(hio, "_fast", return_value=None):
-        assert fast == _outcome(read, path, fmt)
+        assert fast == _outcome(read, path, fmt, csv_format)
 
 
 @pytest.mark.parametrize("reader", sorted(_READERS))
@@ -666,9 +735,9 @@ def test_fast_path_matches_per_line_parser_on_each_adversarial_line(tmp_path, re
     for line in _ADVERSARIAL:
         header = [] if jsonl else [",".join(fields)]
         path.write_text("\n".join([*header, valid, line, valid]) + "\n", encoding="utf-8")
-        fast = _outcome(read, path, fmt)
+        fast = _outcome(read, path, fmt, csv_format)
         with unittest.mock.patch.object(hio, "_fast", return_value=None):
-            assert fast == _outcome(read, path, fmt), line
+            assert fast == _outcome(read, path, fmt, csv_format), line
 
 
 @pytest.mark.parametrize(
