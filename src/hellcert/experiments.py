@@ -16,8 +16,8 @@ import numpy as np
 
 from .bounds import LossStatistics, lower_bound, max_valid_radius_lower, max_valid_radius_upper, upper_bound
 from .losses import PredictionSample, ScoredSample, auc_estimate
-from .rng import stream
-from .shifts import DiscreteDistribution, auc_composite_radius, discrete_hellinger, mixture_hellinger_disjoint
+from .rng import rekeyed_stream, stream
+from .shifts import DiscreteDistribution, auc_composite_radius, mixture_hellinger_disjoint, root_difference_hellinger
 
 __all__ = [
     "LabelShiftPoint",
@@ -31,6 +31,10 @@ __all__ = [
 ]
 
 MECHANISMS = ("dirichlet_resample", "class_removal", "unseen_classes")
+
+# Label-shift trials are validated, normalized and differenced a block of
+# about this many bytes of q at a time.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -88,10 +92,13 @@ def label_shift_experiment(
 
     Class-conditional error rates are estimated once from the data and held
     fixed; each trial samples a shifted label distribution by one of three
-    mechanisms (cycled by trial index):
+    mechanisms (cycled by trial index), with the draws of ``stream(seed, t)``
+    for trial t:
 
     1. Dirichlet resampling around the empirical priors,
-    2. zeroing a random subset of classes and renormalizing,
+    2. zeroing a random subset of classes and renormalizing (a single class
+       has none to spare, so there the trial resamples as in 1 and is
+       labelled so),
     3. moving a random amount of mass onto synthetic never-seen classes,
        whose conditional loss is the ceiling (a deployed classifier cannot
        predict a class it never saw).
@@ -103,41 +110,57 @@ def label_shift_experiment(
     """
     sample = PredictionSample(predictions, labels)
     predictions, labels = sample.predictions, sample.labels
-    classes, counts = np.unique(labels, return_counts=True)
+    classes, class_of, counts = np.unique(labels, return_inverse=True, return_counts=True)
     k = classes.size
     priors = counts / counts.sum()
     wrong = (predictions != labels).astype(float)
-    cond_loss = np.array(
-        [wrong[labels == c].mean() for c in classes]
-    ) * ceiling
+    # Per-class error rates; sums of 0s and 1s are exact in any order.
+    cond_loss = np.bincount(class_of, weights=wrong) / counts * ceiling
     overall = float(wrong.mean()) * ceiling
     stats = LossStatistics(
         mean=overall, variance=overall * (ceiling - overall), ceiling=ceiling
     )
 
-    padded_prior = DiscreteDistribution(np.concatenate([priors, np.zeros(unseen_classes)]))
+    m = k + unseen_classes
+    root_prior = np.sqrt(DiscreteDistribution(np.concatenate([priors, np.zeros(unseen_classes)])).probs)
+    alpha = dirichlet_concentration * priors
+    flat = np.ones(unseen_classes)
+    rekey = rekeyed_stream(seed)
+    rows = max(1, _BLOCK_BYTES // (8 * m))
+    block_buffer, roots_buffer = np.empty((rows, m)), np.empty((rows, m))
     points = []
-    for t in range(trials):
-        gen = stream(seed, t)
-        mech = MECHANISMS[t % len(MECHANISMS)]
-        if mech == "dirichlet_resample" or k == 1:
-            q_existing = gen.dirichlet(dirichlet_concentration * priors)
-            q_unseen = np.zeros(unseen_classes)
-        elif mech == "class_removal":
-            n_remove = int(gen.integers(1, k))
-            removed = gen.choice(k, size=n_remove, replace=False)
-            q_existing = priors.copy()
-            q_existing[removed] = 0.0
-            q_existing = q_existing / q_existing.sum()
-            q_unseen = np.zeros(unseen_classes)
-        else:
-            moved = float(gen.uniform(0.0, 1.0))
-            q_unseen = moved * gen.dirichlet(np.ones(unseen_classes))
-            q_existing = (1.0 - moved) * priors
-        q = DiscreteDistribution(np.concatenate([q_existing, q_unseen]))
-        h = discrete_hellinger(padded_prior, q)
-        loss = float(q.probs[:k] @ cond_loss + q.probs[k:].sum() * ceiling)
-        points.append(LabelShiftPoint(hellinger=h, loss=loss, mechanism=mech))
+    for start in range(0, trials, rows):
+        # One row of q per trial t, from the draws of stream(seed, t).
+        block = block_buffer[: min(rows, trials - start)]
+        block.fill(0.0)
+        mechanisms = []
+        for t, q in enumerate(block, start):
+            gen = rekey(t)
+            mech = MECHANISMS[t % len(MECHANISMS)]
+            if mech == "class_removal" and k == 1:  # one class leaves nothing to remove
+                mech = "dirichlet_resample"
+            if mech == "dirichlet_resample":
+                q[:k] = gen.dirichlet(alpha)
+            elif mech == "class_removal":
+                n_remove = int(gen.integers(1, k))
+                q[:k] = priors
+                q[gen.choice(k, size=n_remove, replace=False)] = 0.0
+                q[:k] /= q[:k].sum()
+            else:
+                moved = float(gen.uniform(0.0, 1.0))
+                q[k:] = moved * gen.dirichlet(flat)
+                q[:k] = (1.0 - moved) * priors
+            mechanisms.append(mech)
+        totals = block.sum(axis=1)
+        bad = ~np.isfinite(block).all(axis=1) | (block < 0.0).any(axis=1) | ~(totals > 0.0)
+        if bad.any():
+            DiscreteDistribution(block[np.argmax(bad)])  # raises the first bad trial's error
+        block /= totals[:, None]
+        root_differences = np.sqrt(block, out=roots_buffer[: len(block)])
+        np.subtract(root_prior, root_differences, out=root_differences)
+        for q, d, mech in zip(block, root_differences, mechanisms):
+            loss = float(q[:k] @ cond_loss + q[k:].sum() * ceiling)
+            points.append(LabelShiftPoint(hellinger=root_difference_hellinger(d), loss=loss, mechanism=mech))
 
     return LabelShiftResult(
         points=points,

@@ -9,8 +9,8 @@ is binary64; an integer column takes only integers within int64.
 Files are UTF-8, split into lines at ``\\n`` alone.  Blank lines are skipped
 and whitespace around a line or a CSV field is ignored, so CRLF endings read
 like LF ones.  Each reader first parses a file in one vectorized pass: one
-``np.loadtxt`` call for a CSV body, one bound JSON decoder over the lines of a
-JSONL file, keeping only their numbers.  Whatever that pass cannot take (it
+``np.loadtxt`` call for a CSV body, the JSON C scanner over each stripped line
+of a JSONL file, keeping only their numbers.  Whatever that pass cannot take (it
 raises or warns) is parsed again line by line, and only that parser reports
 errors, with the file and the 1-based number of the first bad line.  All
 emitted numbers carry 17 significant digits (lossless for binary64) and JSON
@@ -128,11 +128,21 @@ _JSON_TYPES = {np.float64: {int, float}, np.int64: {int}}
 
 
 def _decode_jsonl(path, fields):
-    """One array per field: every line through one bound JSON decoder, keeping its numbers only."""
-    decode = json.JSONDecoder().decode
+    """One array per field: each stripped line through the JSON C scanner, keeping its numbers only.
+
+    A line must be one JSON value from its first character to its last, as
+    ``json.loads(line.strip())`` in the per-line parser requires.
+    """
+    scan = json.JSONDecoder().scan_once
     numbers = operator.itemgetter(*fields)
+    rows = []
     with open(path, encoding="utf-8", newline="\n") as fh:
-        rows = [numbers(decode(line)) for line in fh if not line.isspace()]
+        for text in map(str.strip, fh):
+            if text:
+                obj, end = scan(text, 0)
+                if end != len(text):
+                    raise ValueError("extra data")
+                rows.append(numbers(obj))
     if not rows:
         raise ValueError("no records")
     columns = zip(*rows) if len(fields) > 1 else [rows]

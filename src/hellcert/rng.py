@@ -5,6 +5,10 @@ generator keyed by (seed, stream_index).  The same key always yields the
 same stream on any platform, which is what makes reports and experiment CSVs
 byte-reproducible.  Reports embed :data:`GENERATOR_NAME` so the provenance
 of random draws is recorded alongside the numbers.
+
+A loop that takes one stream per index, such as the label-shift trials, takes
+them from :func:`rekeyed_stream`: one generator re-keyed in place, whose draws
+after a re-key to ``index`` are those of ``stream(seed, index)``, one for one.
 """
 
 from __future__ import annotations
@@ -25,3 +29,28 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
         raise ValueError(f"seed and index must be non-negative, got ({seed}, {index})")
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def rekeyed_stream(seed: int):
+    """A function ``index -> stream(seed, index)`` that re-keys one generator in place.
+
+    Re-keying restores the state of a freshly keyed Philox: counter 0, key
+    (seed, index), an empty buffer and no spare 32 bits (``has_uint32`` 0),
+    so nothing a previous index drew carries over.  It skips the entropy
+    gathering that building a generator does before its key overrides it.
+    The returned generator is the same object on every call, so each call
+    ends the stream the previous one returned.
+    """
+    generator = stream(seed)
+    bit_generator = generator.bit_generator
+    fresh = bit_generator.state
+    key = fresh["state"]["key"]
+
+    def rekey(index: int) -> np.random.Generator:
+        if index < 0:
+            raise ValueError(f"seed and index must be non-negative, got ({seed}, {index})")
+        key[1] = index
+        bit_generator.state = fresh
+        return generator
+
+    return rekey

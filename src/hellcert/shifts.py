@@ -18,6 +18,7 @@ from .bounds import check_radius
 __all__ = [
     "DiscreteDistribution",
     "discrete_hellinger",
+    "root_difference_hellinger",
     "mixture_hellinger_disjoint",
     "auc_composite_radius",
 ]
@@ -66,7 +67,16 @@ def discrete_hellinger(p: DiscreteDistribution, q: DiscreteDistribution) -> floa
     this distance between the label marginals.
     """
     pv, qv = _padded(p, q)
-    return min(float(np.linalg.norm(np.sqrt(pv) - np.sqrt(qv)) / math.sqrt(2.0)), 1.0)
+    return root_difference_hellinger(np.sqrt(pv) - np.sqrt(qv))
+
+
+def root_difference_hellinger(d: np.ndarray) -> float:
+    """Hellinger distance from d = sqrt(p) - sqrt(q) on a common support, capped at 1.
+
+    ``d.dot(d)`` is the 1-d dot product ``np.linalg.norm`` takes, so a row of a
+    block of differences gives the same bits as the vector on its own.
+    """
+    return min(float(np.sqrt(d.dot(d)) / math.sqrt(2.0)), 1.0)
 
 
 def mixture_hellinger_disjoint(gamma: float) -> float:

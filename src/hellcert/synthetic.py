@@ -141,7 +141,7 @@ def maximize_penalized(value_and_grad, x0: np.ndarray, gamma: float, max_steps: 
         raise InnerAscentError(
             f"inner ascent at gamma={gamma:.6g} stalled above gradient tolerance {grad_tol}"
         )
-    values, _ = value_and_grad(x)
+    # The loop's last pass evaluated f at the returned x.
     penalties = gamma * np.sum((x - x0) ** 2, axis=1)
     return values - penalties, x
 

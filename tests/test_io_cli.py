@@ -660,7 +660,7 @@ _VALUES = {
     "class": st.integers(0, 9),
     "sign": st.sampled_from([-1, 1]),
 }
-# Lines no reader should take as they are; each is some reader's fault.
+# Lines that are some reader's fault, or an unusual spelling both parsers must read alike.
 _ADVERSARIAL = [
     " ", "\t ", "\x0b", "5 6,7 8", "1_0", "1_0,1", "nan", "nan,1", "inf", "-inf,-1", "1e400", "1e400,1",
     '"0.5"', "0.5,", "0.5,1,", ",", "99999999999999999999", "99999999999999999999,1", "1,-99999999999999999999",
@@ -671,6 +671,15 @@ _ADVERSARIAL = [
     '{"pred": 3.0, "label": 1}', '{"pred": 1, "label": [1]}', '{"pred": 99999999999999999999, "label": 1}',
     '{"score": 0.5, "label": false}', '{"score": 0.5, "label": 1.0}', '{"score": Infinity, "label": 1}',
     '{"score": 0.5, "label": 1}{"score": 0.5, "label": 1}', "[0.5]", "null", "{}", "{",
+    # Padded with whitespace that str.strip removes and JSON does not.
+    '\x1c{"loss": 0.5}\x85', '\u2028{"loss": 0.5}\u3000', '\x85{"score": 0.5, "label": 1}\x1c',
+    '\u3000{"pred": 1, "label": 2}\u2028', "\x1c0.5\x85", "\u20280.5,1\u3000",
+    # Not one object, non-finite constants, duplicate keys (the last one wins).
+    '{"loss": 0.5} {"loss": 0.5}', '{"pred": 1, "label": 1} {"pred": 1, "label": 1}',
+    '{"loss": 0.5,}', '{"loss": 0.5},', '{"score": 0.5, "label": 1,}', '[{"loss": 0.5}]', "-1", '"x"',
+    '{"loss": Infinity}', '{"loss": -Infinity}', '{"score": NaN, "label": 1}', '{"pred": NaN, "label": 1}',
+    '{"loss": 2, "loss": 0.5}', '{"loss": 0.5, "loss": 2}', '{"score": 0.5, "label": 1, "label": 3}',
+    '{"pred": 1, "label": 1, "pred": true}',
 ]
 
 
@@ -749,6 +758,11 @@ def test_fast_path_matches_per_line_parser_on_each_adversarial_line(tmp_path, re
         ("jsonl", {"pred": np.int64, "label": np.int64}, '{"label": 2, "pred": 1}\n', [[1], [2]]),
         ("csv_scores", {"score": np.float64, "label": np.int64}, "score,label\n0.5, -1\n1e-3,+1\n",
          [[0.5, 1e-3], [-1, 1]]),
+        ("jsonl", {"loss": np.float64}, '\x1c{"loss": 0.5}\x85\n\u2028{"loss":1}\u3000\n', [[0.5, 1.0]]),
+        ("jsonl", {"pred": np.int64, "label": np.int64}, '\u3000{"pred": 1, "label": 2, "pred": 3}\x1c\n',
+         [[3], [2]]),
+        ("jsonl", {"score": np.float64, "label": np.int64}, '{"score": -Infinity, "label": 1}\n',
+         [[-math.inf], [1]]),
     ],
 )
 def test_common_spellings_take_the_fast_path(tmp_path, fmt, fields, text, expected):
@@ -758,6 +772,18 @@ def test_common_spellings_take_the_fast_path(tmp_path, fmt, fields, text, expect
     assert [c.tolist() for c in columns] == expected
     assert [c.dtype for c in columns] == list(fields.values())
     assert all(c.flags.c_contiguous for c in columns)
+
+
+@pytest.mark.parametrize("line", [
+    '{"loss": 0.5} {"loss": 0.5}', '{"loss": 0.5}{"loss": 0.5}', '{"loss": 0.5,}', '{"loss": 0.5},',
+    '[{"loss": 0.5}]', "0.5", '"0.5"', "{", '{"loss": 0.5} x',
+])
+def test_jsonl_fast_pass_leaves_lines_that_are_not_one_object(tmp_path, line):
+    path = tmp_path / "input.jsonl"
+    path.write_text('{"loss": 0.25}\n' + line + "\n", encoding="utf-8")
+    assert hio._fast("jsonl", path, {"loss": np.float64}) is None
+    with pytest.raises(InputFormatError, match=r"input\.jsonl:2: "):
+        read_losses(path)
 
 
 # ---------------------------------------------------------------- CLI fuzz

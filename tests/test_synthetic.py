@@ -83,6 +83,26 @@ def test_maximize_penalized_linear_closed_form():
     assert np.allclose(phi, expect_phi, atol=1e-7)
 
 
+def test_maximize_penalized_evaluates_once_per_iteration():
+    # f(x) = -||x - c||^2 row-wise: each pass must take a new point, and the
+    # last point evaluated is the one returned, with its own value.
+    c = np.array([0.4, -1.1])
+    x0 = stream(32).standard_normal((6, 2))
+    gamma = 3.0
+    seen = []
+
+    def value_and_grad(x):
+        seen.append(x.copy())
+        return -np.sum((x - c) ** 2, axis=1), -2.0 * (x - c)
+
+    phi, x_star = maximize_penalized(value_and_grad, x0, gamma)
+    assert len(seen) > 2
+    assert all(not np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
+    assert np.array_equal(seen[-1], x_star)
+    expect = -np.sum((x_star - c) ** 2, axis=1) - gamma * np.sum((x_star - x0) ** 2, axis=1)
+    assert np.array_equal(phi, expect)
+
+
 def test_dual_gamma_grid_spans_concave_regime():
     grid = dual_gamma_grid(1.5)
     assert grid.size == 24
