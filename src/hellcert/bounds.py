@@ -59,7 +59,10 @@ class LossStatistics:
 
     Rejects inputs violating the Bhatia-Davis inequality
     variance <= mean * (ceiling - mean), which every distribution supported
-    on [0, ceiling] satisfies.
+    on [0, ceiling] satisfies.  Its slack for rounding admits a positive
+    variance at mean = ceiling (or at mean = 0); the upper (or lower)
+    certificate is then valid only at radius 0, so beyond it the band holds
+    the trivial sup <= ceiling (or inf >= 0).
     """
 
     mean: float
@@ -126,15 +129,12 @@ def max_valid_radius_upper(stats: LossStatistics) -> float:
     """Largest radius at which the upper certificate is defined.
 
     Equals sqrt(1 - [1 + (M-E)^2/V]^(-1/2)); the condition is vacuous for a
-    zero-variance loss, where any radius in [0, 1] is admissible.
+    zero-variance loss, where any radius in [0, 1] is admissible, and leaves
+    only radius 0 at E = M with V > 0.
     """
     if stats.variance <= 0.0:
         return 1.0
     gap = stats.ceiling - stats.mean
-    if gap <= 0.0:
-        # Unreachable through the constructor (Bhatia-Davis forces V = 0
-        # when E = M) but kept as a hard guard.
-        raise ValueError("mean equals ceiling with positive variance")
     return validity_radius(gap * gap / stats.variance)
 
 
@@ -142,7 +142,7 @@ def max_valid_radius_lower(stats: LossStatistics) -> float:
     """Largest radius at which the lower certificate is defined (vacuous for V = 0)."""
     if stats.variance <= 0.0:
         return 1.0
-    # Bhatia-Davis forces mean > 0 whenever variance > 0.
+    # Radius 0 at E = 0 with V > 0, as the upper radius at E = M.
     return validity_radius(stats.mean * stats.mean / stats.variance)
 
 
@@ -150,7 +150,8 @@ def upper_bound(stats: LossStatistics, rho: float) -> CertificateReport:
     """Certified upper bound on sup E_Q[loss] over the radius-rho Hellinger ball.
 
     Value:  E + 2 C(rho) sqrt(V) + rho^2 (2 - rho^2) [M - E - V / (M - E)],
-    with the V/(M-E) correction taken as 0 in the V = 0 limit.  Raises
+    with the V/(M-E) correction taken as 0 at E = M, where V = 0 or only
+    rho = 0 is valid, so the bound is E = M.  Raises
     :class:`RadiusValidityError` when rho exceeds :func:`max_valid_radius_upper`.
     """
     check_radius(rho)
@@ -158,7 +159,7 @@ def upper_bound(stats: LossStatistics, rho: float) -> CertificateReport:
     if rho > mv:
         raise RadiusValidityError(rho, mv)
     e, v, m = stats.mean, stats.variance, stats.ceiling
-    correction = v / (m - e) if v > 0.0 else 0.0
+    correction = v / (m - e) if m > e else 0.0
     r2 = rho * rho
     raw = e + 2.0 * c_rho(rho) * math.sqrt(v) + r2 * (2.0 - r2) * (m - e - correction)
     return CertificateReport(

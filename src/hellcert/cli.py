@@ -210,7 +210,6 @@ def _cmd_label_shift(args):
                   inputs={"n": int(len(preds)), "n_classes": int(result.class_priors.size),
                           "empirical_mean": stats.mean, "variance": stats.variance,
                           "max_loss": stats.ceiling},
-                  excluded_classes=list(result.excluded_classes),
                   scatter_csv=args.scatter_csv, curve_csv=args.curve_csv)
     return report, EXIT_OK
 

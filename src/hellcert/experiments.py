@@ -52,7 +52,6 @@ class LabelShiftResult:
     curve: list  # (rho, lower, lower_is_trivial, upper, upper_is_trivial)
     stats: LossStatistics
     class_priors: np.ndarray
-    excluded_classes: tuple
 
 
 def certificate_band(stats: LossStatistics, rho: float):
@@ -167,7 +166,6 @@ def label_shift_experiment(
         curve=certificate_curve(stats, curve_points),
         stats=stats,
         class_priors=priors,
-        excluded_classes=(),
     )
 
 

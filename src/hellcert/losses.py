@@ -104,34 +104,54 @@ def jsd_loss_vector(p_true: np.ndarray) -> np.ndarray:
     which decreases from 1 at p = 0 to 0 at p = 1; x log x is taken as 0 at 0.
     """
     p = np.asarray(p_true, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xlogx = np.where(p > 0.0, p * np.log(np.maximum(p, 1e-300)) / _LN2, 0.0)
+    # The log's argument is at least 1e-300, so no case needs an errstate.
+    xlogx = np.where(p > 0.0, p * np.log(np.maximum(p, 1e-300)) / _LN2, 0.0)
     return 1.0 + 0.5 * (xlogx - (1.0 + p) * np.log1p(p) / _LN2)
+
+
+def _by_column(op, a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """op(a, v[:, None]) as one call per column of a, into a fresh C-contiguous array.
+
+    Elementwise the same operation, so bitwise the same result; a broadcast
+    over rows of a few columns runs one short inner loop per row instead.
+    """
+    out = np.empty(a.shape)
+    for c in range(a.shape[1]):
+        op(a[:, c], v, out=out[:, c])
+    return out
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row softmax; max and sum fold over the (few) class columns."""
-    z = logits - functools.reduce(np.maximum, logits.T)[:, None]
-    e = np.exp(z)
-    return e / functools.reduce(np.add, e.T)[:, None]
+    e = _by_column(np.subtract, logits, functools.reduce(np.maximum, logits.T))
+    np.exp(e, out=e)
+    return _by_column(np.divide, e, functools.reduce(np.add, e.T))
 
 
-def jsd_loss_and_logit_grad(logits: np.ndarray, y_idx: np.ndarray):
+def true_class_positions(y_idx: np.ndarray, n_classes: int) -> np.ndarray:
+    """Row-major flat positions of the true classes in an (n, n_classes) array."""
+    return np.arange(len(y_idx)) * n_classes + y_idx
+
+
+def jsd_loss_and_logit_grad(logits: np.ndarray, y_idx: np.ndarray, positions=None):
     """Per-row JSD losses and their gradients with respect to the logits.
 
     With p = softmax(logits) and y the true class, the gradient has the
     closed form (1/2) log2(p_y / (1 + p_y)) p_y (e_y - p).  The prefactor
     vanishes both as p_y -> 1 (e_y - p -> 0) and as p_y -> 0
-    (p_y log p_y -> 0).
+    (p_y log p_y -> 0).  ``positions`` is :func:`true_class_positions` of
+    ``y_idx``, for callers that reuse one label vector.
     """
     p = softmax_rows(logits)
-    n = logits.shape[0]
-    py = p[np.arange(n), y_idx]
+    if positions is None:
+        positions = true_class_positions(y_idx, logits.shape[1])
+    # p and grad are fresh C-contiguous arrays, so their flat views index them.
+    py = p.ravel()[positions]
     losses = jsd_loss_vector(py)
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = np.where(py > 0.0, 0.5 * np.log(py / (1.0 + py)) / _LN2 * py, 0.0)
-    grad = -coef[:, None] * p
-    grad[np.arange(n), y_idx] += coef
+    grad = _by_column(np.multiply, p, -coef)
+    grad.ravel()[positions] += coef
     return losses, grad
 
 

@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .losses import jsd_loss_and_logit_grad
+from .losses import jsd_loss_and_logit_grad, true_class_positions
 from .rng import stream
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "train_network",
     "lipschitz_profile",
     "jsd_head_constants",
-    "golden_section_max",
 ]
 
 class TrainingDivergenceError(RuntimeError):
@@ -171,13 +169,17 @@ def batch_loss(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray,
 
 
 def batch_loss_and_param_grads(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray,
-                               workspace: Workspace = None):
-    """Mean loss over the batch and gradients for every weight matrix."""
+                               workspace: Workspace = None, positions=None):
+    """Mean loss over the batch and gradients for every weight matrix.
+
+    ``positions`` is ``losses.true_class_positions`` of ``y_idx``, for
+    callers that pass one label vector step after step.
+    """
     y_idx = np.asarray(y_idx)
     ws = _workspace(net, x, workspace)
     posts = net.activations(x, ws)
     n = posts[0].shape[0]
-    losses, d = jsd_loss_and_logit_grad(posts[-1], y_idx)
+    losses, d = jsd_loss_and_logit_grad(posts[-1], y_idx, positions)
     d /= n
     grads = [None] * net.n_layers
     for j in range(net.n_layers - 1, -1, -1):
@@ -185,7 +187,8 @@ def batch_loss_and_param_grads(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarr
         grads[j] = d.T @ posts[j]
         if j > 0:
             d = np.matmul(d, net.weights[j], out=ws.scratch(n, posts[j].shape[1]))
-    return float(losses.mean()), grads
+    # The mean's own sum and division, without np.mean's per-call overhead.
+    return float(np.add.reduce(losses)) / n, grads
 
 
 def per_sample_losses_and_input_grads(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray,
@@ -212,23 +215,24 @@ def operator_norm(w: np.ndarray, v0=None, max_iters: int = 50, tol: float = 1e-8
     ``v0`` warm-starts the right singular vector (pays off when the same
     matrix is renormalized every training step).  Returns (sigma, v).
     """
-    w = np.asarray(w, dtype=float)
     n_in = w.shape[1]
     if v0 is None:
         # Deterministic, non-degenerate start.
         v = np.ones(n_in) + 1e-3 * np.arange(n_in)
     else:
         v = v0
-    # sqrt(v . v) is np.linalg.norm's own formula for real vectors, without
-    # its per-call overhead.
+    # sqrt(v . v) is np.linalg.norm's own formula for real vectors, and
+    # ndarray.dot the same BLAS product as @, each without its per-call
+    # overhead.
     v = v / math.sqrt(v.dot(v))
+    wt = w.T
     sigma = 0.0
     for _ in range(max_iters):
-        u = w @ v
+        u = w.dot(v)
         sigma_new = math.sqrt(u.dot(u))
         if sigma_new == 0.0:
             return 0.0, v
-        v = w.T @ (u / sigma_new)
+        v = wt.dot(u / sigma_new)
         v_norm = math.sqrt(v.dot(v))
         if v_norm == 0.0:
             return 0.0, v
@@ -277,14 +281,16 @@ def train_network(
     y_idx = np.asarray(y_idx)
     gen = stream(seed, 1)
     ws = Workspace(net, x.shape[0])  # serves the batches and the full-data checkpoints
+    full_batch = batch_size is None or batch_size >= x.shape[0]
+    positions = true_class_positions(y_idx, net.weights[-1].shape[0]) if full_batch else None
     checkpoints = [batch_loss(net, x, y_idx, ws)]
     for step in range(steps):
-        if batch_size is None or batch_size >= x.shape[0]:
+        if full_batch:
             xb, yb = x, y_idx
         else:
             pick = gen.integers(0, x.shape[0], size=batch_size)
             xb, yb = x[pick], y_idx[pick]
-        loss, grads = batch_loss_and_param_grads(net, xb, yb, ws)
+        loss, grads = batch_loss_and_param_grads(net, xb, yb, ws, positions)
         if not math.isfinite(loss):
             raise TrainingDivergenceError(f"loss became {loss} at step {step}")
         for j in range(net.n_layers):
@@ -327,37 +333,12 @@ def lipschitz_profile(net: SmallNetwork) -> LipschitzProfile:
     return LipschitzProfile(alpha=tuple(alpha), beta=tuple(beta), l_star=l_star)
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float = 1e-8):
-    """Maximize a unimodal function on [lo, hi]; returns (x, f(x))."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-@lru_cache(maxsize=1)
 def jsd_head_constants():
     """Lipschitz constants of the softmax-JSD head (binary case).
 
     The gradient-norm constant is the maximum over p in (0, 1) of
-    (1/sqrt(2)) log2((1+p)/p) p (1-p), found by golden-section search; the
-    constant for the gradient's Jacobian is 1/2 (analytic).
+    (1/sqrt(2)) log2((1+p)/p) p (1-p), as a golden-section search to 1e-8
+    finds it (the tests recompute it); the constant for the gradient's
+    Jacobian is 1/2 (analytic).
     """
-
-    def objective(p):
-        return math.log2((1.0 + p) / p) * p * (1.0 - p) / math.sqrt(2.0)
-
-    _, l0 = golden_section_max(objective, 1e-12, 1.0 - 1e-12, tol=1e-8)
-    return l0, 0.5
+    return float.fromhex("0x1.421e4974f1febp-2"), 0.5

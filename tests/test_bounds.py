@@ -16,6 +16,7 @@ from hellcert.bounds import (
     max_valid_radius_upper,
     upper_bound,
 )
+from hellcert.experiments import certificate_band
 
 # High-precision reference values, evaluated independently with mpmath at
 # 40 digits and frozen here.
@@ -101,6 +102,25 @@ def test_upper_bound_radius_error_carries_max_valid():
 def test_upper_bound_accepts_radius_at_exact_validity():
     stats = LossStatistics(0.1, 0.09, 1.0)
     upper_bound(stats, max_valid_radius_upper(stats))
+
+
+def test_mean_at_ceiling_with_positive_variance_is_the_trivial_sup():
+    # The Bhatia-Davis slack admits V > 0 at E = M, as a mean rounded to the
+    # ceiling leaves it: the upper certificate is valid at radius 0 alone.
+    stats = LossStatistics(1.0, 2.5e-18, 1.0)
+    assert max_valid_radius_upper(stats) == 0.0
+    report = upper_bound(stats, 0.0)
+    assert report.bound == report.raw_bound == 1.0
+    with pytest.raises(RadiusValidityError):
+        upper_bound(stats, 1e-9)
+    lower, lower_trivial, upper, upper_trivial = certificate_band(stats, 0.1)
+    assert (upper, upper_trivial) == (1.0, True)
+    assert not lower_trivial and 0.0 <= lower <= 1.0
+    # The mirror case for the lower certificate.
+    at_zero = LossStatistics(0.0, 2.5e-18, 1.0)
+    assert max_valid_radius_lower(at_zero) == 0.0
+    assert lower_bound(at_zero, 0.0).bound == 0.0
+    assert certificate_band(at_zero, 0.1)[:2] == (0.0, True)
 
 
 def test_lower_bound_trivials():

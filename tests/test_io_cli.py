@@ -274,6 +274,19 @@ def test_oracle_zero_radius(tmp_path):
     assert rep["inf"]["value"] == pytest.approx(expect, abs=1e-12)
 
 
+def test_oracle_mean_rounded_to_ceiling_exits_0(tmp_path):
+    # p @ losses rounds to M = 1 while the variance stays 2.5e-18 > 0.
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"p": [0.99999999999999999, 1e-17], "losses": [1.0, 0.5], "M": 1, "rho": 0.1}')
+    code, rep = run_report(tmp_path, ["oracle", str(inst)])
+    assert code == 0
+    certs = rep["certificates"]
+    assert certs["mean"] == 1.0 and certs["variance"] > 0.0
+    assert (certs["upper"], certs["upper_is_trivial"]) == (1.0, True)
+    assert certs["upper"] >= rep["sup"]["value"]
+    assert certs["lower"] <= rep["inf"]["value"]
+
+
 def test_oracle_bad_instance(tmp_path):
     inst = tmp_path / "inst.json"
     inst.write_text('{"p": [1.0], "losses": [0.0, 1.0], "M": 1.0, "rho": 0.3}')

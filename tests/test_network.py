@@ -11,7 +11,6 @@ from hellcert.network import (
     _elu_inplace,
     batch_loss,
     batch_loss_and_param_grads,
-    golden_section_max,
     jsd_head_constants,
     lipschitz_profile,
     operator_norm,
@@ -165,6 +164,30 @@ def test_lipschitz_profile_matches_svd_products():
     assert prof.alpha[-1] == pytest.approx(norms[0] * norms[1], abs=1e-8)
 
 
+def golden_section_max(f, lo: float, hi: float, tol: float = 1e-8):
+    """Maximize a unimodal function on [lo, hi]; returns (x, f(x))."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def _jsd_head_objective(p):
+    return math.log2((1.0 + p) / p) * p * (1.0 - p) / math.sqrt(2.0)
+
+
 def test_golden_section_max():
     # x is localizable only to ~sqrt(eps) at a flat quadratic maximum; the
     # value itself is far tighter.
@@ -179,14 +202,17 @@ def test_jsd_head_constants():
     assert l1 == 0.5
 
 
+def test_jsd_head_constant_is_the_golden_section_maximum():
+    # The stored constant is, bit for bit, what the search finds at tol 1e-8.
+    _, l0 = golden_section_max(_jsd_head_objective, 1e-12, 1.0 - 1e-12, tol=1e-8)
+    assert jsd_head_constants()[0] == l0
+
+
 def test_jsd_head_maximizer_interior():
     # The objective vanishes at both endpoints, so the maximum is interior.
-    def objective(p):
-        return math.log2((1.0 + p) / p) * p * (1.0 - p) / math.sqrt(2.0)
-
-    x, v = golden_section_max(objective, 1e-12, 1.0 - 1e-12, tol=1e-10)
+    x, v = golden_section_max(_jsd_head_objective, 1e-12, 1.0 - 1e-12, tol=1e-10)
     assert 0.05 < x < 0.95
-    assert v > objective(1e-9) and v > objective(1.0 - 1e-9)
+    assert v > _jsd_head_objective(1e-9) and v > _jsd_head_objective(1.0 - 1e-9)
 
 
 def test_input_gradients_match_exp_backprop_reference():

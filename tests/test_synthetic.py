@@ -6,11 +6,13 @@ import pytest
 
 from hellcert.bounds import RadiusValidityError
 from hellcert.finite_sample import ConfidenceBudget, EmpiricalSample, corollary_upper_bound
-from hellcert.network import SmallNetwork, lipschitz_profile, jsd_head_constants, per_sample_losses, train_network
+from hellcert.network import (SmallNetwork, lipschitz_profile, jsd_head_constants, per_sample_losses,
+                              per_sample_losses_and_input_grads, train_network)
 from hellcert import synthetic
 from hellcert.rng import stream
 from hellcert.synthetic import (
     GaussianMixtureTask,
+    InnerAscentError,
     compare_certificates,
     dual_gamma_grid,
     gramian_certificate_on_task,
@@ -84,23 +86,108 @@ def test_maximize_penalized_linear_closed_form():
 
 
 def test_maximize_penalized_evaluates_once_per_iteration():
-    # f(x) = -||x - c||^2 row-wise: each pass must take a new point, and the
-    # last point evaluated is the one returned, with its own value.
-    c = np.array([0.4, -1.1])
+    # f(x) = -||x - c_i||^2 row-wise, with a centre per row so rows stop at
+    # different passes.  Each pass takes each moving row to a new point, the
+    # last point a row is evaluated at is the one returned, with its own
+    # value, and a row that stopped is never evaluated again.
     x0 = stream(32).standard_normal((6, 2))
+    c = x0 + np.logspace(-9, 1, 6)[:, None] * np.array([0.4, -1.1])
     gamma = 3.0
-    seen = []
+    seen = []  # (row ids, x) per pass
 
-    def value_and_grad(x):
-        seen.append(x.copy())
-        return -np.sum((x - c) ** 2, axis=1), -2.0 * (x - c)
+    def value_and_grad(x, ids):
+        seen.append((ids.copy(), x.copy()))
+        return -np.sum((x - c[ids]) ** 2, axis=1), -2.0 * (x - c[ids])
 
-    phi, x_star = maximize_penalized(value_and_grad, x0, gamma)
+    phi, x_star = maximize_penalized(value_and_grad, x0, gamma, row_args=(np.arange(6),))
     assert len(seen) > 2
-    assert all(not np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
-    assert np.array_equal(seen[-1], x_star)
+    assert [ids.size for ids, _ in seen] == sorted((ids.size for ids, _ in seen), reverse=True)
+    assert seen[-1][0].size < 6
+    for row in range(6):
+        points = [x[list(ids).index(row)] for ids, x in seen if row in ids]
+        assert all(not np.array_equal(a, b) for a, b in zip(points, points[1:]))
+        assert np.array_equal(points[-1], x_star[row])
     expect = -np.sum((x_star - c) ** 2, axis=1) - gamma * np.sum((x_star - x0) ** 2, axis=1)
     assert np.array_equal(phi, expect)
+
+
+def full_batch_ascent(value_and_grad, x0, gamma, max_steps=500, grad_tol=1e-6):
+    """The inner ascent before compaction: every row steps until the slowest converges."""
+    x = x0.copy()
+    step = 1.0 / (2.0 * gamma)
+    for _ in range(max_steps):
+        values, grads = value_and_grad(x)
+        total_grad = grads - 2.0 * gamma * (x - x0)
+        if float(np.max(np.linalg.norm(total_grad, axis=1))) < grad_tol:
+            break
+        x = x + step * total_grad
+    else:
+        raise AssertionError("reference ascent did not converge")
+    return values - gamma * np.sum((x - x0) ** 2, axis=1), x
+
+
+def test_compacted_ascent_within_strong_concavity_bound_of_full_batch(small_trained):
+    # gamma >= L* makes each inner problem (2 gamma - L*)-strongly concave, so
+    # an iterate with total gradient g lies within |g|^2 / (2 gamma) of the
+    # maximum, and both ascents stop below grad_tol.
+    data, net = small_trained
+    x, y = data.x_eval, data.y_eval
+    grid = dual_gamma_grid(lipschitz_profile(net).l_star)
+    grad_tol = 1e-6
+
+    def full(xb):
+        return per_sample_losses_and_input_grads(net, xb, y)
+
+    def rows(xb, yb):
+        return per_sample_losses_and_input_grads(net, xb, yb)
+
+    start = rows(x, y)
+    for gamma in grid[[0, 5, 11, 23]]:
+        gamma = float(gamma)
+        ref_phi, _ = full_batch_ascent(full, x, gamma, grad_tol=grad_tol)
+        phi, x_star = maximize_penalized(rows, x, gamma, grad_tol=grad_tol, start=start,
+                                         row_args=(y,))
+        gap = np.abs(phi - ref_phi)
+        assert np.all(gap <= grad_tol**2 / (2.0 * gamma) + 4.0 * np.spacing(np.abs(ref_phi)))
+        # Every returned row is a stopping point in its own right.
+        values, grads = full(x_star)
+        total_grad = grads - 2.0 * gamma * (x_star - x)
+        assert np.all(np.linalg.norm(total_grad, axis=1) < grad_tol)
+        assert np.all(phi >= start[0])
+
+
+def test_compacted_ascent_raises_when_rows_still_move(small_trained):
+    data, net = small_trained
+    x, y = data.x_eval[:500], data.y_eval[:500]
+    gamma = float(lipschitz_profile(net).l_star)
+
+    def rows(xb, yb):
+        return per_sample_losses_and_input_grads(net, xb, yb)
+
+    with pytest.raises(InnerAscentError, match="stalled"):
+        maximize_penalized(rows, x, gamma, max_steps=2, row_args=(y,))
+
+
+def test_dual_certificate_evaluates_x0_once_per_network(monkeypatch):
+    at_x0 = collections.Counter()
+    dual_points = []  # the x of each dual certificate, one per network
+    input_grads = synthetic.per_sample_losses_and_input_grads
+    dual = synthetic.wasserstein_dual_certificate
+
+    def recorded_dual(net, x, y, budgets, grid=None):
+        dual_points.append(x)
+        return dual(net, x, y, budgets, grid)
+
+    def counted(net, xb, yb, workspace=None):
+        if xb.shape == dual_points[-1].shape and np.array_equal(xb, dual_points[-1]):
+            at_x0[len(dual_points)] += 1
+        return input_grads(net, xb, yb, workspace)
+
+    monkeypatch.setattr(synthetic, "per_sample_losses_and_input_grads", counted)
+    monkeypatch.setattr(synthetic, "wasserstein_dual_certificate", recorded_dual)
+    compare_certificates(widths=(2, 3), depths=(1,), delta_grid=(0.5,), seed=3,
+                         n_train=200, n_eval=300, train_steps=100)
+    assert at_x0 == {1: 1, 2: 1}
 
 
 def test_dual_gamma_grid_spans_concave_regime():
