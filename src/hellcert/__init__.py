@@ -21,7 +21,6 @@ from .bounds import (
 )
 from .finite_sample import (
     ConfidenceBudget,
-    DegenerateSampleError,
     EmpiricalSample,
     corollary_lower_bound,
     corollary_upper_bound,
@@ -67,7 +66,6 @@ __all__ = [
     "max_valid_radius_upper",
     "upper_bound",
     "ConfidenceBudget",
-    "DegenerateSampleError",
     "EmpiricalSample",
     "corollary_lower_bound",
     "corollary_upper_bound",

@@ -9,7 +9,10 @@ matrix of square-root densities yields closed-form bounds on
 Both directions share the coefficient C(rho) = sqrt(rho^2 (1-rho^2)^2 (2-rho^2))
 and are valid only up to a maximum radius determined by (E, V, M); beyond it
 the sign condition behind the derivation fails and we refuse to produce a
-number rather than silently clamp the radius.
+number rather than silently clamp the radius.  Every certificate, here and
+in :mod:`hellcert.finite_sample`, is admitted by :func:`admit`, valued by
+:func:`upper_value` (a lower bound too, for the negated loss, except the
+finite-sample one) and reported by :func:`report`.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ __all__ = [
     "validity_radius",
     "max_valid_radius_upper",
     "max_valid_radius_lower",
+    "admit",
+    "upper_value",
+    "report",
     "upper_bound",
     "lower_bound",
     "classification_error_upper",
@@ -146,54 +152,55 @@ def max_valid_radius_lower(stats: LossStatistics) -> float:
     return validity_radius(stats.mean * stats.mean / stats.variance)
 
 
+def admit(rho: float, mv: float) -> None:
+    """Reject a radius outside [0, 1] or beyond the certificate's validity radius ``mv``."""
+    check_radius(rho)
+    if rho > mv:
+        raise RadiusValidityError(rho, mv)
+
+
+def upper_value(mean: float, variance: float, headroom: float, rho: float) -> float:
+    """The upper certificate's value E + 2 C(rho) sqrt(V) + rho^2 (2 - rho^2) [h - V / h].
+
+    ``headroom`` h is the distance from the mean to the ceiling.  The V/h
+    correction is taken as 0 at h <= 0, where V = 0 or only rho = 0 is
+    valid, so the value is E.
+    """
+    correction = variance / headroom if headroom > 0.0 else 0.0
+    r2 = rho * rho
+    return mean + 2.0 * c_rho(rho) * math.sqrt(variance) + r2 * (2.0 - r2) * (headroom - correction)
+
+
+def report(direction: str, rho: float, raw: float, mv: float, inputs, ceiling: float,
+           confidence: Optional[float] = None) -> CertificateReport:
+    """A certificate's report, its bound clamped into the attainable range [0, ceiling]."""
+    return CertificateReport(direction=direction, radius=rho, bound=min(max(raw, 0.0), ceiling),
+                             raw_bound=raw, max_valid_radius=mv, inputs=inputs,
+                             confidence=confidence)
+
+
 def upper_bound(stats: LossStatistics, rho: float) -> CertificateReport:
     """Certified upper bound on sup E_Q[loss] over the radius-rho Hellinger ball.
 
-    Value:  E + 2 C(rho) sqrt(V) + rho^2 (2 - rho^2) [M - E - V / (M - E)],
-    with the V/(M-E) correction taken as 0 at E = M, where V = 0 or only
-    rho = 0 is valid, so the bound is E = M.  Raises
+    Value :func:`upper_value` at headroom M - E.  Raises
     :class:`RadiusValidityError` when rho exceeds :func:`max_valid_radius_upper`.
     """
-    check_radius(rho)
     mv = max_valid_radius_upper(stats)
-    if rho > mv:
-        raise RadiusValidityError(rho, mv)
-    e, v, m = stats.mean, stats.variance, stats.ceiling
-    correction = v / (m - e) if m > e else 0.0
-    r2 = rho * rho
-    raw = e + 2.0 * c_rho(rho) * math.sqrt(v) + r2 * (2.0 - r2) * (m - e - correction)
-    return CertificateReport(
-        direction="upper",
-        radius=rho,
-        bound=min(raw, m),
-        raw_bound=raw,
-        max_valid_radius=mv,
-        inputs=stats,
-    )
+    admit(rho, mv)
+    raw = upper_value(stats.mean, stats.variance, stats.ceiling - stats.mean, rho)
+    return report("upper", rho, raw, mv, stats, stats.ceiling)
 
 
 def lower_bound(stats: LossStatistics, rho: float) -> CertificateReport:
     """Certified lower bound on inf E_Q[loss] over the radius-rho Hellinger ball.
 
-    Value:  E - 2 C(rho) sqrt(V) - rho^2 (2 - rho^2) [E - V / E],
-    with the V/E correction taken as 0 in the E = 0 limit (which forces V = 0).
+    Value:  E - 2 C(rho) sqrt(V) - rho^2 (2 - rho^2) [E - V / E], the upper
+    value negated for the loss -l, whose mean -E sits E below its ceiling 0.
     """
-    check_radius(rho)
     mv = max_valid_radius_lower(stats)
-    if rho > mv:
-        raise RadiusValidityError(rho, mv)
-    e, v = stats.mean, stats.variance
-    correction = v / e if e > 0.0 else 0.0
-    r2 = rho * rho
-    raw = e - 2.0 * c_rho(rho) * math.sqrt(v) - r2 * (2.0 - r2) * (e - correction)
-    return CertificateReport(
-        direction="lower",
-        radius=rho,
-        bound=max(raw, 0.0),
-        raw_bound=raw,
-        max_valid_radius=mv,
-        inputs=stats,
-    )
+    admit(rho, mv)
+    raw = 0.0 - upper_value(-stats.mean, stats.variance, stats.mean, rho)  # 0 - u: a zero bound is +0
+    return report("lower", rho, raw, mv, stats, stats.ceiling)
 
 
 def classification_error_upper(error_rate: float, rho: float) -> CertificateReport:
@@ -209,23 +216,8 @@ def classification_error_upper(error_rate: float, rho: float) -> CertificateRepo
     """
     if not (0.0 <= error_rate <= 1.0):
         raise ValueError(f"error rate must lie in [0, 1], got {error_rate}")
-    check_radius(rho)
+    stats = LossStatistics(mean=error_rate, variance=error_rate * (1.0 - error_rate), ceiling=1.0)
     mv = math.sqrt(1.0 - math.sqrt(error_rate))
-    if rho > mv:
-        raise RadiusValidityError(rho, mv)
-    eps = error_rate
-    r2 = rho * rho
-    raw = (
-        eps
-        + 2.0 * c_rho(rho) * math.sqrt(eps * (1.0 - eps))
-        + r2 * (2.0 - r2) * (1.0 - 2.0 * eps)
-    )
-    stats = LossStatistics(mean=eps, variance=eps * (1.0 - eps), ceiling=1.0)
-    return CertificateReport(
-        direction="upper",
-        radius=rho,
-        bound=min(max(raw, 0.0), 1.0),
-        raw_bound=raw,
-        max_valid_radius=mv,
-        inputs=stats,
-    )
+    admit(rho, mv)
+    raw = upper_value(stats.mean, stats.variance, 1.0 - error_rate, rho)
+    return report("upper", rho, raw, mv, stats, 1.0)

@@ -104,14 +104,14 @@ def _certify(args, report: dict, sample: EmpiricalSample, radius: float, directi
     statistics in the report.
     """
     upper = direction == "upper"
-    budget = ConfidenceBudget(args.delta, split="two_way" if upper else "three_way")
+    budget = ConfidenceBudget(args.delta)
     valid_radius = max_valid_radius_empirical if upper else max_valid_radius_empirical_lower
     bound = corollary_upper_bound if upper else corollary_lower_bound
     report["inputs"] = {"n": sample.n, "max_loss": sample.ceiling, "delta": args.delta,
                         "empirical_mean": sample.empirical_mean,
                         "unbiased_variance": sample.unbiased_variance, **inputs}
     report.update(direction=direction, radius=radius, max_valid_radius=valid_radius(sample, budget))
-    report["decisions"]["delta_split"] = budget.split
+    report["decisions"]["delta_split"] = "two_way" if upper else "three_way"
     try:
         cert = bound(sample, radius, budget)
     except RadiusValidityError:

@@ -1,11 +1,14 @@
 """High-probability certificates computed from a finite loss sample.
 
-The population mean and standard deviation entering the closed-form
-certificates are replaced by Hoeffding and Maurer-Pontil concentration
-bounds, combined through a union bound over the confidence budget delta.
-The upper certificate implements the published finite-sample expression
-verbatim; the lower certificate is a conservative three-way-split
-construction (see :func:`corollary_lower_bound`).
+The population quantities entering the closed-form certificates of
+:mod:`hellcert.bounds` are replaced by Hoeffding and Maurer-Pontil
+concentration bounds, combined through a union bound over the confidence
+budget delta; the direction decides its split.  The upper certificate is
+the population upper expression at (L_hat, sigma_bar, h): the Maurer-Pontil
+standard deviation bound sigma_bar and the Hoeffding headroom h, each at
+delta/2, which is the published finite-sample expression rearranged (see
+:func:`corollary_upper_bound`).  The lower certificate is a conservative
+construction at delta/3 per bound (see :func:`corollary_lower_bound`).
 """
 
 from __future__ import annotations
@@ -15,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import CertificateReport, RadiusValidityError, c_rho, check_radius, validity_radius
+from .bounds import CertificateReport, admit, c_rho, report, upper_value, validity_radius
 
 __all__ = [
     "EmpiricalSample",
     "ConfidenceBudget",
-    "DegenerateSampleError",
     "hoeffding_mean_upper",
     "hoeffding_mean_lower",
     "maurer_pontil_std_upper",
@@ -29,10 +31,6 @@ __all__ = [
     "corollary_upper_bound",
     "corollary_lower_bound",
 ]
-
-
-class DegenerateSampleError(ValueError):
-    """Sample statistics make the requested certificate undefined."""
 
 
 @dataclass(frozen=True)
@@ -74,21 +72,18 @@ class EmpiricalSample:
 
 @dataclass(frozen=True)
 class ConfidenceBudget:
-    """Total failure probability delta and how it is split across concentration bounds.
+    """Total failure probability delta of a finite-sample certificate.
 
-    ``two_way`` backs the upper certificate (mean + variance, ln(2/delta) slack);
-    ``three_way`` backs the lower certificate (two-sided mean + variance at
-    delta/3 each).
+    The direction splits it: the upper certificate spends delta/2 on the
+    mean and delta/2 on the standard deviation, the lower one delta/3 on
+    each of the mean from below, the mean from above and the deviation.
     """
 
     delta: float
-    split: str = "two_way"
 
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie strictly inside (0, 1), got {self.delta}")
-        if self.split not in ("two_way", "three_way"):
-            raise ValueError(f"unknown split {self.split!r}")
 
 
 def _check_delta_part(delta_part: float) -> None:
@@ -117,21 +112,25 @@ def maurer_pontil_std_upper(sample: EmpiricalSample, delta_part: float) -> float
     return math.sqrt(sample.unbiased_variance) + slack
 
 
+def _upper_inputs(sample: EmpiricalSample, budget: ConfidenceBudget):
+    """(sigma_bar, h): the Maurer-Pontil standard deviation bound at delta/2 and
+    the high-probability headroom h = M(1 - sqrt(ln(2/delta)/(2n))) - L_hat."""
+    slack = math.sqrt(math.log(2.0 / budget.delta) / (2.0 * sample.n))
+    headroom = sample.ceiling * (1.0 - slack) - sample.empirical_mean
+    return maurer_pontil_std_upper(sample, budget.delta / 2.0), headroom
+
+
 def max_valid_radius_empirical(sample: EmpiricalSample, budget: ConfidenceBudget) -> float:
     """Largest radius at which the finite-sample upper certificate is defined.
 
-    Uses ln(2/delta) slack uniformly in both numerator and denominator of the
-    validity ratio.  Returns 0 when the high-probability headroom
-    M(1 - sqrt(ln(2/delta)/(2n))) - L_hat is non-positive: nothing can be
+    The population radius at headroom h and spread sigma_bar (see
+    :func:`_upper_inputs`).  Returns 0 when h is non-positive: nothing can be
     certified from such a sample.
     """
-    m, n = sample.ceiling, sample.n
-    ln2d = math.log(2.0 / budget.delta)
-    headroom = m * (1.0 - math.sqrt(ln2d / (2.0 * n))) - sample.empirical_mean
+    sigma, headroom = _upper_inputs(sample, budget)
     if headroom <= 0.0:
         return 0.0
-    denom = math.sqrt(sample.unbiased_variance) + m * math.sqrt(2.0 * ln2d / (n - 1))
-    ratio = headroom / denom
+    ratio = headroom / sigma
     return validity_radius(ratio * ratio)
 
 
@@ -151,64 +150,25 @@ def corollary_upper_bound(
 ) -> CertificateReport:
     """Finite-sample upper certificate, holding with probability >= 1 - delta.
 
-    Implements, verbatim,
+    The published expression
 
         L_hat + 2 C(rho) sqrt(S^2) + Delta(n, rho)
         + rho^2 (2 - rho^2) [ M - L_hat + U / (L_hat - M (1 - sqrt(ln(2/d)/(2n)))) ]
 
-    with U = S^2 + 2 M sqrt(2 S^2 ln(2/d)/(n-1)) + 2 M^2 ln(2/d)/(n-1)
-    (the squared Maurer-Pontil bound) and
+    with U = S^2 + 2 M sqrt(2 S^2 ln(2/d)/(n-1)) + 2 M^2 ln(2/d)/(n-1) and
 
-        Delta(n, rho) = (2 C(rho)/sqrt(n-1) - rho^2 (2-rho^2)/(2 sqrt(n))) M sqrt(2 ln(2/d)).
+        Delta(n, rho) = (2 C(rho)/sqrt(n-1) - rho^2 (2-rho^2)/(2 sqrt(n))) M sqrt(2 ln(2/d))
 
-    At rho = 0 every slack term carries a C(rho) or rho^2 factor, so the
-    certificate equals L_hat exactly.
+    is :func:`hellcert.bounds.upper_value` at mean L_hat, standard deviation
+    sigma_bar and headroom h (see :func:`_upper_inputs`): U = sigma_bar^2,
+    the denominator is -h, and 2 C(rho) sqrt(S^2) + Delta =
+    2 C(rho) sigma_bar - rho^2 (2-rho^2) M sqrt(ln(2/d)/(2n)).
     """
-    if budget.split != "two_way":
-        raise ValueError("upper certificate requires a two_way budget split")
-    check_radius(rho)
     mv = max_valid_radius_empirical(sample, budget)
-    if rho > mv:
-        raise RadiusValidityError(rho, mv)
-    m, n = sample.ceiling, sample.n
-    lhat, s2 = sample.empirical_mean, sample.unbiased_variance
-    if rho == 0.0:
-        raw = lhat
-    else:
-        ln2d = math.log(2.0 / budget.delta)
-        cr = c_rho(rho)
-        shrink = rho * rho * (2.0 - rho * rho)
-        delta_term = (
-            (2.0 * cr / math.sqrt(n - 1) - shrink / (2.0 * math.sqrt(n)))
-            * m
-            * math.sqrt(2.0 * ln2d)
-        )
-        denom = lhat - m * (1.0 - math.sqrt(ln2d / (2.0 * n)))
-        if denom == 0.0:
-            raise DegenerateSampleError(
-                "empirical mean sits exactly at the Hoeffding threshold; "
-                "the bracket term is undefined"
-            )
-        numer = (
-            s2
-            + 2.0 * m * math.sqrt(2.0 * s2 * ln2d / (n - 1))
-            + 2.0 * m * m * ln2d / (n - 1)
-        )
-        raw = (
-            lhat
-            + 2.0 * cr * math.sqrt(s2)
-            + delta_term
-            + shrink * (m - lhat + numer / denom)
-        )
-    return CertificateReport(
-        direction="upper",
-        radius=rho,
-        bound=min(raw, m),
-        raw_bound=raw,
-        max_valid_radius=mv,
-        inputs=sample,
-        confidence=1.0 - budget.delta,
-    )
+    admit(rho, mv)
+    sigma, headroom = _upper_inputs(sample, budget)
+    raw = upper_value(sample.empirical_mean, sigma * sigma, headroom, rho)
+    return report("upper", rho, raw, mv, sample, sample.ceiling, 1.0 - budget.delta)
 
 
 def corollary_lower_bound(
@@ -222,24 +182,11 @@ def corollary_lower_bound(
     inside the bracket is dropped.  Every substitution moves the bound
     downward, so validity is preserved by the union bound.
     """
-    if budget.split != "three_way":
-        raise ValueError("lower certificate requires a three_way budget split")
-    check_radius(rho)
     mv = max_valid_radius_empirical_lower(sample, budget)
-    if rho > mv:
-        raise RadiusValidityError(rho, mv)
+    admit(rho, mv)
     d3 = budget.delta / 3.0
     e_lo = hoeffding_mean_lower(sample, d3)
     e_hi = hoeffding_mean_upper(sample, d3)
     std_up = maurer_pontil_std_upper(sample, d3)
-    shrink = rho * rho * (2.0 - rho * rho)
-    raw = e_lo - 2.0 * c_rho(rho) * std_up - shrink * e_hi
-    return CertificateReport(
-        direction="lower",
-        radius=rho,
-        bound=max(raw, 0.0),
-        raw_bound=raw,
-        max_valid_radius=mv,
-        inputs=sample,
-        confidence=1.0 - budget.delta,
-    )
+    raw = e_lo - 2.0 * c_rho(rho) * std_up - rho * rho * (2.0 - rho * rho) * e_hi
+    return report("lower", rho, raw, mv, sample, sample.ceiling, 1.0 - budget.delta)

@@ -267,30 +267,20 @@ def train_network(
     y_idx: np.ndarray,
     steps: int = 2000,
     learning_rate: float = 0.5,
-    seed: int = 0,
-    batch_size: int = None,
     check_every: int = 200,
 ) -> TrainResult:
-    """Gradient descent on the mean JSD loss with per-step spectral normalization.
+    """Full-batch gradient descent on the mean JSD loss with per-step spectral normalization.
 
-    Full-batch by default (``batch_size=None``); with the defaults the
-    checkpointed full-data loss is non-increasing.  Raises
+    With the defaults the checkpointed loss is non-increasing.  Raises
     :class:`TrainingDivergenceError` if the loss goes non-finite.
     """
     net = net.copy()
     y_idx = np.asarray(y_idx)
-    gen = stream(seed, 1)
-    ws = Workspace(net, x.shape[0])  # serves the batches and the full-data checkpoints
-    full_batch = batch_size is None or batch_size >= x.shape[0]
-    positions = true_class_positions(y_idx, net.weights[-1].shape[0]) if full_batch else None
+    ws = Workspace(net, x.shape[0])
+    positions = true_class_positions(y_idx, net.weights[-1].shape[0])
     checkpoints = [batch_loss(net, x, y_idx, ws)]
     for step in range(steps):
-        if full_batch:
-            xb, yb = x, y_idx
-        else:
-            pick = gen.integers(0, x.shape[0], size=batch_size)
-            xb, yb = x[pick], y_idx[pick]
-        loss, grads = batch_loss_and_param_grads(net, xb, yb, ws, positions)
+        loss, grads = batch_loss_and_param_grads(net, x, y_idx, ws, positions)
         if not math.isfinite(loss):
             raise TrainingDivergenceError(f"loss became {loss} at step {step}")
         for j in range(net.n_layers):

@@ -118,7 +118,7 @@ def test_criterion_05_finite_sample_coverage():
     values = np.array([0.0, 0.2, 0.5, 1.0])
     rho, delta, n = 0.1, 0.05, 200
     true_sup = worst_case_sup(DiscreteInstance(p, values, 1.0, rho)).value
-    budget = ConfidenceBudget(delta, "two_way")
+    budget = ConfidenceBudget(delta)
     failures = 0
     for t in range(500):
         gen = stream(77, t)

@@ -127,6 +127,9 @@ def test_lower_bound_trivials():
     assert lower_bound(LossStatistics(0.3, 0.1, 1.0), 0.0).bound == 0.3
     r = lower_bound(LossStatistics(0.4, 0.0, 1.0), 0.2)
     assert r.bound == pytest.approx(0.4 * (1 - 0.04) ** 2, abs=1e-15)
+    # A zero loss is certified +0, not -0, which the curve CSV would print.
+    zero = lower_bound(LossStatistics(0.0, 0.0, 1.0), 0.5)
+    assert math.copysign(1.0, zero.raw_bound) == math.copysign(1.0, zero.bound) == 1.0
 
 
 def test_lower_bound_frozen():
@@ -223,6 +226,18 @@ def test_domination_lower(inputs):
     r = lower_bound(stats, rho)
     assert r.bound <= stats.mean + 1e-12
     assert r.bound >= 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_lower_inputs())
+def test_lower_bound_is_the_lower_expression_bit_for_bit(inputs):
+    # The lower bound is evaluated as the negated upper value of -loss; that
+    # rounds exactly like E - 2 C sqrt(V) - rho^2 (2 - rho^2) (E - V/E).
+    stats, rho = inputs
+    e, v = stats.mean, stats.variance
+    shrink = rho * rho * (2.0 - rho * rho)
+    expect = e - 2.0 * c_rho(rho) * math.sqrt(v) - shrink * (e - v / e)
+    assert lower_bound(stats, rho).raw_bound == expect
 
 
 @settings(max_examples=200, deadline=None)

@@ -219,7 +219,7 @@ def test_certify_accuracy_matches_certify_pipeline(tmp_path):
     code, rep = run_report(tmp_path, ["certify-accuracy", str(f), "--rho", "0.05"])
     assert code == 0
     sample = zero_one_stats(PredictionSample(preds, labels))
-    expect = corollary_upper_bound(sample, 0.05, ConfidenceBudget(0.01, "two_way"))
+    expect = corollary_upper_bound(sample, 0.05, ConfidenceBudget(0.01))
     assert rep["bound"] == expect.bound
 
 

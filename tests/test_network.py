@@ -290,18 +290,12 @@ def _ref_spectral_normalize(weights, vectors, max_iters=50, tol=1e-8):
             weights[j] = w / sigma
 
 
-def _ref_train(net, x, y, steps, batch_size, check_every):
+def _ref_train(net, x, y, steps, check_every):
     weights = [w.copy() for w in net.weights]
     vectors = [None if v is None else v.copy() for v in net._power_vectors]
-    gen = stream(0, 1)
     checkpoints = [float(_ref_losses_and_param_grads(weights, x, y)[0].mean())]
     for step in range(steps):
-        if batch_size is None:
-            xb, yb = x, y
-        else:
-            pick = gen.integers(0, x.shape[0], size=batch_size)
-            xb, yb = x[pick], y[pick]
-        _, grads = _ref_losses_and_param_grads(weights, xb, yb)
+        _, grads = _ref_losses_and_param_grads(weights, x, y)
         weights = [w - 0.5 * g for w, g in zip(weights, grads)]
         _ref_spectral_normalize(weights, vectors)
         if (step + 1) % check_every == 0:
@@ -367,15 +361,14 @@ def test_workspace_reuse_matches_fresh_calls():
         per_sample_losses_and_input_grads(net, np.zeros((61, 2)), np.zeros(61, dtype=int), ws)
 
 
-@pytest.mark.parametrize("batch_size", [None, 32])
-def test_train_network_matches_fresh_allocating_reference(batch_size):
+def test_train_network_matches_fresh_allocating_reference():
     gen = stream(24)
     n = 300
     y = gen.integers(0, 2, size=n)
     x = (2.0 * y - 1.0)[:, None] * np.array([2.0, 0.0]) + gen.standard_normal((n, 2))
     net = SmallNetwork.initialize(hidden=(16, 16), seed=24)
-    result = train_network(net, x, y, steps=30, batch_size=batch_size, check_every=7)
-    weights, checkpoints = _ref_train(net, x, y, 30, batch_size, 7)
+    result = train_network(net, x, y, steps=30, check_every=7)
+    weights, checkpoints = _ref_train(net, x, y, 30, 7)
     assert result.checkpoint_losses == checkpoints
     for got, ref in zip(result.network.weights, weights):
         assert np.array_equal(got, ref)
