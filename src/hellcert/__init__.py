@@ -42,8 +42,8 @@ from .losses import (
 from .oracle import (
     DiscreteInstance,
     OracleDisagreementError,
+    OracleGapError,
     OracleResult,
-    gram_determinant,
     worst_case_inf,
     worst_case_sup,
 )
@@ -83,8 +83,8 @@ __all__ = [
     "zero_one_stats",
     "DiscreteInstance",
     "OracleDisagreementError",
+    "OracleGapError",
     "OracleResult",
-    "gram_determinant",
     "worst_case_inf",
     "worst_case_sup",
     "DiscreteDistribution",

@@ -32,7 +32,7 @@ from .finite_sample import (ConfidenceBudget, EmpiricalSample, corollary_lower_b
 from .io import (FORMATS, InputFormatError, base_report, json_document, read_losses,
                  read_predictions, read_scores, read_text, write_csv)
 from .losses import PredictionSample, ScoredSample, auc_estimate, auc_pair_sample, zero_one_stats
-from .oracle import GAP_TOL, DiscreteInstance, OracleDisagreementError, worst_case_inf, worst_case_sup
+from .oracle import GAP_TOL, DiscreteInstance, OracleGapError, worst_case_inf, worst_case_sup
 from .shifts import auc_composite_radius
 from .synthetic import SweepRow, compare_certificates
 
@@ -338,7 +338,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
         return code
-    except OracleDisagreementError as exc:
+    except OracleGapError as exc:
         print(f"solver diagnostic: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (OSError, ValueError) as exc:

@@ -66,7 +66,8 @@ class EmpiricalSample:
         object.__setattr__(self, "losses", losses)
         object.__setattr__(self, "ceiling", float(ceiling))
         object.__setattr__(self, "n", int(losses.size))
-        object.__setattr__(self, "empirical_mean", float(np.mean(losses)))
+        # Rounding can put the mean of losses at the ceiling just above it.
+        object.__setattr__(self, "empirical_mean", min(float(np.mean(losses)), self.ceiling))
         object.__setattr__(self, "unbiased_variance", float(np.var(losses, ddof=1)))
 
 

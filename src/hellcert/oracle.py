@@ -40,17 +40,17 @@ from .shifts import DiscreteDistribution
 __all__ = [
     "DiscreteInstance",
     "OracleResult",
+    "OracleGapError",
     "OracleDisagreementError",
     "worst_case_sup",
     "worst_case_inf",
-    "gram_determinant",
 ]
 
 GAP_TOL = 1e-6
 ROOT_WIDTH = 1e-13  # stopping width of the root bracket, relative to its feasible end
 
 
-class OracleDisagreementError(RuntimeError):
+class OracleGapError(RuntimeError):
     """The proven duality gap exceeds ``GAP_TOL``; instance attached."""
 
     def __init__(self, instance: "DiscreteInstance", gap: float):
@@ -60,6 +60,9 @@ class OracleDisagreementError(RuntimeError):
         )
         self.instance = instance
         self.gap = gap
+
+
+OracleDisagreementError = OracleGapError  # the former name, kept as an alias for one release
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ class DiscreteInstance:
             raise ValueError("losses must match the support size")
         if not (ceiling > 0 and math.isfinite(ceiling)):
             raise ValueError(f"ceiling must be positive and finite, got {ceiling}")
-        if np.any(losses < 0.0) or np.any(losses > ceiling):
+        if (losses < 0.0).any() or (losses > ceiling).any():
             raise ValueError(f"losses must lie in [0, {ceiling}]")
         if not (0.0 <= rho <= 1.0):
             raise ValueError(f"rho must lie in [0, 1], got {rho}")
@@ -116,7 +119,13 @@ class OracleResult:
 
 
 def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float):
-    """Maximize sum q_i loss_i over the Hellinger cap; returns (q, proven gap, root steps)."""
+    """Maximize sum q_i loss_i over the Hellinger cap; returns (q, proven gap, root steps).
+
+    Instances are small, so a solve costs NumPy calls rather than arithmetic.
+    Every 1-d product is ``ndarray.dot``: the same BLAS ddot as ``@``, which
+    pays more per call.  ``test_oracle.py`` keeps the ``@`` form as a
+    reference and checks that both give the same bits.
+    """
     e = rho * rho * (2.0 - rho * rho)  # 1 - c^2 without cancellation
     if e == 0.0:  # rho = 0, or so small that rho^2 underflows: the ball is {p}
         return p.copy(), 0.0, 0
@@ -126,8 +135,9 @@ def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float):
     # sqrt(top mass) >= c is tested as (mass off the top) <= 1 - c^2.
     lmax = float(losses.max())
     top = losses >= lmax
+    top_on_support = p[top].any()
     if float(p[~top].sum()) <= e:
-        q = np.where(top, p, 0.0) if p[top].any() else top / top.sum()
+        q = np.where(top, p, 0.0) if top_on_support else top / top.sum()
         return q / q.sum(), 0.0, 0
 
     # nu = lmax + t, so nu - loss = t + d is exact on the max-loss points
@@ -154,20 +164,20 @@ def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float):
         k = t + dmax
         r = t + d
         np.divide(k, r, out=r)
-        s = float(p_s @ r)
+        s = float(p_s.dot(r))
         pr = p_s * r
-        b = float(pr @ d)
-        t2 = float(pr @ r)
+        b = float(pr.dot(d))
+        t2 = float(pr.dot(r))
         pr *= r  # p r^2 from here on, then p r^3: few passes over a million atoms
         dev = d * s
         dev -= b
         dev *= dev
-        deficit = float(pr @ dev) / t2 / k / k
+        deficit = float(pr.dot(dev)) / t2 / k / k
         np.multiply(d, t2, out=dev)
-        dev -= float(pr @ d)
+        dev -= float(pr.dot(d))
         dev *= dev
         pr *= r
-        slope = float(pr @ dev)
+        slope = float(pr.dot(dev))
         if slope > 0.0:
             step = deficit * k * k * k * t2 * t2 * (math.sqrt(deficit / e) - 1.0) / slope
         else:
@@ -176,7 +186,7 @@ def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float):
 
     steps = 0
     lo = 0.0
-    if not p[top].any():
+    if not top_on_support:
         # Every max-loss point is off-support, so nu = lmax is dual feasible.
         r, s, t2, deficit, _ = kkt_at(0.0)
         steps = 1
@@ -200,8 +210,8 @@ def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float):
     # 0).  The search ends when the bracket is within the stopping width, or
     # at a feasible point near the root (deficit above e / 2) whose Newton
     # step is within half of it.
-    mean = float(p_s @ d)
-    t = math.sqrt(float(p_s @ (d - mean) ** 2)) / math.sqrt(e) or dmax
+    mean = float(p_s.dot(d))
+    t = math.sqrt(float(p_s.dot((d - mean) ** 2))) / math.sqrt(e) or dmax
     hi, at_hi = math.inf, None
     before_last = last = math.inf
     while steps < 300:
@@ -235,7 +245,7 @@ def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float):
 def _sign_solve(inst: DiscreteInstance, sign: float) -> OracleResult:
     q, gap, steps = _solve_max(inst.p.probs, sign * inst.losses, inst.rho)
     if gap > GAP_TOL:
-        raise OracleDisagreementError(inst, gap)
+        raise OracleGapError(inst, gap)
     maximizer = DiscreteDistribution(q)
     # Report the exact expectation under the (renormalized) extremizer.
     value = float((maximizer.probs * inst.losses).sum())
@@ -252,33 +262,3 @@ def worst_case_inf(inst: DiscreteInstance) -> OracleResult:
     """Exact inf of E_q[loss] over the ball; same machinery applied to -loss."""
     return _sign_solve(inst, -1.0)
 
-
-def gram_determinant(p: DiscreteDistribution, q: DiscreteDistribution, f) -> float:
-    """Determinant of the 3x3 Gram matrix of sqrt-densities and the loss-weighted density.
-
-    Rows/columns correspond to (sqrt(q), sqrt(p), f * sqrt(p)) on the common
-    support; positive semidefiniteness of any Gram matrix makes this
-    determinant non-negative up to float rounding, which is the property the
-    certificates rest on.
-    """
-    f = np.asarray(f, dtype=float)
-    k = max(len(p), len(q), f.size)
-    pv = np.zeros(k)
-    qv = np.zeros(k)
-    fv = np.zeros(k)
-    pv[: len(p)] = p.probs
-    qv[: len(q)] = q.probs
-    fv[: f.size] = f
-    root_pq = np.sqrt(qv * pv)
-    g01 = float(root_pq.sum())
-    g02 = float((fv * root_pq).sum())
-    g12 = float((fv * pv).sum())
-    g22 = float((fv * fv * pv).sum())
-    gram = np.array(
-        [
-            [1.0, g01, g02],
-            [g01, 1.0, g12],
-            [g02, g12, g22],
-        ]
-    )
-    return float(np.linalg.det(gram))

@@ -34,9 +34,9 @@ class DiscreteDistribution:
         probs = np.asarray(probs, dtype=float)
         if probs.ndim != 1 or probs.size < 1:
             raise ValueError("probs must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(probs)):
+        if not np.isfinite(probs).all():
             raise ValueError("probs must be finite")
-        if np.any(probs < 0.0):
+        if (probs < 0.0).any():
             raise ValueError("probs must be non-negative")
         total = float(probs.sum())
         if total <= 0.0:

@@ -24,11 +24,13 @@ from hellcert.experiments import certificate_band, label_shift_experiment, mixtu
 from hellcert.finite_sample import ConfidenceBudget, EmpiricalSample, corollary_upper_bound
 from hellcert.losses import jsd_gradient, jsd_loss
 from hellcert.network import jsd_head_constants
-from hellcert.oracle import DiscreteInstance, gram_determinant, worst_case_inf, worst_case_sup
+from hellcert.oracle import DiscreteInstance, worst_case_inf, worst_case_sup
 from hellcert.rng import stream
 from hellcert.shifts import DiscreteDistribution
 from hellcert.synthetic import compare_certificates
 from hellcert.bounds import RadiusValidityError
+
+from gram import gram_determinant
 
 
 def report(line):
@@ -256,7 +258,7 @@ def test_criterion_12_gram_psd():
         dets = np.linalg.det(grams)
         worst = min(worst, float(dets.min())) if total else float(dets.min())
         total += batch
-    # One structural spot check through the library function itself.
+    # One structural spot check through the shared helper.
     g = stream(13)
     assert gram_determinant(
         DiscreteDistribution(g.dirichlet(np.ones(4))),

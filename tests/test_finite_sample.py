@@ -86,6 +86,8 @@ def test_sample_moments():
     s = EmpiricalSample([0.0, 1.0, 1.0, 0.0], 1.0)
     assert s.empirical_mean == 0.5
     assert s.unbiased_variance == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert float(np.mean(np.full(100, 0.001))) > 0.001
+    assert EmpiricalSample(np.full(100, 0.001), 0.001).empirical_mean == 0.001
 
 
 def test_hoeffding_examples():

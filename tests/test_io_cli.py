@@ -135,6 +135,17 @@ def test_certify_identical_losses_zero_radius(tmp_path):
     assert rep["confidence"] == 0.99
 
 
+def test_certify_mean_of_ceiling_losses_stays_at_the_ceiling(tmp_path):
+    # np.mean of 100 copies of 0.001 is 0.0010000000000000002, above M.
+    path = losses_file(tmp_path, [0.001] * 100)
+    for direction in ("upper", "lower"):
+        code, rep = run_report(
+            tmp_path, ["certify", path, "--rho", "0.1", "--max-loss", "0.001", "--direction", direction]
+        )
+        assert code == (2 if direction == "upper" else 0)
+        assert rep["inputs"]["empirical_mean"] == 0.001
+
+
 def test_certify_beyond_validity_exit_2(tmp_path):
     path = losses_file(tmp_path, [0.4] * 20)
     code, rep = run_report(tmp_path, ["certify", path, "--rho", "0.999"])
@@ -580,6 +591,10 @@ def test_oracle_gap_above_tolerance_exits_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("solver diagnostic: oracle duality gap")
     assert '"rho": 0.2' in err
+    # The error's former name stays an alias for one release.
+    assert oracle.OracleDisagreementError is oracle.OracleGapError
+    with pytest.raises(oracle.OracleDisagreementError):
+        oracle.worst_case_sup(oracle.DiscreteInstance.from_json(inst.read_text()))
 
 
 def _nested(depth):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,12 +8,13 @@ import pytest
 from hellcert.bounds import LossStatistics, lower_bound, upper_bound
 from hellcert.oracle import (
     DiscreteInstance,
-    gram_determinant,
     worst_case_inf,
     worst_case_sup,
 )
 from hellcert.rng import stream
 from hellcert.shifts import DiscreteDistribution, discrete_hellinger
+
+from gram import gram_determinant
 
 
 def hellinger_to(p, q):
@@ -376,3 +378,186 @@ def test_gram_determinant_psd_sample():
         q = DiscreteDistribution(gen.dirichlet(np.ones(k)))
         f = gen.random(k)
         assert gram_determinant(p, q, f) >= -1e-12
+
+
+# ------------------------------------ the solver's former form, kept verbatim
+# Every 1-d product below is ``@``, where the oracle now calls ``ndarray.dot``;
+# both are the same BLAS ddot, and the test after it holds the oracle to these
+# bits.  ROOT_WIDTH is frozen here so that a change to the oracle's shows.
+
+ROOT_WIDTH = 1e-13
+
+
+def reference_solve_max(p: np.ndarray, losses: np.ndarray, rho: float):
+    """Maximize sum q_i loss_i over the Hellinger cap; returns (q, proven gap, root steps)."""
+    e = rho * rho * (2.0 - rho * rho)  # 1 - c^2 without cancellation
+    if e == 0.0:  # rho = 0, or so small that rho^2 underflows: the ball is {p}
+        return p.copy(), 0.0, 0
+
+    # Feasibility of the unconstrained optimum: all mass on the max-loss
+    # coordinates, distributed proportionally to p (maximizes affinity).
+    # sqrt(top mass) >= c is tested as (mass off the top) <= 1 - c^2.
+    lmax = float(losses.max())
+    top = losses >= lmax
+    if float(p[~top].sum()) <= e:
+        q = np.where(top, p, 0.0) if p[top].any() else top / top.sum()
+        return q / q.sum(), 0.0, 0
+
+    # nu = lmax + t, so nu - loss = t + d is exact on the max-loss points
+    # however close to lmax the root lies (a tiny p there puts it very close).
+    support = p > 0.0
+    p_s = p[support]
+    d = lmax - losses[support]
+
+    dmax = float(d.max())
+
+    def kkt_at(t):
+        """r = k / (nu - loss), S, k^2 T, 1 - affinity^2 and a Newton step at nu = lmax + t.
+
+        With k = t + max d, r stays near 1 however large t gets, so nothing
+        underflows; s, b and t2 below are S, B and T times k, k and k^2.  The
+        affinity is S / sqrt(T); its deficit (T - S^2) / T is computed as
+        sum p r^2 (B - d S)^2 / (T k^2) with B = sum p r d (p sums to one),
+        which keeps full relative precision when rho is tiny and nu is large.
+        Its t-derivative is -2 sum p r^3 (B' - d T)^2 / (T^2 k^3), with
+        B' = sum p r^2 d, free of cancellation the same way.  The step is
+        Newton's on h = deficit^-1/2 - e^-1/2, which rises in t and is close
+        to linear, since the deficit falls like Var_p(d) / t^2.
+        """
+        k = t + dmax
+        r = t + d
+        np.divide(k, r, out=r)
+        s = float(p_s @ r)
+        pr = p_s * r
+        b = float(pr @ d)
+        t2 = float(pr @ r)
+        pr *= r  # p r^2 from here on, then p r^3: few passes over a million atoms
+        dev = d * s
+        dev -= b
+        dev *= dev
+        deficit = float(pr @ dev) / t2 / k / k
+        np.multiply(d, t2, out=dev)
+        dev -= float(pr @ d)
+        dev *= dev
+        pr *= r
+        slope = float(pr @ dev)
+        if slope > 0.0:
+            step = deficit * k * k * k * t2 * t2 * (math.sqrt(deficit / e) - 1.0) / slope
+        else:
+            step = math.inf  # no usable derivative: the search bisects
+        return r, s / k, t2, deficit, step
+
+    steps = 0
+    lo = 0.0
+    if not p[top].any():
+        # Every max-loss point is off-support, so nu = lmax is dual feasible.
+        r, s, t2, deficit, _ = kkt_at(0.0)
+        steps = 1
+        if deficit <= e:
+            # g is already non-decreasing at lmax, so g(lmax) is the optimum:
+            # the on-support part meets the affinity exactly and the leftover
+            # mass goes to one off-support max-loss point.
+            left = (e - deficit) / (1.0 - deficit)
+            q = np.zeros_like(p)
+            q[support] = (1.0 - left) * p_s * r * r / t2
+            q[int(np.argmax(top))] = left
+            return q, 0.0, steps
+
+    # Safeguarded Newton inside the bracket [lo, hi], hi always feasible.  The
+    # Newton step from the newest point aims a quarter of the stopping width
+    # beyond the root, on the feasible side, so that a converged step lands
+    # feasible instead of within rounding of the root.  It is taken when it
+    # stays inside the bracket and moves at most half as far as the move
+    # before last; otherwise the step doubles t until a feasible point is
+    # known, then takes the geometric midpoint (from hi * 2^-64 while lo is
+    # 0).  The search ends when the bracket is within the stopping width, or
+    # at a feasible point near the root (deficit above e / 2) whose Newton
+    # step is within half of it.
+    mean = float(p_s @ d)
+    t = math.sqrt(float(p_s @ (d - mean) ** 2)) / math.sqrt(e) or dmax
+    hi, at_hi = math.inf, None
+    before_last = last = math.inf
+    while steps < 300:
+        point = kkt_at(t)
+        steps += 1
+        deficit, step = point[3], point[4]
+        if deficit <= e:
+            hi, at_hi = t, point
+            if deficit >= 0.5 * e and abs(step) <= 0.5 * ROOT_WIDTH * t:
+                break
+        else:
+            lo = t
+        if hi < math.inf and hi - lo <= ROOT_WIDTH * hi:
+            break
+        x = (t + step) * (1.0 + 0.25 * ROOT_WIDTH)
+        if not (lo < x < hi and abs(x - t) <= 0.5 * before_last):
+            x = 2.0 * t if hi == math.inf else math.sqrt(max(lo, hi * 2.0**-64)) * math.sqrt(hi)
+        before_last, last = last, abs(x - t)
+        t = x
+    if at_hi is None:
+        return p.copy(), math.inf, steps
+
+    # Primal at the feasible end; g(nu) - E_q[loss] = S/T - c^2/S equals
+    # (1 - c^2 - deficit) / S, evaluated without cancelling nu against itself.
+    r, s, t2, deficit, _ = at_hi
+    q = np.zeros_like(p)
+    q[support] = p_s * r * r / t2
+    return q, max((e - deficit) / s, 0.0), steps
+
+
+def reference_instances():
+    """Instances on k = 1-64 points: Dirichlet masses, some points off the
+    support, tied maximum losses, and tied maxima all off the support (the
+    boundary form); radii 0, 1e-9, 1, a random one and the feasibility edge
+    of each direction with its two float neighbours for the sup."""
+    gen = stream(71)
+    for k in range(1, 65):
+        for variant in range(4):
+            p = gen.dirichlet(np.full(k, 0.3 if variant == 0 else 1.0))
+            losses = gen.random(k)
+            ties = gen.choice(k, size=1 + k // 4, replace=False)
+            if variant >= 2:
+                losses[ties] = losses.max()
+            if variant == 1 and k > 1:
+                p[gen.choice(k, size=int(gen.integers(1, k)), replace=False)] = 0.0
+            if variant == 3 and ties.size < k:
+                p[ties] = 0.0
+            probs = DiscreteDistribution(p).probs
+            radii = {0.0, 1e-9, 1.0, float(gen.random())}
+            for sign in (1.0, -1.0):
+                top = sign * losses >= (sign * losses).max()
+                edge = math.sqrt(1.0 - math.sqrt(max(1.0 - float(probs[~top].sum()), 0.0)))
+                radii.add(edge)
+                if sign > 0.0:
+                    radii.update(math.nextafter(edge, x) for x in (0.0, 1.0))
+            for rho in sorted(radii):
+                yield DiscreteInstance(p, losses, 1.0, rho)
+    big = stream(72)
+    p = big.dirichlet(np.ones(100_000))
+    p[big.choice(100_000, size=1000, replace=False)] = 0.0
+    yield DiscreteInstance(p, big.random(100_000), 1.0, 0.1)
+    yield PLATEAU
+
+
+def test_solver_matches_its_matmul_form_bit_for_bit():
+    steps_seen = set()
+    for inst in reference_instances():
+        for sign, solve in ((1.0, worst_case_sup), (-1.0, worst_case_inf)):
+            q, gap, steps = reference_solve_max(inst.p.probs, sign * inst.losses, inst.rho)
+            try:
+                probs = DiscreteDistribution(q).probs
+            except ValueError as exc:
+                # A few radii at or one float below the computed feasibility
+                # edge drive the search into overflow; the oracle must fail
+                # the same way.
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    solve(inst)
+                continue
+            value = float((probs * inst.losses).sum())
+            res = solve(inst)
+            where = (inst.to_json()[:200], sign)
+            assert np.array([res.value, res.certified_gap]).tobytes() == np.array([value, gap]).tobytes(), where
+            assert res.maximizer.probs.tobytes() == probs.tobytes(), where
+            assert res.root_steps == steps, where
+            steps_seen.add(min(steps, 2))
+    assert steps_seen == {0, 1, 2}  # closed forms, the boundary form and the search all ran
