@@ -21,18 +21,15 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+# Public names; the certificate core (admit, upper_value, report) and the
+# radius helpers are shared with the sibling modules only.
 __all__ = [
     "LossStatistics",
     "CertificateReport",
     "RadiusValidityError",
-    "check_radius",
     "c_rho",
-    "validity_radius",
     "max_valid_radius_upper",
     "max_valid_radius_lower",
-    "admit",
-    "upper_value",
-    "report",
     "upper_bound",
     "lower_bound",
     "classification_error_upper",

@@ -9,8 +9,8 @@ the CLI makes to it.
 
 Exit codes: 0 success, 1 input error (usage errors included), 2
 validity-radius violation, 3 solver diagnostic.  All randomness flows
-through seeded counter-based streams and reports default to a null
-timestamp, so identical command lines produce byte-identical outputs.
+through seeded counter-based streams and reports carry a null timestamp,
+so identical command lines produce byte-identical outputs.
 """
 
 from __future__ import annotations

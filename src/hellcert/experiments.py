@@ -1,8 +1,8 @@
 """Monte Carlo shift experiments: label-shift scatter and disjoint-mixture curves.
 
-Both experiments treat the empirical evaluation distribution as the reference
-P, so the shifted losses they emit are exact reweightings of measured
-conditional losses.  At that level the closed-form certificates hold
+Both experiments certify the 0-1 loss (ceiling 1) and treat the empirical
+evaluation distribution as the reference P, so the shifted losses they emit
+are exact reweightings of measured conditional losses.  At that level the closed-form certificates hold
 deterministically, which is what makes the containment checks sharp instead
 of statistical.
 """
@@ -84,10 +84,8 @@ def label_shift_experiment(
     seed: int = 0,
     unseen_classes: int = 2,
     dirichlet_concentration: float = 10.0,
-    ceiling: float = 1.0,
-    curve_points: int = 200,
 ) -> LabelShiftResult:
-    """Scatter of (Hellinger distance, exactly reweighted loss) under random label shifts.
+    """Scatter of (Hellinger distance, exactly reweighted 0-1 loss) under random label shifts.
 
     Class-conditional error rates are estimated once from the data and held
     fixed; each trial samples a shifted label distribution by one of three
@@ -99,7 +97,7 @@ def label_shift_experiment(
        has none to spare, so there the trial resamples as in 1 and is
        labelled so),
     3. moving a random amount of mass onto synthetic never-seen classes,
-       whose conditional loss is the ceiling (a deployed classifier cannot
+       whose conditional loss is the ceiling 1 (a deployed classifier cannot
        predict a class it never saw).
 
     The per-trial loss is the exact mixture sum q(y) * E_hat[loss | y], i.e.
@@ -114,11 +112,9 @@ def label_shift_experiment(
     priors = counts / counts.sum()
     wrong = (predictions != labels).astype(float)
     # Per-class error rates; sums of 0s and 1s are exact in any order.
-    cond_loss = np.bincount(class_of, weights=wrong) / counts * ceiling
-    overall = float(wrong.mean()) * ceiling
-    stats = LossStatistics(
-        mean=overall, variance=overall * (ceiling - overall), ceiling=ceiling
-    )
+    cond_loss = np.bincount(class_of, weights=wrong) / counts
+    overall = float(wrong.mean())
+    stats = LossStatistics(mean=overall, variance=overall * (1.0 - overall), ceiling=1.0)
 
     m = k + unseen_classes
     root_prior = np.sqrt(DiscreteDistribution(np.concatenate([priors, np.zeros(unseen_classes)])).probs)
@@ -158,12 +154,12 @@ def label_shift_experiment(
         root_differences = np.sqrt(block, out=roots_buffer[: len(block)])
         np.subtract(root_prior, root_differences, out=root_differences)
         for q, d, mech in zip(block, root_differences, mechanisms):
-            loss = float(q[:k] @ cond_loss + q[k:].sum() * ceiling)
+            loss = float(q[:k] @ cond_loss + q[k:].sum())
             points.append(LabelShiftPoint(hellinger=root_difference_hellinger(d), loss=loss, mechanism=mech))
 
     return LabelShiftResult(
         points=points,
-        curve=certificate_curve(stats, curve_points),
+        curve=certificate_curve(stats),
         stats=stats,
         class_priors=priors,
     )

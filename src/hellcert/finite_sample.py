@@ -9,6 +9,8 @@ standard deviation bound sigma_bar and the Hoeffding headroom h, each at
 delta/2, which is the published finite-sample expression rearranged (see
 :func:`corollary_upper_bound`).  The lower certificate is a conservative
 construction at delta/3 per bound (see :func:`corollary_lower_bound`).
+Each direction computes its concentration bounds once and takes both its
+validity radius and its value from them.
 """
 
 from __future__ import annotations
@@ -68,7 +70,9 @@ class EmpiricalSample:
         object.__setattr__(self, "n", int(losses.size))
         # Rounding can put the mean of losses at the ceiling just above it.
         object.__setattr__(self, "empirical_mean", min(float(np.mean(losses)), self.ceiling))
-        object.__setattr__(self, "unbiased_variance", float(np.var(losses, ddof=1)))
+        # np.var of a constant sample is not 0 where its mean rounds off the constant.
+        spread = losses.max() > losses.min()
+        object.__setattr__(self, "unbiased_variance", float(np.var(losses, ddof=1)) if spread else 0.0)
 
 
 @dataclass(frozen=True)
@@ -121,29 +125,35 @@ def _upper_inputs(sample: EmpiricalSample, budget: ConfidenceBudget):
     return maurer_pontil_std_upper(sample, budget.delta / 2.0), headroom
 
 
-def max_valid_radius_empirical(sample: EmpiricalSample, budget: ConfidenceBudget) -> float:
-    """Largest radius at which the finite-sample upper certificate is defined.
+def _lower_inputs(sample: EmpiricalSample, budget: ConfidenceBudget):
+    """(E_lo, E_hi, sigma_bar): the mean from below and from above and the
+    standard deviation from above, each at delta/3."""
+    d3 = budget.delta / 3.0
+    return (hoeffding_mean_lower(sample, d3), hoeffding_mean_upper(sample, d3),
+            maurer_pontil_std_upper(sample, d3))
 
-    The population radius at headroom h and spread sigma_bar (see
-    :func:`_upper_inputs`).  Returns 0 when h is non-positive: nothing can be
-    certified from such a sample.
-    """
-    sigma, headroom = _upper_inputs(sample, budget)
-    if headroom <= 0.0:
+
+def _radius(margin: float, sigma: float) -> float:
+    """Population validity radius at mean margin ``margin`` and spread
+    ``sigma``; 0 when the margin is non-positive: nothing can be certified."""
+    if margin <= 0.0:
         return 0.0
-    ratio = headroom / sigma
+    ratio = margin / sigma
     return validity_radius(ratio * ratio)
+
+
+def max_valid_radius_empirical(sample: EmpiricalSample, budget: ConfidenceBudget) -> float:
+    """Largest radius at which the finite-sample upper certificate is defined:
+    the population radius at headroom h and spread sigma_bar (see
+    :func:`_upper_inputs`)."""
+    sigma, headroom = _upper_inputs(sample, budget)
+    return _radius(headroom, sigma)
 
 
 def max_valid_radius_empirical_lower(sample: EmpiricalSample, budget: ConfidenceBudget) -> float:
     """Conservative validity radius for the lower certificate (delta/3 budgets)."""
-    d3 = budget.delta / 3.0
-    e_lo = hoeffding_mean_lower(sample, d3)
-    if e_lo <= 0.0:
-        return 0.0
-    std_up = maurer_pontil_std_upper(sample, d3)
-    ratio = e_lo / std_up
-    return validity_radius(ratio * ratio)
+    e_lo, _, std_up = _lower_inputs(sample, budget)
+    return _radius(e_lo, std_up)
 
 
 def corollary_upper_bound(
@@ -165,9 +175,9 @@ def corollary_upper_bound(
     the denominator is -h, and 2 C(rho) sqrt(S^2) + Delta =
     2 C(rho) sigma_bar - rho^2 (2-rho^2) M sqrt(ln(2/d)/(2n)).
     """
-    mv = max_valid_radius_empirical(sample, budget)
-    admit(rho, mv)
     sigma, headroom = _upper_inputs(sample, budget)
+    mv = _radius(headroom, sigma)
+    admit(rho, mv)
     raw = upper_value(sample.empirical_mean, sigma * sigma, headroom, rho)
     return report("upper", rho, raw, mv, sample, sample.ceiling, 1.0 - budget.delta)
 
@@ -183,11 +193,8 @@ def corollary_lower_bound(
     inside the bracket is dropped.  Every substitution moves the bound
     downward, so validity is preserved by the union bound.
     """
-    mv = max_valid_radius_empirical_lower(sample, budget)
+    e_lo, e_hi, std_up = _lower_inputs(sample, budget)
+    mv = _radius(e_lo, std_up)
     admit(rho, mv)
-    d3 = budget.delta / 3.0
-    e_lo = hoeffding_mean_lower(sample, d3)
-    e_hi = hoeffding_mean_upper(sample, d3)
-    std_up = maurer_pontil_std_upper(sample, d3)
     raw = e_lo - 2.0 * c_rho(rho) * std_up - rho * rho * (2.0 - rho * rho) * e_hi
     return report("lower", rho, raw, mv, sample, sample.ceiling, 1.0 - budget.delta)

@@ -319,13 +319,14 @@ def write_csv(path, header: Iterable[str], rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def base_report(command: str, seed, decisions: dict, timestamp=None) -> dict:
-    """Common envelope every subcommand report starts from."""
+def base_report(command: str, seed, decisions: dict) -> dict:
+    """Common envelope every subcommand report starts from; its timestamp is
+    null, so that identical command lines give byte-identical reports."""
     return {
         "tool_version": __version__,
         "command": command,
         "seed": seed,
         "rng": GENERATOR_NAME,
         "decisions": decisions,
-        "timestamp": timestamp,
+        "timestamp": None,
     }

@@ -1,7 +1,8 @@
 """Small dense ELU network with spectrally normalized weights.
 
-Bias-free feedforward net x -> elu(W_L ... elu(W_1 x)) feeding a softmax
-head with the bounded Jensen-Shannon loss.  Forward, parameter gradients and
+Bias-free feedforward net x -> elu(W_L ... elu(W_1 x)) from 2-d inputs to
+a binary softmax head with the bounded Jensen-Shannon loss, trained by
+full-batch gradient descent at step ``LEARNING_RATE``.  Forward, parameter gradients and
 input gradients are written out by hand (the loss-to-logits gradient has a
 closed form), which keeps the whole benchmark dependency-free and makes the
 finite-difference checks direct.
@@ -53,6 +54,9 @@ __all__ = [
     "jsd_head_constants",
 ]
 
+LEARNING_RATE = 0.5  # full-batch gradient descent step
+
+
 class TrainingDivergenceError(RuntimeError):
     """Training loss became non-finite."""
 
@@ -82,14 +86,18 @@ def _elu_backward(d: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SmallNetwork:
-    """Weight matrices (out, in) per layer; ELU after every layer."""
+    """Weight matrices (out, in) per layer; ELU after every layer.
+
+    Inputs are 2-d and the head is binary, the case
+    :func:`jsd_head_constants` holds for.
+    """
 
     weights: list
     _power_vectors: list = None  # warm starts for the per-layer norm estimates
 
     @classmethod
-    def initialize(cls, hidden=(4, 2), n_inputs: int = 2, n_classes: int = 2, seed: int = 0):
-        widths = (n_inputs, *hidden, n_classes)
+    def initialize(cls, hidden=(4, 2), seed: int = 0):
+        widths = (2, *hidden, 2)
         gen = stream(seed)
         weights = [
             gen.standard_normal((widths[j + 1], widths[j])) / math.sqrt(widths[j])
@@ -266,12 +274,11 @@ def train_network(
     x: np.ndarray,
     y_idx: np.ndarray,
     steps: int = 2000,
-    learning_rate: float = 0.5,
     check_every: int = 200,
 ) -> TrainResult:
     """Full-batch gradient descent on the mean JSD loss with per-step spectral normalization.
 
-    With the defaults the checkpointed loss is non-increasing.  Raises
+    With step size ``LEARNING_RATE`` the checkpointed loss is non-increasing.  Raises
     :class:`TrainingDivergenceError` if the loss goes non-finite.
     """
     net = net.copy()
@@ -284,7 +291,7 @@ def train_network(
         if not math.isfinite(loss):
             raise TrainingDivergenceError(f"loss became {loss} at step {step}")
         for j in range(net.n_layers):
-            net.weights[j] = net.weights[j] - learning_rate * grads[j]
+            net.weights[j] = net.weights[j] - LEARNING_RATE * grads[j]
         spectral_normalize(net)
         if (step + 1) % check_every == 0:
             checkpoints.append(batch_loss(net, x, y_idx, ws))

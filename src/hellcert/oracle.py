@@ -22,9 +22,12 @@ the same relative width 1e-13 of the root as plain bisection did, after
 about 5 evaluations where bisection took about 44; ``OracleResult.root_steps``
 counts them.  Points with
 p_i = 0 only constrain nu: they receive mass only when the affinity already
-meets c at nu = max loss, where the optimum is in closed form.  An instance
-whose proven gap exceeds ``GAP_TOL`` is raised with the instance attached
-rather than returned.
+meets c at nu = max loss, where the optimum is in closed form.  A radius
+at the feasibility edge puts the root at nu -> max loss, where the KKT
+family leaves the float range; the first non-finite evaluation there ends
+the search at the feasible end of the bracket.  An instance whose proven
+gap exceeds ``GAP_TOL`` is raised with the instance attached rather than
+returned.
 """
 
 from __future__ import annotations
@@ -124,7 +127,8 @@ def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float):
     Instances are small, so a solve costs NumPy calls rather than arithmetic.
     Every 1-d product is ``ndarray.dot``: the same BLAS ddot as ``@``, which
     pays more per call.  ``test_oracle.py`` keeps the ``@`` form as a
-    reference and checks that both give the same bits.
+    reference and checks that both give the same bits wherever the
+    reference stays inside the float range.
     """
     e = rho * rho * (2.0 - rho * rho)  # 1 - c^2 without cancellation
     if e == 0.0:  # rho = 0, or so small that rho^2 underflows: the ball is {p}
@@ -209,14 +213,24 @@ def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float):
     # known, then takes the geometric midpoint (from hi * 2^-64 while lo is
     # 0).  The search ends when the bracket is within the stopping width, or
     # at a feasible point near the root (deficit above e / 2) whose Newton
-    # step is within half of it.
+    # step is within half of it.  Below t = dmax * 2^-64, r ~ dmax / t and
+    # its powers can leave the float range (a root at the feasibility edge
+    # lies at t -> 0): there the first evaluation with a non-finite S, T or
+    # deficit counts as a step and ends the search at hi.
     mean = float(p_s.dot(d))
     t = math.sqrt(float(p_s.dot((d - mean) ** 2))) / math.sqrt(e) or dmax
     hi, at_hi = math.inf, None
     before_last = last = math.inf
+    tiny = dmax * 2.0**-64
     while steps < 300:
-        point = kkt_at(t)
+        if t < tiny:
+            with np.errstate(all="ignore"):
+                point = kkt_at(t)
+        else:
+            point = kkt_at(t)
         steps += 1
+        if t < tiny and not all(map(math.isfinite, point[1:4])):
+            break
         deficit, step = point[3], point[4]
         if deficit <= e:
             hi, at_hi = t, point

@@ -18,7 +18,6 @@ from .bounds import check_radius
 __all__ = [
     "DiscreteDistribution",
     "discrete_hellinger",
-    "root_difference_hellinger",
     "mixture_hellinger_disjoint",
     "auc_composite_radius",
 ]

@@ -1,11 +1,12 @@
 """Gaussian-mixture benchmark comparing the Hellinger certificate with
 Wasserstein baselines.
 
-Binary task X | Y=y ~ N(y * mu, I_2), equal priors, shifts modeled as
-dislocations X -> X + delta.  Both shift distances then have closed forms in
-||delta||: the 2-Wasserstein distance is ||delta|| and the Hellinger distance
-is sqrt(1 - exp(-||delta||^2 / 8)), so the three certificates can be put on
-a common axis:
+Binary task X | Y=y ~ N(y * mu, I_2) with mu = (2, 0), equal priors, shifts
+modeled as dislocations X -> X + delta toward the negative class.  Both
+shift distances then have closed forms in ||delta||: the 2-Wasserstein
+distance is ||delta|| and the Hellinger distance is
+sqrt(1 - exp(-||delta||^2 / 8)), so the three certificates can be put on a
+common axis:
 
 * the Gramian certificate: finite-sample upper bound on the JSD loss at the
   Hellinger radius, blind to the network internals;
@@ -14,6 +15,9 @@ a common axis:
   inner problems because gamma dominates the gradient Lipschitz constant);
 * the Lipschitz certificate: empirical loss plus loss Lipschitz constant
   times transport distance.
+
+Each certificate takes a network's whole grid of shifts in one call and
+returns one value per grid entry.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from .network import (
 from .rng import stream
 
 __all__ = [
-    "GaussianMixtureTask",
     "TaskData",
     "InnerAscentError",
     "sample_task",
@@ -56,6 +59,8 @@ __all__ = [
     "SweepRow",
 ]
 
+MU = np.array([2.0, 0.0])  # class 1 sits at +MU, class 0 at -MU
+SHIFT_DIRECTION = np.array([-1.0, 0.0])  # unit vector toward the negative class
 DUAL_GRID_POINTS = 24
 DUAL_GRID_SPAN = 64.0
 
@@ -65,36 +70,25 @@ class InnerAscentError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class GaussianMixtureTask:
-    """Two-Gaussian binary task."""
-
-    mu: tuple = (2.0, 0.0)
-    n_train: int = 2000
-    n_eval: int = 10000
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class TaskData:
     x_train: np.ndarray
-    y_train: np.ndarray  # class indices {0, 1}; class 1 sits at +mu
+    y_train: np.ndarray  # class indices {0, 1}
     x_eval: np.ndarray
     y_eval: np.ndarray
 
 
-def sample_task(task: GaussianMixtureTask) -> TaskData:
+def sample_task(n_train: int, n_eval: int, seed: int) -> TaskData:
     """Deterministic draw of the training and evaluation sets."""
-    mu = np.asarray(task.mu, dtype=float)
-    gen = stream(task.seed)
+    gen = stream(seed)
 
     def draw(n):
         y = gen.integers(0, 2, size=n)
         signs = 2.0 * y - 1.0
-        x = signs[:, None] * mu[None, :] + gen.standard_normal((n, mu.size))
+        x = signs[:, None] * MU[None, :] + gen.standard_normal((n, MU.size))
         return x, y
 
-    x_train, y_train = draw(task.n_train)
-    x_eval, y_eval = draw(task.n_eval)
+    x_train, y_train = draw(n_train)
+    x_eval, y_eval = draw(n_eval)
     return TaskData(x_train=x_train, y_train=y_train, x_eval=x_eval, y_eval=y_eval)
 
 
@@ -105,9 +99,10 @@ def shift_distances(norm_delta: float):
     return norm_delta, math.sqrt(1.0 - math.exp(-norm_delta * norm_delta / 8.0))
 
 
-def dual_gamma_grid(l_star: float, points: int = DUAL_GRID_POINTS, span: float = DUAL_GRID_SPAN):
-    """Geometric grid from L* to span*L*; every point keeps the inner problem concave."""
-    return np.geomspace(l_star, span * l_star, points)
+def dual_gamma_grid(l_star: float):
+    """Geometric grid of DUAL_GRID_POINTS from L* to DUAL_GRID_SPAN * L*;
+    every point keeps the inner problem concave."""
+    return np.geomspace(l_star, DUAL_GRID_SPAN * l_star, DUAL_GRID_POINTS)
 
 
 def _row_sums_of_squares(a: np.ndarray) -> np.ndarray:
@@ -168,20 +163,19 @@ def wasserstein_dual_certificate(
     net: SmallNetwork,
     x: np.ndarray,
     y_idx: np.ndarray,
-    shift_budget,
+    shift_budgets,
     gamma_grid=None,
 ):
     """Dual upper bound min over gamma of gamma * budget + mean penalized maximum.
 
-    ``shift_budget`` is the Wasserstein budget in the same units as the cost
+    ``shift_budgets`` are Wasserstein budgets in the same units as the cost
     ||x - x0||^2 (so a dislocation delta has budget ||delta||^2 under the
-    default convention).  A scalar budget gives a float, an array of budgets
-    one certificate each; the penalized maxima do not depend on the budget,
-    so each gamma's inner ascent runs once.  Grid points below the gradient
-    Lipschitz constant L* are rejected: concavity of the inner problem is
-    what makes the inner maxima trustworthy.
+    default convention), one certificate each; the penalized maxima do not
+    depend on the budget, so each gamma's inner ascent runs once.  Grid
+    points below the gradient Lipschitz constant L* are rejected: concavity
+    of the inner problem is what makes the inner maxima trustworthy.
     """
-    budgets = np.asarray(shift_budget, dtype=float)
+    budgets = np.asarray(shift_budgets, dtype=float)
     if np.any(budgets < 0):
         raise ValueError("shift budget must be non-negative")
     profile = lipschitz_profile(net)
@@ -204,47 +198,40 @@ def wasserstein_dual_certificate(
         phi, _ = maximize_penalized(value_and_grad, x, float(gamma), start=start,
                                     row_args=(y_idx,))
         best = np.minimum(best, float(gamma) * budgets + float(phi.mean()))
-    return float(best) if best.ndim == 0 else best
+    return best
 
 
 def lipschitz_certificate(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray,
-                          shift_budget):
-    """Empirical loss plus (head constant * alpha_L) times the W1 transport budget.
-
-    A scalar budget gives a float, an array of budgets one certificate each
-    from a single loss evaluation and Lipschitz profile.
-    """
-    budgets = np.asarray(shift_budget, dtype=float)
+                          shift_budgets):
+    """Empirical loss plus (head constant * alpha_L) times each W1 transport
+    budget, from a single loss evaluation and Lipschitz profile."""
+    budgets = np.asarray(shift_budgets, dtype=float)
     if np.any(budgets < 0):
         raise ValueError("shift budget must be non-negative")
     l0_head, _ = jsd_head_constants()
     profile = lipschitz_profile(net)
     slope = l0_head * profile.alpha[-1]
-    certs = float(per_sample_losses(net, x, y_idx).mean()) + slope * budgets
-    return float(certs) if certs.ndim == 0 else certs
+    return float(per_sample_losses(net, x, y_idx).mean()) + slope * budgets
 
 
 def gramian_certificate_on_task(
     net: SmallNetwork,
     x: np.ndarray,
     y_idx: np.ndarray,
-    norm_delta,
+    norm_deltas,
     confidence_delta: float = 0.01,
 ):
-    """Finite-sample JSD certificate at the Hellinger radius induced by the dislocation.
+    """Finite-sample JSD certificates at the Hellinger radii the dislocations induce.
 
-    A scalar ||delta|| gives one report, and raises ``RadiusValidityError``
-    beyond the certificate's maximum valid radius.  A sequence gives one
-    report each from a single loss evaluation, None for a radius beyond
-    validity, so that one invalid delta does not cost the others.
+    One report per ||delta|| from a single loss evaluation, None for a
+    radius beyond the certificate's maximum valid radius, so that one
+    invalid delta does not cost the others.
     """
     losses = per_sample_losses(net, x, y_idx)
     sample = EmpiricalSample(losses, ceiling=1.0)
     budget = ConfidenceBudget(confidence_delta)
-    if np.ndim(norm_delta) == 0:
-        return corollary_upper_bound(sample, shift_distances(norm_delta)[1], budget)
     valid = max_valid_radius_empirical(sample, budget)
-    radii = [shift_distances(nd)[1] for nd in np.ravel(norm_delta).tolist()]
+    radii = [shift_distances(nd)[1] for nd in norm_deltas]
     return [corollary_upper_bound(sample, h, budget) if h <= valid else None for h in radii]
 
 
@@ -279,21 +266,17 @@ def compare_certificates(
     n_train: int = 2000,
     n_eval: int = 10000,
     train_steps: int = 2000,
-    shift_direction=(-1.0, 0.0),
 ):
     """Full architecture/perturbation sweep behind the comparison figure.
 
     One unshifted draw of the task serves every (width, depth): a fresh
     network is trained on it, and each ||delta|| grid point then yields the
-    three certificates plus the actually measured loss under the dislocation.
-    Dislocations run along ``shift_direction`` (default: toward the negative
-    class).
+    three certificates plus the actually measured loss under the dislocation
+    along SHIFT_DIRECTION.
     """
     if budget_convention not in ("squared", "plain"):
         raise ValueError(f"unknown budget convention {budget_convention!r}")
-    direction = np.asarray(shift_direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
-    data = sample_task(GaussianMixtureTask(n_train=n_train, n_eval=n_eval, seed=seed))
+    data = sample_task(n_train, n_eval, seed)
     budgets = [d**2 if budget_convention == "squared" else d for d in delta_grid]
     distances = [shift_distances(d) for d in delta_grid]
     rows = []
@@ -315,7 +298,7 @@ def compare_certificates(
             for norm_delta, (wasserstein, hellinger), dual, gram, lip in zip(
                 delta_grid, distances, duals, grams, lips
             ):
-                x_shifted = data.x_eval + norm_delta * direction[None, :]
+                x_shifted = data.x_eval + norm_delta * SHIFT_DIRECTION[None, :]
                 shifted_loss = float(
                     per_sample_losses(net, x_shifted, data.y_eval).mean()
                 )

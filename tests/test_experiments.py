@@ -79,8 +79,7 @@ def test_label_shift_deterministic():
     ]
 
 
-def per_trial_label_shift(predictions, labels, trials, seed, unseen_classes, dirichlet_concentration,
-                          ceiling=1.0):
+def per_trial_label_shift(predictions, labels, trials, seed, unseen_classes, dirichlet_concentration):
     """Reference: (hellinger, loss, mechanism) per trial from the per-trial loop the blocks replaced.
 
     Each trial builds its own ``stream(seed, t)``, ``DiscreteDistribution`` and
@@ -90,7 +89,7 @@ def per_trial_label_shift(predictions, labels, trials, seed, unseen_classes, dir
     k = classes.size
     priors = counts / counts.sum()
     wrong = (predictions != labels).astype(float)
-    cond_loss = np.array([wrong[labels == c].mean() for c in classes]) * ceiling
+    cond_loss = np.array([wrong[labels == c].mean() for c in classes])
     padded_prior = DiscreteDistribution(np.concatenate([priors, np.zeros(unseen_classes)]))
     points = []
     for t in range(trials):
@@ -115,7 +114,7 @@ def per_trial_label_shift(predictions, labels, trials, seed, unseen_classes, dir
         pv[:] = padded_prior.probs
         qv[:] = q.probs
         h = min(float(np.linalg.norm(np.sqrt(pv) - np.sqrt(qv)) / math.sqrt(2.0)), 1.0)
-        loss = float(q.probs[:k] @ cond_loss + q.probs[k:].sum() * ceiling)
+        loss = float(q.probs[:k] @ cond_loss + q.probs[k:].sum())
         points.append((h, loss, mech))
     return points
 

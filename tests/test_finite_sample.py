@@ -88,6 +88,11 @@ def test_sample_moments():
     assert s.unbiased_variance == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert float(np.mean(np.full(100, 0.001))) > 0.001
     assert EmpiricalSample(np.full(100, 0.001), 0.001).empirical_mean == 0.001
+    # np.var of a constant sample is 4.7e-38 here: its mean rounds off the constant.
+    assert float(np.var(np.full(100, 0.001), ddof=1)) > 0.0
+    assert EmpiricalSample(np.full(100, 0.001), 1.0).unbiased_variance == 0.0
+    spread = stream(85).random(1000)
+    assert EmpiricalSample(spread, 1.0).unbiased_variance == float(np.var(spread, ddof=1))
 
 
 def test_hoeffding_examples():

@@ -27,6 +27,7 @@ from hellcert.io import (
     write_csv,
 )
 from hellcert.losses import PredictionSample, zero_one_stats
+from hellcert.oracle import GAP_TOL
 from hellcert.rng import stream
 from test_golden import CASES, run_case
 
@@ -144,6 +145,14 @@ def test_certify_mean_of_ceiling_losses_stays_at_the_ceiling(tmp_path):
         )
         assert code == (2 if direction == "upper" else 0)
         assert rep["inputs"]["empirical_mean"] == 0.001
+
+
+def test_certify_constant_sample_reports_zero_variance(tmp_path):
+    # np.var of 100 copies of 0.001 is 4.7e-38: the mean rounds off the constant.
+    path = losses_file(tmp_path, [0.001] * 100)
+    code, rep = run_report(tmp_path, ["certify", path, "--rho", "0.1"])
+    assert code == 0
+    assert rep["inputs"]["unbiased_variance"] == 0.0
 
 
 def test_certify_beyond_validity_exit_2(tmp_path):
@@ -579,6 +588,22 @@ def test_certify_auc_bad_score_reports_file_and_line(tmp_path, capsys, name, tex
     f.write_text(text)
     assert main(["certify-auc", str(f), "--rho-conditional", "0.1"]) == 1
     assert f"{f}:{line}: {message}" in capsys.readouterr().err
+
+
+def test_oracle_at_the_feasibility_edge_exits_0(tmp_path, capsys):
+    # The saturation test misses this radius by one ulp, so the root search
+    # runs towards nu = max loss until r = k / t overflows.
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "p": [0.00850946776299552, 0.13909951260364103, 0.6568206603093363, 0.05527325939838807,
+              0.14029709992563907],
+        "losses": [0.576585768155148, 0.11045896545572909, 0.16571763073587698, 0.576585768155148,
+                   0.11658367364270239],
+        "M": 1.0, "rho": 0.8645505048403528}))
+    code, rep = run_report(tmp_path, ["oracle", str(inst)])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert rep["sup"]["certified_gap"] <= GAP_TOL
+    assert rep["sup"]["value"] == pytest.approx(0.576585768155148, abs=1e-12)
 
 
 def test_oracle_gap_above_tolerance_exits_3(tmp_path, capsys, monkeypatch):

@@ -31,7 +31,7 @@ def trained_default():
     y = gen.integers(0, 2, size=n)
     x = (2.0 * y - 1.0)[:, None] * np.array([2.0, 0.0]) + gen.standard_normal((n, 2))
     net = SmallNetwork.initialize(hidden=(4, 2), seed=9)
-    result = train_network(net, x, y, steps=2000, learning_rate=0.5)
+    result = train_network(net, x, y, steps=2000)
     return x, y, result
 
 

@@ -4,14 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from hellcert.bounds import RadiusValidityError
 from hellcert.finite_sample import ConfidenceBudget, EmpiricalSample, corollary_upper_bound
 from hellcert.network import (SmallNetwork, lipschitz_profile, jsd_head_constants, per_sample_losses,
                               per_sample_losses_and_input_grads, train_network)
 from hellcert import synthetic
 from hellcert.rng import stream
 from hellcert.synthetic import (
-    GaussianMixtureTask,
     InnerAscentError,
     compare_certificates,
     dual_gamma_grid,
@@ -28,8 +26,7 @@ HELLINGER_DELTA_2 = 0.6272713450233213  # sqrt(1 - exp(-1/2)), mpmath
 
 @pytest.fixture(scope="module")
 def small_trained():
-    task = GaussianMixtureTask(n_train=800, n_eval=2000, seed=4)
-    data = sample_task(task)
+    data = sample_task(n_train=800, n_eval=2000, seed=4)
     net = SmallNetwork.initialize(hidden=(4, 2), seed=4)
     net = train_network(net, data.x_train, data.y_train, steps=600).network
     return data, net
@@ -46,8 +43,7 @@ def test_shift_distances():
 
 
 def test_sample_task_statistics():
-    task = GaussianMixtureTask(n_train=10, n_eval=10000, seed=8)
-    data = sample_task(task)
+    data = sample_task(n_train=10, n_eval=10000, seed=8)
     n = data.y_eval.size
     balance = data.y_eval.mean()
     assert abs(balance - 0.5) <= 3 * math.sqrt(0.25 / n)
@@ -191,7 +187,7 @@ def test_dual_certificate_rejects_nonconcave_gamma(small_trained):
     l_star = lipschitz_profile(net).l_star
     with pytest.raises(ValueError, match="concave"):
         wasserstein_dual_certificate(
-            net, data.x_eval[:50], data.y_eval[:50], 0.1, [l_star * 0.5]
+            net, data.x_eval[:50], data.y_eval[:50], [0.1], [l_star * 0.5]
         )
 
 
@@ -199,7 +195,7 @@ def test_dual_certificate_zero_budget_limit(small_trained):
     data, net = small_trained
     x, y = data.x_eval[:500], data.y_eval[:500]
     emp = float(per_sample_losses(net, x, y).mean())
-    cert = wasserstein_dual_certificate(net, x, y, 0.01**2)
+    (cert,) = wasserstein_dual_certificate(net, x, y, [0.01**2])
     assert cert >= emp - 1e-9  # phi_gamma >= loss at the data point
     assert abs(cert - emp) <= 0.02
 
@@ -208,9 +204,7 @@ def test_dual_certificate_monotone_in_budget(small_trained):
     data, net = small_trained
     x, y = data.x_eval[:300], data.y_eval[:300]
     grid = dual_gamma_grid(lipschitz_profile(net).l_star)
-    values = [
-        wasserstein_dual_certificate(net, x, y, b, grid) for b in (0.0, 0.1, 0.5, 2.0)
-    ]
+    values = wasserstein_dual_certificate(net, x, y, [0.0, 0.1, 0.5, 2.0], grid)
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -218,13 +212,12 @@ def test_lipschitz_certificate_form(small_trained):
     data, net = small_trained
     x, y = data.x_eval[:400], data.y_eval[:400]
     emp = float(per_sample_losses(net, x, y).mean())
-    assert lipschitz_certificate(net, x, y, 0.0) == pytest.approx(emp, abs=1e-15)
+    c0, c1, c2 = lipschitz_certificate(net, x, y, [0.0, 1.0, 2.0])
+    assert c0 == pytest.approx(emp, abs=1e-15)
     # Linear in the budget with slope = head constant * product of norms.
     l0, _ = jsd_head_constants()
     norms = [float(np.linalg.svd(w, compute_uv=False)[0]) for w in net.weights]
     slope = l0 * math.prod(norms)
-    c1 = lipschitz_certificate(net, x, y, 1.0)
-    c2 = lipschitz_certificate(net, x, y, 2.0)
     assert c2 - c1 == pytest.approx(slope, abs=1e-8)
     assert slope <= l0 + 1e-9  # all norms at most 1
 
@@ -234,7 +227,7 @@ def test_gramian_certificate_depends_only_on_loss_statistics(small_trained):
     for width, seed in ((2, 14), (8, 15)):
         net = SmallNetwork.initialize(hidden=(width, width), seed=seed)
         net = train_network(net, data.x_train, data.y_train, steps=200).network
-        cert = gramian_certificate_on_task(net, data.x_eval, data.y_eval, 0.5, 0.01)
+        (cert,) = gramian_certificate_on_task(net, data.x_eval, data.y_eval, [0.5], 0.01)
         losses = per_sample_losses(net, data.x_eval, data.y_eval)
         _, rho = shift_distances(0.5)
         replay = corollary_upper_bound(
@@ -246,17 +239,15 @@ def test_gramian_certificate_depends_only_on_loss_statistics(small_trained):
 
 def test_gramian_certificate_monotone_in_shift(small_trained):
     data, net = small_trained
-    bounds = [
-        gramian_certificate_on_task(net, data.x_eval, data.y_eval, nd, 0.01).bound
-        for nd in (0.0, 0.3, 0.8, 1.5)
-    ]
+    reports = gramian_certificate_on_task(net, data.x_eval, data.y_eval, [0.0, 0.3, 0.8, 1.5], 0.01)
+    bounds = [r.bound for r in reports]
     assert all(b >= a - 1e-12 for a, b in zip(bounds, bounds[1:]))
     # Zero dislocation collapses to the radius-0 certificate: the mean loss.
     emp = float(per_sample_losses(net, data.x_eval, data.y_eval).mean())
     assert bounds[0] == emp
 
 
-def test_dual_certificate_array_budgets_match_scalar_calls(small_trained):
+def test_dual_certificate_grid_entries_match_one_element_calls(small_trained):
     data, net = small_trained
     x, y = data.x_eval[:200], data.y_eval[:200]
     grid = dual_gamma_grid(lipschitz_profile(net).l_star)
@@ -264,13 +255,12 @@ def test_dual_certificate_array_budgets_match_scalar_calls(small_trained):
     certs = wasserstein_dual_certificate(net, x, y, budgets, grid)
     assert certs.shape == budgets.shape
     for b, cert in zip(budgets, certs):
-        assert cert == wasserstein_dual_certificate(net, x, y, float(b), grid)
-    assert isinstance(wasserstein_dual_certificate(net, x, y, 0.25, grid), float)
+        assert [cert] == list(wasserstein_dual_certificate(net, x, y, [b], grid))
     with pytest.raises(ValueError, match="non-negative"):
         wasserstein_dual_certificate(net, x, y, np.array([0.5, -1e-9, 1.0]), grid)
 
 
-def test_lipschitz_and_gramian_array_forms_match_scalar_calls(small_trained):
+def test_lipschitz_and_gramian_grid_entries_match_one_element_calls(small_trained):
     data, net = small_trained
     x, y = data.x_eval[:300], data.y_eval[:300]
     deltas = [0.0, 0.3, 1.5]
@@ -278,16 +268,14 @@ def test_lipschitz_and_gramian_array_forms_match_scalar_calls(small_trained):
     grams = gramian_certificate_on_task(net, x, y, deltas, 0.01)
     assert lips.shape == (3,) and len(grams) == 3
     for d, lip, gram in zip(deltas, lips, grams):
-        assert lip == lipschitz_certificate(net, x, y, d)
-        single = gramian_certificate_on_task(net, x, y, d, 0.01)
+        assert [lip] == list(lipschitz_certificate(net, x, y, [d]))
+        (single,) = gramian_certificate_on_task(net, x, y, [d], 0.01)
         assert (gram.radius, gram.raw_bound, gram.bound) == (single.radius, single.raw_bound, single.bound)
-    assert isinstance(lipschitz_certificate(net, x, y, 0.3), float)
     # A radius beyond the Gramian validity radius costs only its own entry.
     beyond = [0.3, 50.0]
     mixed = gramian_certificate_on_task(net, x, y, beyond, 0.01)
     assert mixed[0].bound == grams[1].bound and mixed[1] is None
-    with pytest.raises(RadiusValidityError):
-        gramian_certificate_on_task(net, x, y, 50.0, 0.01)
+    assert gramian_certificate_on_task(net, x, y, [50.0], 0.01) == [None]
     with pytest.raises(ValueError, match="non-negative"):
         lipschitz_certificate(net, x, y, np.array([0.5, -1e-9]))
 
@@ -346,4 +334,4 @@ def test_compare_certificates_solves_each_inner_ascent_once_per_network(monkeypa
     assert len(set(calls)) == len(calls)  # one call per gamma per network
     for k, row in enumerate(rows):
         net, x, y, grid = duals[k // len(delta_grid)]
-        assert row.dual_cert == dual(net, x, y, row.norm_delta**2, grid)
+        assert [row.dual_cert] == list(dual(net, x, y, [row.norm_delta**2], grid))
