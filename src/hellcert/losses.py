@@ -133,8 +133,8 @@ def true_class_positions(y_idx: np.ndarray, n_classes: int) -> np.ndarray:
     return np.arange(len(y_idx)) * n_classes + y_idx
 
 
-def jsd_loss_and_logit_grad(logits: np.ndarray, y_idx: np.ndarray, positions=None):
-    """Per-row JSD losses and their gradients with respect to the logits.
+def jsd_logit_grad(logits: np.ndarray, y_idx: np.ndarray, positions=None):
+    """Per-row true-class probabilities p_y and JSD gradients with respect to the logits.
 
     With p = softmax(logits) and y the true class, the gradient has the
     closed form (1/2) log2(p_y / (1 + p_y)) p_y (e_y - p).  The prefactor
@@ -147,12 +147,17 @@ def jsd_loss_and_logit_grad(logits: np.ndarray, y_idx: np.ndarray, positions=Non
         positions = true_class_positions(y_idx, logits.shape[1])
     # p and grad are fresh C-contiguous arrays, so their flat views index them.
     py = p.ravel()[positions]
-    losses = jsd_loss_vector(py)
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = np.where(py > 0.0, 0.5 * np.log(py / (1.0 + py)) / _LN2 * py, 0.0)
     grad = _by_column(np.multiply, p, -coef)
     grad.ravel()[positions] += coef
-    return losses, grad
+    return py, grad
+
+
+def jsd_loss_and_logit_grad(logits: np.ndarray, y_idx: np.ndarray, positions=None):
+    """Per-row JSD losses and their gradients with respect to the logits."""
+    py, grad = jsd_logit_grad(logits, y_idx, positions)
+    return jsd_loss_vector(py), grad
 
 
 def jsd_loss(p_y: float) -> float:

@@ -13,7 +13,7 @@ forward and backward passes write into it with ``out=``.  ELU is computed in
 place as max(z, 0) + expm1(min(z, 0)), with no branch on the sign of z; the
 backward pass overwrites each spent post-activation a with ELU' =
 min(a, 0) + 1 in place, then with the error at that layer's pre-activation.
-The loss head is :func:`losses.jsd_loss_and_logit_grad`, whose softmax folds
+The loss head is :func:`losses.jsd_logit_grad`, whose softmax folds
 its row max and row sum over the class columns, which beats an axis-1
 reduction on rows this short.
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import jsd_loss_and_logit_grad, true_class_positions
+from .losses import jsd_logit_grad, jsd_loss_and_logit_grad, jsd_loss_vector, true_class_positions
 from .rng import stream
 
 __all__ = [
@@ -55,10 +55,11 @@ __all__ = [
 ]
 
 LEARNING_RATE = 0.5  # full-batch gradient descent step
+ROWS_PER_PASS = 2048  # rows per block of a per-sample pass; its buffers stay L2-sized
 
 
 class TrainingDivergenceError(RuntimeError):
-    """Training loss became non-finite."""
+    """Training gradients became non-finite."""
 
 
 def _elu_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -132,7 +133,9 @@ class SmallNetwork:
         ws = _workspace(self, a, workspace)
         posts = [a]
         for w, out in zip(self.weights, ws.posts(a.shape[0])):
-            np.matmul(posts[-1], w.T, out=out)
+            # A C-contiguous (in, out) operand: OpenBLAS's SkylakeX kernels
+            # run the view w.T on their NT small-matrix path, 2-3x slower.
+            np.matmul(posts[-1], w.T.copy(), out=out)
             posts.append(_elu_inplace(out, ws.scratch(*out.shape)))
         return posts
 
@@ -167,7 +170,7 @@ def _workspace(net: SmallNetwork, x, workspace) -> Workspace:
 
 def per_sample_losses(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray,
                       workspace: Workspace = None) -> np.ndarray:
-    losses, _ = jsd_loss_and_logit_grad(net.forward(x, workspace), np.asarray(y_idx))
+    losses, _ = _per_sample_pass(net, x, y_idx, workspace, input_grads=False)
     return losses
 
 
@@ -177,17 +180,18 @@ def batch_loss(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray,
 
 
 def batch_loss_and_param_grads(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray,
-                               workspace: Workspace = None, positions=None):
+                               workspace: Workspace = None, positions=None, *, loss=True):
     """Mean loss over the batch and gradients for every weight matrix.
 
     ``positions`` is ``losses.true_class_positions`` of ``y_idx``, for
-    callers that pass one label vector step after step.
+    callers that pass one label vector step after step.  With ``loss=False``
+    the per-sample losses are not computed and the mean is None.
     """
     y_idx = np.asarray(y_idx)
     ws = _workspace(net, x, workspace)
     posts = net.activations(x, ws)
     n = posts[0].shape[0]
-    losses, d = jsd_loss_and_logit_grad(posts[-1], y_idx, positions)
+    py, d = jsd_logit_grad(posts[-1], y_idx, positions)
     d /= n
     grads = [None] * net.n_layers
     for j in range(net.n_layers - 1, -1, -1):
@@ -195,26 +199,42 @@ def batch_loss_and_param_grads(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarr
         grads[j] = d.T @ posts[j]
         if j > 0:
             d = np.matmul(d, net.weights[j], out=ws.scratch(n, posts[j].shape[1]))
+    if not loss:
+        return None, grads
     # The mean's own sum and division, without np.mean's per-call overhead.
-    return float(np.add.reduce(losses)) / n, grads
+    return float(np.add.reduce(jsd_loss_vector(py))) / n, grads
 
 
 def per_sample_losses_and_input_grads(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray,
                                       workspace: Workspace = None):
-    """Per-sample losses and d(loss_i)/d(x_i); rows are independent.
+    """Per-sample losses and d(loss_i)/d(x_i); rows are independent."""
+    return _per_sample_pass(net, x, y_idx, workspace, input_grads=True)
 
-    Both are fresh arrays the caller owns; only the passes use ``workspace``.
+
+def _per_sample_pass(net: SmallNetwork, x, y_idx, workspace, input_grads: bool):
+    """Per-sample losses, and d(loss_i)/d(x_i) or None, as fresh arrays.
+
+    Batches run in blocks of ``ROWS_PER_PASS`` rows, so the buffers stay
+    cache-sized and a workspace of min(n, ``ROWS_PER_PASS``) rows serves any.
     """
+    x = np.asarray(x, dtype=float)
     y_idx = np.asarray(y_idx)
-    ws = _workspace(net, x, workspace)
-    posts = net.activations(x, ws)
-    n = posts[0].shape[0]
-    losses, d = jsd_loss_and_logit_grad(posts[-1], y_idx)
-    for j in range(net.n_layers - 1, -1, -1):
-        d = _elu_backward(d, posts[j + 1])
-        out = ws.scratch(n, posts[j].shape[1]) if j > 0 else None
-        d = np.matmul(d, net.weights[j], out=out)
-    return losses, d
+    n = x.shape[0]
+    if workspace is None:
+        workspace = Workspace(net, min(n, ROWS_PER_PASS))
+    losses, grads = np.empty(n), np.empty(x.shape) if input_grads else None
+    for start in range(0, n, ROWS_PER_PASS):
+        rows = slice(start, start + ROWS_PER_PASS)
+        posts = net.activations(x[rows], workspace)
+        losses[rows], d = jsd_loss_and_logit_grad(posts[-1], y_idx[rows])
+        if not input_grads:
+            continue
+        m = posts[0].shape[0]
+        for j in range(net.n_layers - 1, -1, -1):
+            d = _elu_backward(d, posts[j + 1])
+            out = workspace.scratch(m, posts[j].shape[1]) if j > 0 else grads[rows]
+            d = np.matmul(d, net.weights[j], out=out)
+    return losses, grads
 
 
 def operator_norm(w: np.ndarray, v0=None, max_iters: int = 50, tol: float = 1e-8):
@@ -279,7 +299,8 @@ def train_network(
     """Full-batch gradient descent on the mean JSD loss with per-step spectral normalization.
 
     With step size ``LEARNING_RATE`` the checkpointed loss is non-increasing.  Raises
-    :class:`TrainingDivergenceError` if the loss goes non-finite.
+    :class:`TrainingDivergenceError` at the first step with non-finite gradients; steps
+    skip the loss, as a NaN loss means a NaN p_y, which makes every gradient NaN.
     """
     net = net.copy()
     y_idx = np.asarray(y_idx)
@@ -287,9 +308,9 @@ def train_network(
     positions = true_class_positions(y_idx, net.weights[-1].shape[0])
     checkpoints = [batch_loss(net, x, y_idx, ws)]
     for step in range(steps):
-        loss, grads = batch_loss_and_param_grads(net, x, y_idx, ws, positions)
-        if not math.isfinite(loss):
-            raise TrainingDivergenceError(f"loss became {loss} at step {step}")
+        _, grads = batch_loss_and_param_grads(net, x, y_idx, ws, positions, loss=False)
+        if not all(np.isfinite(g).all() for g in grads):
+            raise TrainingDivergenceError(f"gradients became non-finite at step {step}")
         for j in range(net.n_layers):
             net.weights[j] = net.weights[j] - LEARNING_RATE * grads[j]
         spectral_normalize(net)

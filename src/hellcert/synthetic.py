@@ -35,6 +35,7 @@ from .finite_sample import (
     max_valid_radius_empirical,
 )
 from .network import (
+    ROWS_PER_PASS,
     SmallNetwork,
     Workspace,
     lipschitz_profile,
@@ -186,7 +187,7 @@ def wasserstein_dual_certificate(
         raise ValueError("every gamma must be >= L* to keep the inner problem concave")
 
     y_idx = np.asarray(y_idx)
-    workspace = Workspace(net, len(x))
+    workspace = Workspace(net, min(len(x), ROWS_PER_PASS))
 
     def value_and_grad(xb, yb):
         return per_sample_losses_and_input_grads(net, xb, yb, workspace)

@@ -5,6 +5,7 @@ import pytest
 
 from hellcert.losses import jsd_loss_and_logit_grad, jsd_loss_vector, softmax_rows
 from hellcert.network import (
+    ROWS_PER_PASS,
     SmallNetwork,
     TrainingDivergenceError,
     Workspace,
@@ -134,7 +135,7 @@ def test_train_detects_divergence():
     net = SmallNetwork.initialize(hidden=(4,), seed=1)
     x = np.array([[np.nan, 0.0], [1.0, 1.0]])
     y = np.array([0, 1])
-    with pytest.raises(TrainingDivergenceError):
+    with pytest.raises(TrainingDivergenceError, match="at step 0"):
         train_network(net, x, y, steps=5)
 
 
@@ -250,7 +251,8 @@ def _ref_softmax(logits):
 def _ref_losses_and_param_grads(weights, x, y):
     posts = [x]
     for w in weights:
-        posts.append(_ref_elu(posts[-1] @ w.T))
+        # The library's forward operand: a C-contiguous (in, out) copy.
+        posts.append(_ref_elu(posts[-1] @ w.T.copy()))
     p = _ref_softmax(posts[-1])
     n = x.shape[0]
     py = p[np.arange(n), y]
@@ -372,3 +374,37 @@ def test_train_network_matches_fresh_allocating_reference():
     assert result.checkpoint_losses == checkpoints
     for got, ref in zip(result.network.weights, weights):
         assert np.array_equal(got, ref)
+
+
+def test_param_grads_without_loss_give_the_same_gradient_bits():
+    net = SmallNetwork.initialize(hidden=(16, 16), seed=25)
+    gen = stream(25)
+    x = 2.0 * gen.standard_normal((500, 2))
+    y = gen.integers(0, 2, size=500)
+    loss, grads = batch_loss_and_param_grads(net, x, y)
+    none, bare = batch_loss_and_param_grads(net, x, y, loss=False)
+    assert none is None and math.isfinite(loss)
+    assert all(np.array_equal(g, b) for g, b in zip(grads, bare))
+
+
+@pytest.mark.parametrize("batch", [1, 3, 7, 731, ROWS_PER_PASS, 10000])
+def test_rows_in_any_batch_size_match_the_full_batch(batch):
+    # BLAS kernels may round a row differently at different batch sizes (the
+    # 2-wide products, on OpenBLAS's SkylakeX kernels), and batches above
+    # ROWS_PER_PASS run in blocks.  The drift is bounded in ulps of each
+    # quantity's a-priori scale: the loss ceiling 1, and for d(loss)/dx the
+    # head constant L0, which bounds its norm since alpha_L <= 1.  Ulps of
+    # the value itself are not bounded where its terms cancel (p_y near 1).
+    net = SmallNetwork.initialize(hidden=(16, 16), seed=26)
+    gen = stream(26)
+    n = 12000
+    x = 3.0 * gen.standard_normal((n, 2))
+    y = gen.integers(0, 2, size=n)
+    full_losses, full_grads = per_sample_losses_and_input_grads(net, x, y)
+    loss_ulp, grad_ulp = np.spacing(1.0), np.spacing(jsd_head_constants()[0])
+    ws = Workspace(net, min(batch, ROWS_PER_PASS))
+    for start in range(0, n, batch)[:300]:
+        rows = slice(start, start + batch)
+        losses, grads = per_sample_losses_and_input_grads(net, x[rows], y[rows], ws)
+        assert np.all(np.abs(losses - full_losses[rows]) <= 4 * loss_ulp)
+        assert np.all(np.abs(grads - full_grads[rows]) <= 4 * grad_ulp)
