@@ -174,7 +174,7 @@ def jsd_gradient(logits, true_class: int) -> np.ndarray:
         raise ValueError("logits must be a 1-d vector")
     if not np.all(np.isfinite(logits)):
         raise ValueError("logits must be finite")
-    _, grad = jsd_loss_and_logit_grad(logits[None, :], np.array([true_class]))
+    _, grad = jsd_logit_grad(logits[None, :], np.array([true_class]))
     return grad[0]
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import jsd_logit_grad, jsd_loss_and_logit_grad, jsd_loss_vector, true_class_positions
+from .losses import jsd_logit_grad, jsd_loss_and_logit_grad, true_class_positions
 from .rng import stream
 
 __all__ = [
@@ -155,6 +155,15 @@ class Workspace:
         self._posts = [np.empty((n, width)) for width in widths]
         self._scratch = np.empty(n * max(widths))
 
+    @classmethod
+    def per_sample(cls, net: SmallNetwork, n: int) -> "Workspace":
+        """Workspace for per-sample passes over batches of up to ``n`` rows.
+
+        Those passes run in blocks of ``ROWS_PER_PASS`` rows, so it holds
+        min(n, ``ROWS_PER_PASS``).
+        """
+        return cls(net, min(n, ROWS_PER_PASS))
+
     def posts(self, m: int):
         if m > self.n:
             raise ValueError(f"batch of {m} rows exceeds the workspace's {self.n}")
@@ -180,18 +189,19 @@ def batch_loss(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray,
 
 
 def batch_loss_and_param_grads(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray,
-                               workspace: Workspace = None, positions=None, *, loss=True):
-    """Mean loss over the batch and gradients for every weight matrix.
+                               workspace: Workspace = None, positions=None) -> list:
+    """Gradients of the mean batch loss for every weight matrix.
 
+    The loss itself is not computed (:func:`batch_loss` gives it); the name
+    is the one the benchmark's traced run times the training pass by.
     ``positions`` is ``losses.true_class_positions`` of ``y_idx``, for
-    callers that pass one label vector step after step.  With ``loss=False``
-    the per-sample losses are not computed and the mean is None.
+    callers that pass one label vector step after step.
     """
     y_idx = np.asarray(y_idx)
     ws = _workspace(net, x, workspace)
     posts = net.activations(x, ws)
     n = posts[0].shape[0]
-    py, d = jsd_logit_grad(posts[-1], y_idx, positions)
+    _, d = jsd_logit_grad(posts[-1], y_idx, positions)
     d /= n
     grads = [None] * net.n_layers
     for j in range(net.n_layers - 1, -1, -1):
@@ -199,10 +209,7 @@ def batch_loss_and_param_grads(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarr
         grads[j] = d.T @ posts[j]
         if j > 0:
             d = np.matmul(d, net.weights[j], out=ws.scratch(n, posts[j].shape[1]))
-    if not loss:
-        return None, grads
-    # The mean's own sum and division, without np.mean's per-call overhead.
-    return float(np.add.reduce(jsd_loss_vector(py))) / n, grads
+    return grads
 
 
 def per_sample_losses_and_input_grads(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray,
@@ -215,13 +222,13 @@ def _per_sample_pass(net: SmallNetwork, x, y_idx, workspace, input_grads: bool):
     """Per-sample losses, and d(loss_i)/d(x_i) or None, as fresh arrays.
 
     Batches run in blocks of ``ROWS_PER_PASS`` rows, so the buffers stay
-    cache-sized and a workspace of min(n, ``ROWS_PER_PASS``) rows serves any.
+    cache-sized and a :meth:`Workspace.per_sample` workspace serves any.
     """
     x = np.asarray(x, dtype=float)
     y_idx = np.asarray(y_idx)
     n = x.shape[0]
     if workspace is None:
-        workspace = Workspace(net, min(n, ROWS_PER_PASS))
+        workspace = Workspace.per_sample(net, n)
     losses, grads = np.empty(n), np.empty(x.shape) if input_grads else None
     for start in range(0, n, ROWS_PER_PASS):
         rows = slice(start, start + ROWS_PER_PASS)
@@ -308,7 +315,7 @@ def train_network(
     positions = true_class_positions(y_idx, net.weights[-1].shape[0])
     checkpoints = [batch_loss(net, x, y_idx, ws)]
     for step in range(steps):
-        _, grads = batch_loss_and_param_grads(net, x, y_idx, ws, positions, loss=False)
+        grads = batch_loss_and_param_grads(net, x, y_idx, ws, positions)
         if not all(np.isfinite(g).all() for g in grads):
             raise TrainingDivergenceError(f"gradients became non-finite at step {step}")
         for j in range(net.n_layers):

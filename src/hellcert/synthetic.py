@@ -35,7 +35,6 @@ from .finite_sample import (
     max_valid_radius_empirical,
 )
 from .network import (
-    ROWS_PER_PASS,
     SmallNetwork,
     Workspace,
     lipschitz_profile,
@@ -187,7 +186,7 @@ def wasserstein_dual_certificate(
         raise ValueError("every gamma must be >= L* to keep the inner problem concave")
 
     y_idx = np.asarray(y_idx)
-    workspace = Workspace(net, min(len(x), ROWS_PER_PASS))
+    workspace = Workspace.per_sample(net, len(x))
 
     def value_and_grad(xb, yb):
         return per_sample_losses_and_input_grads(net, xb, yb, workspace)
