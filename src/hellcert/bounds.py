@@ -78,7 +78,7 @@ class LossStatistics:
         if not (0.0 <= self.mean <= self.ceiling):
             raise ValueError(f"mean {self.mean} outside [0, {self.ceiling}]")
         bd_cap = self.mean * (self.ceiling - self.mean)
-        if not (0.0 <= self.variance <= bd_cap + _BD_SLACK * self.ceiling**2):
+        if not (0.0 <= self.variance <= bd_cap + _BD_SLACK * self.ceiling * self.ceiling):
             raise ValueError(
                 f"variance {self.variance} violates the Bhatia-Davis bound "
                 f"{bd_cap} for mean {self.mean} on [0, {self.ceiling}]"

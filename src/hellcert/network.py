@@ -24,7 +24,8 @@ loss-network composition follows from the per-layer recursion
     alpha_{l+1} = ||W_{l+1}|| alpha_l,
     beta_{l+1}  = ||W_{l+1}|| beta_l + ||W_{l+1}||^2 alpha_l^2
 
-(unit ELU constants), closed by the softmax-JSD head constants.
+(unit ELU constants), closed by the softmax-JSD head constants.  Each
+||W|| is the top singular value from LAPACK's SVD (:func:`operator_norm`).
 """
 
 from __future__ import annotations
@@ -94,7 +95,6 @@ class SmallNetwork:
     """
 
     weights: list
-    _power_vectors: list = None  # warm starts for the per-layer norm estimates
 
     @classmethod
     def initialize(cls, hidden=(4, 2), seed: int = 0):
@@ -104,15 +104,12 @@ class SmallNetwork:
             gen.standard_normal((widths[j + 1], widths[j])) / math.sqrt(widths[j])
             for j in range(len(widths) - 1)
         ]
-        net = cls(weights=weights, _power_vectors=[None] * len(weights))
-        spectral_normalize(net, max_iters=200)
+        net = cls(weights=weights)
+        spectral_normalize(net)
         return net
 
     def copy(self) -> "SmallNetwork":
-        return SmallNetwork(
-            weights=[w.copy() for w in self.weights],
-            _power_vectors=[None if v is None else v.copy() for v in self._power_vectors],
-        )
+        return SmallNetwork(weights=[w.copy() for w in self.weights])
 
     @property
     def n_layers(self) -> int:
@@ -244,48 +241,15 @@ def _per_sample_pass(net: SmallNetwork, x, y_idx, workspace, input_grads: bool):
     return losses, grads
 
 
-def operator_norm(w: np.ndarray, v0=None, max_iters: int = 50, tol: float = 1e-8):
-    """Largest singular value by power iteration on W^T W.
-
-    ``v0`` warm-starts the right singular vector (pays off when the same
-    matrix is renormalized every training step).  Returns (sigma, v).
-    """
-    n_in = w.shape[1]
-    if v0 is None:
-        # Deterministic, non-degenerate start.
-        v = np.ones(n_in) + 1e-3 * np.arange(n_in)
-    else:
-        v = v0
-    # sqrt(v . v) is np.linalg.norm's own formula for real vectors, and
-    # ndarray.dot the same BLAS product as @, each without its per-call
-    # overhead.
-    v = v / math.sqrt(v.dot(v))
-    wt = w.T
-    sigma = 0.0
-    for _ in range(max_iters):
-        u = w.dot(v)
-        sigma_new = math.sqrt(u.dot(u))
-        if sigma_new == 0.0:
-            return 0.0, v
-        v = wt.dot(u / sigma_new)
-        v_norm = math.sqrt(v.dot(v))
-        if v_norm == 0.0:
-            return 0.0, v
-        v = v / v_norm
-        if abs(sigma_new - sigma) <= tol * max(1.0, sigma_new):
-            sigma = sigma_new
-            break
-        sigma = sigma_new
-    return sigma, v
+def operator_norm(w: np.ndarray) -> float:
+    """Largest singular value of ``w``, from LAPACK's SVD."""
+    return float(np.linalg.svd(w, compute_uv=False)[0])
 
 
-def spectral_normalize(net: SmallNetwork, max_iters: int = 50, tol: float = 1e-8) -> None:
+def spectral_normalize(net: SmallNetwork) -> None:
     """Project every weight matrix onto the unit operator-norm ball, in place."""
-    if net._power_vectors is None:
-        net._power_vectors = [None] * net.n_layers
     for j, w in enumerate(net.weights):
-        sigma, v = operator_norm(w, v0=net._power_vectors[j], max_iters=max_iters, tol=tol)
-        net._power_vectors[j] = v
+        sigma = operator_norm(w)
         if sigma > 1.0:
             net.weights[j] = w / sigma
 
@@ -325,9 +289,6 @@ def train_network(
             checkpoints.append(batch_loss(net, x, y_idx, ws))
     if steps % check_every != 0:
         checkpoints.append(batch_loss(net, x, y_idx, ws))
-    if steps > 0:
-        # Tight final projection so downstream norm checks see <= 1 + 1e-6.
-        spectral_normalize(net, max_iters=500, tol=1e-12)
     return TrainResult(network=net, checkpoint_losses=tuple(checkpoints))
 
 
@@ -348,7 +309,7 @@ def lipschitz_profile(net: SmallNetwork) -> LipschitzProfile:
     alpha, beta = [], []
     a_prev, b_prev = 1.0, 0.0
     for w in net.weights:
-        norm, _ = operator_norm(w, max_iters=200, tol=1e-12)
+        norm = operator_norm(w)
         a = norm * a_prev
         b = norm * b_prev + norm * norm * a_prev * a_prev
         alpha.append(a)

@@ -44,7 +44,6 @@ __all__ = [
     "DiscreteInstance",
     "OracleResult",
     "OracleGapError",
-    "OracleDisagreementError",
     "worst_case_sup",
     "worst_case_inf",
 ]
@@ -63,9 +62,6 @@ class OracleGapError(RuntimeError):
         )
         self.instance = instance
         self.gap = gap
-
-
-OracleDisagreementError = OracleGapError  # the former name, kept as an alias for one release
 
 
 @dataclass(frozen=True)

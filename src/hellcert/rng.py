@@ -2,9 +2,12 @@
 
 Every stochastic component in the library draws from a Philox counter-based
 generator keyed by (seed, stream_index).  The same key always yields the
-same stream on any platform, which is what makes reports and experiment CSVs
-byte-reproducible.  Reports embed :data:`GENERATOR_NAME` so the provenance
-of random draws is recorded alongside the numbers.
+same stream on any platform.  That makes reports and experiment CSVs
+byte-reproducible on one machine.  Numbers that pass through BLAS or LAPACK
+(the sweep's networks, the oracle's products) match across CPUs only to a
+relative 1e-13, the tolerance of the golden tests.  Reports embed
+:data:`GENERATOR_NAME` so the provenance of random draws is recorded
+alongside the numbers.
 
 A loop that takes one stream per index, such as the label-shift trials, takes
 them from :func:`rekeyed_stream`: one generator re-keyed in place, whose draws

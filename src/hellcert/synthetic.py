@@ -63,6 +63,7 @@ MU = np.array([2.0, 0.0])  # class 1 sits at +MU, class 0 at -MU
 SHIFT_DIRECTION = np.array([-1.0, 0.0])  # unit vector toward the negative class
 DUAL_GRID_POINTS = 24
 DUAL_GRID_SPAN = 64.0
+GRAD_TOL = 1e-6  # gradient norm at which an inner ascent row stops
 
 
 class InnerAscentError(RuntimeError):
@@ -112,7 +113,7 @@ def _row_sums_of_squares(a: np.ndarray) -> np.ndarray:
 
 
 def maximize_penalized(value_and_grad, x0: np.ndarray, gamma: float, max_steps: int = 500,
-                       grad_tol: float = 1e-6, start=None, row_args=()):
+                       grad_tol: float = GRAD_TOL, start=None, row_args=()):
     """Maximize f(x) - gamma ||x - x0||^2 rows-independently by gradient ascent.
 
     ``value_and_grad(x, *row_args)`` maps a batch of rows to per-row values
@@ -168,6 +169,8 @@ def wasserstein_dual_certificate(
 ):
     """Dual upper bound min over gamma of gamma * budget + mean penalized maximum.
 
+    Each gamma's mean carries the ascent's shortfall GRAD_TOL^2 / (2 gamma),
+    so that it bounds the exact mean of the penalized maxima from above.
     ``shift_budgets`` are Wasserstein budgets in the same units as the cost
     ||x - x0||^2 (so a dislocation delta has budget ||delta||^2 under the
     default convention), one certificate each; the penalized maxima do not
@@ -194,10 +197,10 @@ def wasserstein_dual_certificate(
     # Every gamma's ascent starts at x itself: evaluate it once.
     start = value_and_grad(x, y_idx)
     best = np.full(budgets.shape, math.inf)
-    for gamma in gamma_grid:
-        phi, _ = maximize_penalized(value_and_grad, x, float(gamma), start=start,
-                                    row_args=(y_idx,))
-        best = np.minimum(best, float(gamma) * budgets + float(phi.mean()))
+    for gamma in map(float, gamma_grid):
+        phi, _ = maximize_penalized(value_and_grad, x, gamma, start=start, row_args=(y_idx,))
+        shortfall = GRAD_TOL * GRAD_TOL / (2.0 * gamma)
+        best = np.minimum(best, gamma * budgets + float(phi.mean()) + shortfall)
     return best
 
 

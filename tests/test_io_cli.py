@@ -616,10 +616,16 @@ def test_oracle_gap_above_tolerance_exits_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("solver diagnostic: oracle duality gap")
     assert '"rho": 0.2' in err
-    # The error's former name stays an alias for one release.
-    assert oracle.OracleDisagreementError is oracle.OracleGapError
-    with pytest.raises(oracle.OracleDisagreementError):
+    with pytest.raises(oracle.OracleGapError):
         oracle.worst_case_sup(oracle.DiscreteInstance.from_json(inst.read_text()))
+
+
+def test_oracle_with_a_huge_ceiling_exits_0(tmp_path, capsys):
+    # The ceiling's square overflows a float; the Bhatia-Davis check must not raise.
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"p": [0.5, 0.5], "losses": [0, 1], "M": 1e300, "rho": 0.5}')
+    assert main(["oracle", str(inst)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def _nested(depth):

@@ -10,6 +10,7 @@ from hellcert.network import (SmallNetwork, lipschitz_profile, jsd_head_constant
 from hellcert import synthetic
 from hellcert.rng import stream
 from hellcert.synthetic import (
+    GRAD_TOL,
     InnerAscentError,
     compare_certificates,
     dual_gamma_grid,
@@ -198,6 +199,26 @@ def test_dual_certificate_zero_budget_limit(small_trained):
     (cert,) = wasserstein_dual_certificate(net, x, y, [0.01**2])
     assert cert >= emp - 1e-9  # phi_gamma >= loss at the data point
     assert abs(cert - emp) <= 0.02
+
+
+def test_dual_certificate_adds_each_gammas_ascent_shortfall(small_trained):
+    # Each phi stops up to GRAD_TOL^2 / (2 gamma) below its row's maximum, so
+    # each gamma's mean carries that allowance.
+    data, net = small_trained
+    x, y = data.x_eval[:300], data.y_eval[:300]
+    grid = dual_gamma_grid(lipschitz_profile(net).l_star)
+    budgets = [0.0, 0.25, 1.0]
+    certs = wasserstein_dual_certificate(net, x, y, budgets, grid)
+
+    def rows(xb, yb):
+        return per_sample_losses_and_input_grads(net, xb, yb)
+
+    start = rows(x, y)
+    means = [float(maximize_penalized(rows, x, float(g), grad_tol=GRAD_TOL, start=start,
+                                      row_args=(y,))[0].mean()) for g in grid]
+    for b, cert in zip(budgets, certs):
+        assert cert == min(float(g) * b + m + GRAD_TOL * GRAD_TOL / (2.0 * float(g))
+                           for g, m in zip(grid, means))
 
 
 def test_dual_certificate_monotone_in_budget(small_trained):
