@@ -90,6 +90,7 @@ def _at_least(minimum):
 
 _positive = _must(lambda v: v > 0.0, "be positive")
 _ceiling = _must(lambda v: 0.0 < v < math.inf, "be positive and finite")
+_shift = _must(lambda v: 0.0 <= v < math.inf, "be finite and non-negative")
 _radius = _must(lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
 _confidence = _must(lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
 
@@ -286,7 +287,7 @@ COMMANDS = {
                           _cmd_synthetic_compare, [
         _arg("--widths", type=integer_list, default="16", check=_at_least(1)),
         _arg("--depths", type=integer_list, default="2", check=_at_least(0)),
-        _arg("--delta-grid", type=grid, default="0.01,0.5,1.0,1.5,2.0"),
+        _arg("--delta-grid", type=grid, default="0.01,0.5,1.0,1.5,2.0", check=_shift),
         _arg("--budget-convention", choices=("squared", "plain"), default="squared"),
         _arg("--n-train", type=int, default=2000, check=_at_least(1)),
         # The Gramian certificate needs a sample variance.

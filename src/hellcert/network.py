@@ -8,11 +8,12 @@ closed form), which keeps the whole benchmark dependency-free and makes the
 finite-difference checks direct.
 
 Passes are allocation-free: a :class:`Workspace` holds one post-activation
-buffer per layer and one scratch buffer of n x (widest layer), and the
-forward and backward passes write into it with ``out=``.  ELU is computed in
-place as max(z, 0) + expm1(min(z, 0)), with no branch on the sign of z; the
-backward pass overwrites each spent post-activation a with ELU' =
-min(a, 0) + 1 in place, then with the error at that layer's pre-activation.
+buffer and one slope buffer per layer, and the forward and backward passes
+write into them with ``out=``.  ELU is computed in place as
+max(z, expm1(min(z, 0))), with no branch on the sign of z, and the forward
+pass keeps expm1(min(z, 0)) = ELU' - 1 in the slope buffer; the backward
+pass adds 1 to it and multiplies the error by it in place, then writes the
+error at the layer below into the spent post-activation buffer.
 The loss head is :func:`losses.jsd_logit_grad`, whose softmax folds
 its row max and row sum over the class columns, which beats an axis-1
 reduction on rows this short.
@@ -63,27 +64,23 @@ class TrainingDivergenceError(RuntimeError):
     """Training gradients became non-finite."""
 
 
-def _elu_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """ELU of z written over z; ``tmp`` is scratch of z's shape.
+def _elu_inplace(z: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """ELU of z written over z, and ELU'(z) - 1 = expm1(min(z, 0)) into ``slope``.
 
-    max(z, 0) + expm1(min(z, 0)) adds an exact 0 to one of the two terms, so
-    it equals the branching form bitwise, up to the sign of an exact zero.
+    expm1(z) >= z for z <= 0, so max(z, expm1(min(z, 0))) picks z where
+    z > 0 and expm1(z) elsewhere: the branching form bitwise, up to the sign
+    of an exact zero.
     """
-    np.minimum(z, 0.0, out=tmp)
-    np.expm1(tmp, out=tmp)
-    np.maximum(z, 0.0, out=z)
-    z += tmp
-    return z
+    np.minimum(z, 0.0, out=slope)
+    np.expm1(slope, out=slope)
+    return np.maximum(z, slope, out=z)
 
 
-def _elu_backward(d: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """d * ELU'(z) written over the spent post-activation a = elu(z).
-
-    ELU' is min(a, 0) + 1: 1 where z > 0 and expm1(z) + 1 elsewhere.
-    """
-    np.minimum(a, 0.0, out=a)
-    a += 1.0
-    return np.multiply(d, a, out=a)
+def _elu_backward(d: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """d * ELU'(z) written over d, from the forward pass's ``slope`` (spent after)."""
+    slope += 1.0
+    d *= slope
+    return d
 
 
 @dataclass
@@ -124,33 +121,32 @@ class SmallNetwork:
 
         Without a workspace the call builds its own.  The returned
         post-activations are views into the workspace, valid until its next
-        use; backprop takes ELU' as min(a, 0) + 1 from them.
+        use; the workspace's slope buffers keep ELU' - 1 of each layer for
+        backprop.
         """
         a = np.asarray(x, dtype=float)
         ws = _workspace(self, a, workspace)
         posts = [a]
-        for w, out in zip(self.weights, ws.posts(a.shape[0])):
+        for w, out, slope in zip(self.weights, *ws.rows(a.shape[0])):
             # A C-contiguous (in, out) operand: OpenBLAS's SkylakeX kernels
             # run the view w.T on their NT small-matrix path, 2-3x slower.
             np.matmul(posts[-1], w.T.copy(), out=out)
-            posts.append(_elu_inplace(out, ws.scratch(*out.shape)))
+            posts.append(_elu_inplace(out, slope))
         return posts
 
 
 class Workspace:
     """Buffers for passes of one network over batches of up to ``n`` rows.
 
-    One post-activation buffer per layer and one scratch buffer of
-    n x (widest layer); a batch of m <= n rows uses their leading m rows,
-    which stay C-contiguous.  Passes overwrite them, so a workspace serves
-    one pass at a time.
+    One post-activation buffer and one slope buffer (ELU' - 1) per layer; a
+    batch of m <= n rows uses their leading m rows, which stay C-contiguous.
+    Passes overwrite them, so a workspace serves one pass at a time.
     """
 
     def __init__(self, net: SmallNetwork, n: int):
-        widths = [w.shape[0] for w in net.weights]
         self.n = n
-        self._posts = [np.empty((n, width)) for width in widths]
-        self._scratch = np.empty(n * max(widths))
+        self._posts = [np.empty((n, w.shape[0])) for w in net.weights]
+        self._slopes = [np.empty((n, w.shape[0])) for w in net.weights]
 
     @classmethod
     def per_sample(cls, net: SmallNetwork, n: int) -> "Workspace":
@@ -161,13 +157,11 @@ class Workspace:
         """
         return cls(net, min(n, ROWS_PER_PASS))
 
-    def posts(self, m: int):
+    def rows(self, m: int):
+        """The leading m rows of every post-activation buffer and of every slope buffer."""
         if m > self.n:
             raise ValueError(f"batch of {m} rows exceeds the workspace's {self.n}")
-        return [post[:m] for post in self._posts]
-
-    def scratch(self, m: int, width: int) -> np.ndarray:
-        return self._scratch[: m * width].reshape(m, width)
+        return [post[:m] for post in self._posts], [slope[:m] for slope in self._slopes]
 
 
 def _workspace(net: SmallNetwork, x, workspace) -> Workspace:
@@ -198,14 +192,15 @@ def batch_loss_and_param_grads(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarr
     ws = _workspace(net, x, workspace)
     posts = net.activations(x, ws)
     n = posts[0].shape[0]
+    slopes = ws.rows(n)[1]
     _, d = jsd_logit_grad(posts[-1], y_idx, positions)
     d /= n
     grads = [None] * net.n_layers
     for j in range(net.n_layers - 1, -1, -1):
-        d = _elu_backward(d, posts[j + 1])
+        d = _elu_backward(d, slopes[j])
         grads[j] = d.T @ posts[j]
-        if j > 0:
-            d = np.matmul(d, net.weights[j], out=ws.scratch(n, posts[j].shape[1]))
+        if j > 0:  # posts[j] is spent; posts[0] is the caller's x
+            d = np.matmul(d, net.weights[j], out=posts[j])
     return grads
 
 
@@ -233,11 +228,11 @@ def _per_sample_pass(net: SmallNetwork, x, y_idx, workspace, input_grads: bool):
         losses[rows], d = jsd_loss_and_logit_grad(posts[-1], y_idx[rows])
         if not input_grads:
             continue
-        m = posts[0].shape[0]
+        slopes = workspace.rows(posts[0].shape[0])[1]
         for j in range(net.n_layers - 1, -1, -1):
-            d = _elu_backward(d, posts[j + 1])
-            out = workspace.scratch(m, posts[j].shape[1]) if j > 0 else grads[rows]
-            d = np.matmul(d, net.weights[j], out=out)
+            d = _elu_backward(d, slopes[j])
+            # posts[j] is spent; posts[0] is the caller's x
+            d = np.matmul(d, net.weights[j], out=posts[j] if j > 0 else grads[rows])
     return losses, grads
 
 

@@ -95,8 +95,8 @@ def sample_task(n_train: int, n_eval: int, seed: int) -> TaskData:
 
 def shift_distances(norm_delta: float):
     """(Wasserstein, Hellinger) distances induced by a dislocation of size ||delta||."""
-    if norm_delta < 0:
-        raise ValueError("shift size must be non-negative")
+    if not 0.0 <= norm_delta < math.inf:
+        raise ValueError(f"shift size must be finite and non-negative, got {norm_delta}")
     return norm_delta, math.sqrt(1.0 - math.exp(-norm_delta * norm_delta / 8.0))
 
 
@@ -280,8 +280,9 @@ def compare_certificates(
     if budget_convention not in ("squared", "plain"):
         raise ValueError(f"unknown budget convention {budget_convention!r}")
     data = sample_task(n_train, n_eval, seed)
-    budgets = [d**2 if budget_convention == "squared" else d for d in delta_grid]
     distances = [shift_distances(d) for d in delta_grid]
+    # d * d is +inf past about 1.3e154, where d**2 raises: a vacuous budget.
+    budgets = [d * d if budget_convention == "squared" else d for d in delta_grid]
     rows = []
     for depth in depths:
         for width in widths:

@@ -394,6 +394,21 @@ def test_synthetic_compare_radius_beyond_gramian_validity_exit_0(tmp_path):
     assert rows[-1]["gramian_cert"] == "" and rows[0]["gramian_cert"] != ""
 
 
+def test_synthetic_compare_with_a_huge_shift_exits_0(tmp_path, capsys):
+    # The squared budget overflows a float: the dual certificate is +inf, a
+    # true but vacuous bound, and the other cells stay finite.
+    sweep = tmp_path / "sweep.csv"
+    args = ["synthetic-compare", "--n-train", "50", "--n-eval", "20", "--train-steps", "5",
+            "--delta-grid", "1e160", "--csv", str(sweep)]
+    code, _ = run_report(tmp_path, args)
+    assert code == 0 and capsys.readouterr().err == ""
+    with open(sweep, newline="", encoding="utf-8") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["dual_cert"] == "inf" and row["hellinger"] == "1"
+    assert math.isfinite(float(row["empirical_loss_shifted"]))
+    assert math.isfinite(float(row["lipschitz_cert"]))
+
+
 def _bad_value(argv, message):
     # The id joins the flag, its value and the message.
     return pytest.param(argv, message, id="-".join([*argv[1:3], message]))
@@ -422,6 +437,12 @@ _OUTPUTS = {
         _bad_value(["synthetic-compare", "--widths", "a"], "argument --widths: invalid integer_list value: 'a'"),
         _bad_value(["synthetic-compare", "--delta-grid", "0.5,x"],
                    "argument --delta-grid: invalid grid value: '0.5,x'"),
+        _bad_value(["synthetic-compare", "--delta-grid", "nan"],
+                   "--delta-grid must be finite and non-negative, got nan"),
+        _bad_value(["synthetic-compare", "--delta-grid", "0.5,inf"],
+                   "--delta-grid must be finite and non-negative, got inf"),
+        _bad_value(["synthetic-compare", "--delta-grid", "0.5,-1"],
+                   "--delta-grid must be finite and non-negative, got -1.0"),
         _bad_value(["label-shift", "--trials", "-1"], "--trials must be at least 1, got -1"),
         _bad_value(["label-shift", "--unseen-classes", "-1"], "--unseen-classes must be at least 0, got -1"),
         _bad_value(["label-shift", "--dirichlet-concentration", "0"],

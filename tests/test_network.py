@@ -217,7 +217,7 @@ def test_jsd_head_maximizer_interior():
 
 def test_input_gradients_match_exp_backprop_reference():
     # Reference backprop with ELU' = exp(z) on the pre-activations; the
-    # library takes min(a, 0) + 1 from the post-activation, equal to rounding.
+    # library takes expm1(min(z, 0)) + 1 from its forward pass, equal to rounding.
     net = SmallNetwork.initialize(hidden=(8, 8), seed=5)
     gen = stream(13)
     x = 3.0 * gen.standard_normal((200, 2))
@@ -293,9 +293,15 @@ def _ref_train(net, x, y, steps, check_every):
 # ------------------------------------------------------------------- kernels
 
 
+def _elu_inputs():
+    # Tiny negatives and subnormals are where expm1(z) rounds to z itself.
+    edges = [0.0, -0.0, -1e-300, 1e-300, -5e-324, -2.0**-60, -1e-17, -800.0, 800.0,
+             np.inf, -np.inf, np.nan]
+    return np.concatenate([3.0 * stream(21).standard_normal(4988), edges]).reshape(-1, 8)
+
+
 def test_elu_inplace_equals_branching_form():
-    edges = np.array([0.0, -0.0, -1e-300, 1e-300, -800.0, 800.0, np.inf, -np.inf, np.nan])
-    z = np.concatenate([3.0 * stream(21).standard_normal(4991), edges]).reshape(-1, 8)
+    z = _elu_inputs()
     ref = _ref_elu(z)
     got = _elu_inplace(z.copy(), np.empty_like(z))
     # Equal by value (so +0 == -0) and NaN where the reference has NaN.
@@ -303,6 +309,16 @@ def test_elu_inplace_equals_branching_form():
     # Away from zero, equal bit for bit.
     nonzero = ref != 0.0
     assert np.array_equal(got[nonzero].view(np.int64), ref[nonzero].view(np.int64))
+
+
+def test_kept_slope_is_the_derivative_from_the_post_activation():
+    # Backprop takes ELU' as the forward's slope + 1; it must be, bit for
+    # bit, min(a, 0) + 1 of the post-activation a = elu(z).
+    z = _elu_inputs()
+    slope = np.empty_like(z)
+    _elu_inplace(z.copy(), slope)
+    ref = np.minimum(_ref_elu(z), 0.0) + 1.0
+    assert np.array_equal((slope + 1.0).view(np.int64), ref.view(np.int64))
 
 
 @pytest.mark.parametrize("classes", [2, 8])
@@ -342,6 +358,23 @@ def test_workspace_reuse_matches_fresh_calls():
         assert np.array_equal(gx, gx_copy) and np.array_equal(losses, losses_copy)
     with pytest.raises(ValueError, match="exceeds"):
         per_sample_losses_and_input_grads(net, np.zeros((61, 2)), np.zeros(61, dtype=int), ws)
+
+
+@pytest.mark.parametrize("n", [40, ROWS_PER_PASS + 5])
+def test_passes_leave_the_callers_input_alone(n):
+    # The backward pass writes each layer's error into the spent
+    # post-activation buffer; the input is the first "post-activation".
+    net = SmallNetwork.initialize(hidden=(16, 16), seed=27)
+    gen = stream(27)
+    x = 3.0 * gen.standard_normal((n, 2))
+    y = gen.integers(0, 2, size=n)
+    kept = x.copy()
+    for ws in (None, Workspace(net, n)):
+        batch_loss_and_param_grads(net, x, y, ws)
+        assert np.array_equal(x.view(np.int64), kept.view(np.int64))
+    for ws in (None, Workspace.per_sample(net, n)):
+        per_sample_losses_and_input_grads(net, x, y, ws)
+        assert np.array_equal(x.view(np.int64), kept.view(np.int64))
 
 
 def test_train_network_matches_fresh_allocating_reference():

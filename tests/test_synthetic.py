@@ -39,8 +39,9 @@ def test_shift_distances():
     assert w == 2.0
     assert h == pytest.approx(HELLINGER_DELTA_2, abs=1e-14)
     assert shift_distances(100.0)[1] == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        shift_distances(-1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            shift_distances(bad)
 
 
 def test_sample_task_statistics():
