@@ -218,3 +218,17 @@ def classification_error_upper(error_rate: float, rho: float) -> CertificateRepo
     admit(rho, mv)
     raw = upper_value(stats.mean, stats.variance, 1.0 - error_rate, rho)
     return report("upper", rho, raw, mv, stats, 1.0)
+
+
+def certificate_band(stats: LossStatistics, rho: float):
+    """(lower, lower_trivial, upper, upper_trivial) at a radius, falling back to
+    the trivially valid bounds 0 and ceiling beyond each validity radius."""
+    if rho <= max_valid_radius_upper(stats):
+        upper, upper_trivial = upper_bound(stats, rho).bound, False
+    else:
+        upper, upper_trivial = stats.ceiling, True
+    if rho <= max_valid_radius_lower(stats):
+        lower, lower_trivial = lower_bound(stats, rho).bound, False
+    else:
+        lower, lower_trivial = 0.0, True
+    return lower, lower_trivial, upper, upper_trivial

@@ -1,11 +1,15 @@
 """Command-line interface.
 
 Each subcommand is one entry of :data:`COMMANDS` (``hellcert --help`` lists
-them): its help, its handler and its arguments, from which the parser is
-built.  A handler returns the report and the exit code, and :func:`main`
-writes the report.  Handlers look the library functions up as module
-globals when they run, so wrapping one of those names here wraps every call
-the CLI makes to it.
+them): its help, its handler, its arguments, from which the parser is built,
+and the library modules the handler uses.  A handler returns the report and
+the exit code, and :func:`main` writes the report.
+
+Importing this module imports only :mod:`hellcert.io` and :mod:`hellcert.rng`.
+A library name the handlers use is imported at its first lookup (PEP 562), or
+by :func:`main` for the command it runs, and kept as a module global that is
+never overwritten.  Handlers look those globals up when they run, so a wrapper
+set on one of them, even before :func:`main` runs, wraps every call to it.
 
 Exit codes: 0 success, 1 input error (usage errors included), 2
 validity-radius violation, 3 solver diagnostic.  All randomness flows
@@ -17,24 +21,43 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import math
 import operator
 import sys
 
 from . import __version__
-from .bounds import LossStatistics, RadiusValidityError, classification_error_upper
-from .experiments import (LabelShiftPoint, MixtureCell, certificate_band, label_shift_experiment,
-                          mixture_experiment)
-from .finite_sample import (ConfidenceBudget, EmpiricalSample, corollary_lower_bound,
-                            corollary_upper_bound, max_valid_radius_empirical,
-                            max_valid_radius_empirical_lower)
 from .io import (FORMATS, InputFormatError, base_report, json_document, read_losses,
                  read_predictions, read_scores, read_text, write_csv)
-from .losses import PredictionSample, ScoredSample, auc_estimate, auc_pair_sample, zero_one_stats
-from .oracle import GAP_TOL, DiscreteInstance, OracleGapError, worst_case_inf, worst_case_sup
-from .shifts import auc_composite_radius
-from .synthetic import SweepRow, compare_certificates
+from .rng import KEY_LIMIT
+
+# The library names the handlers use, by module, each bound as described above.
+_LIBRARY = {
+    "bounds": ("LossStatistics", "RadiusValidityError", "certificate_band", "classification_error_upper"),
+    "experiments": ("LabelShiftPoint", "MixtureCell", "label_shift_experiment", "mixture_experiment"),
+    "finite_sample": ("ConfidenceBudget", "EmpiricalSample", "corollary_lower_bound", "corollary_upper_bound",
+                      "max_valid_radius_empirical", "max_valid_radius_empirical_lower"),
+    "losses": ("PredictionSample", "ScoredSample", "auc_estimate", "auc_pair_sample", "zero_one_stats"),
+    "oracle": ("GAP_TOL", "DiscreteInstance", "OracleGapError", "worst_case_inf", "worst_case_sup"),
+    "shifts": ("auc_composite_radius",),
+    "synthetic": ("SweepRow", "compare_certificates"),
+}
+_HOME = {name: module for module, names in _LIBRARY.items() for name in names}
+
+
+def _bind(module: str) -> None:
+    library = importlib.import_module(f"{__package__}.{module}")
+    for name in _LIBRARY[module]:
+        globals().setdefault(name, getattr(library, name))
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_HOME[name])
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -93,6 +116,7 @@ _ceiling = _must(lambda v: 0.0 < v < math.inf, "be positive and finite")
 _shift = _must(lambda v: 0.0 <= v < math.inf, "be finite and non-negative")
 _radius = _must(lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
 _confidence = _must(lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+_seed = _must(lambda v: 0 <= v < KEY_LIMIT, "lie in [0, 2**64)")
 
 
 def _certify(args, report: dict, sample: EmpiricalSample, radius: float, direction: str,
@@ -250,39 +274,40 @@ _FILE = _arg("input", metavar="file")
 _RHO = _arg("--rho", type=float, required=True, check=_radius)
 _DELTA = _arg("--delta", type=float, default=0.01, check=_confidence)
 _DIRECTION = _arg("--direction", choices=("upper", "lower"), default="upper")
-_SEED = _arg("--seed", type=int, default=0, check=_at_least(0))
+_SEED = _arg("--seed", type=int, default=0, check=_seed)
 _CSV = _arg("--csv", required=True)
 _FORMAT = _arg("--format", default="auto", choices=("auto", *FORMATS, "jsonl"))
 _OUTPUT = _arg("--output", default=None, help="write the JSON report here (default: stdout)")
 
-# name -> (help, handler, arguments); every subcommand also takes --output.
+# name -> (help, handler, arguments, the _LIBRARY modules the handler uses);
+# every subcommand also takes --output.
 COMMANDS = {
     "certify": ("finite-sample certificate for a file of losses", _cmd_certify, [
         _FILE, _RHO, _DELTA, _arg("--max-loss", type=float, default=1.0, check=_ceiling),
         _DIRECTION, _FORMAT,
-    ]),
+    ], ("bounds", "finite_sample")),
     "certify-accuracy": ("0-1 loss certificate from (pred, label) records", _cmd_certify_accuracy, [
         _FILE, _RHO, _DELTA, _DIRECTION, _FORMAT,
-    ]),
+    ], ("bounds", "finite_sample", "losses")),
     "certify-auc": ("AUC lower certificate from (score, label) records", _cmd_certify_auc, [
         _FILE, _arg("--rho-conditional", type=float, required=True, check=_radius), _DELTA, _SEED,
         _FORMAT,
-    ]),
+    ], ("bounds", "finite_sample", "losses", "shifts")),
     "oracle": ("exact discrete worst case for an instance JSON", _cmd_oracle, [
         _arg("input", metavar="instance"),
-    ]),
+    ], ("bounds", "oracle")),
     "label-shift": ("random label-shift scatter vs. certificate curve", _cmd_label_shift, [
         _arg("--dataset", dest="input", metavar="DATASET", required=True), _FORMAT, _SEED,
         _arg("--trials", type=int, default=10000, check=_at_least(1)),
         _arg("--unseen-classes", type=int, default=2, check=_at_least(0)),
         _arg("--dirichlet-concentration", type=float, default=10.0, check=_positive),
         _arg("--scatter-csv", required=True), _arg("--curve-csv", required=True),
-    ]),
+    ], ("experiments",)),
     "mixture": ("disjoint-support mixture curve (0-1 loss and AUC)", _cmd_mixture, [
         _arg("--gamma-grid", type=grid, default="0.05:1.0:0.05"),
         _arg("--samples", type=int, default=10000, check=_at_least(1)),
         _SEED, _CSV,
-    ]),
+    ], ("experiments",)),
     "synthetic-compare": ("Gaussian-mixture sweep against Wasserstein baselines",
                           _cmd_synthetic_compare, [
         _arg("--widths", type=integer_list, default="16", check=_at_least(1)),
@@ -294,7 +319,7 @@ COMMANDS = {
         _arg("--n-eval", type=int, default=10000, check=_at_least(2)),
         _arg("--train-steps", type=int, default=2000, check=_at_least(0)),
         _SEED, _DELTA, _CSV,
-    ]),
+    ], ("synthetic",)),
 }
 
 
@@ -312,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Certified worst-case loss bounds over Hellinger balls.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, arguments) in COMMANDS.items():
+    for name, (help_text, _, arguments, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flags, options, _ in (*arguments, _OUTPUT):
             p.add_argument(*flags, **options)
@@ -322,10 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _, handler, arguments = COMMANDS[args.command]
+        _, handler, arguments, modules = COMMANDS[args.command]
         for flags, _, check in arguments:
             if check is not None:  # argparse's dest for the flag: --n-eval -> n_eval
                 check(flags[0], getattr(args, flags[0].lstrip("-").replace("-", "_")))
+        for module in modules:
+            _bind(module)
         try:
             report, code = handler(args)
         except ValueError as exc:  # a fault of the whole input: name its file, as a reader does
@@ -339,7 +366,9 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
         return code
-    except OracleGapError as exc:
+    except RuntimeError as exc:  # the oracle's, bound only by a command that imports it
+        if not isinstance(exc, globals().get("OracleGapError", ())):
+            raise
         print(f"solver diagnostic: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (OSError, ValueError) as exc:

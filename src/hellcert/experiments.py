@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import LossStatistics, lower_bound, max_valid_radius_lower, max_valid_radius_upper, upper_bound
+from .bounds import LossStatistics, certificate_band
 from .losses import PredictionSample, ScoredSample, auc_estimate
 from .rng import rekeyed_stream, stream
 from .shifts import DiscreteDistribution, auc_composite_radius, mixture_hellinger_disjoint, root_difference_hellinger
@@ -23,7 +23,6 @@ __all__ = [
     "LabelShiftPoint",
     "LabelShiftResult",
     "label_shift_experiment",
-    "certificate_band",
     "certificate_curve",
     "MixtureCell",
     "mixture_experiment",
@@ -52,20 +51,6 @@ class LabelShiftResult:
     curve: list  # (rho, lower, lower_is_trivial, upper, upper_is_trivial)
     stats: LossStatistics
     class_priors: np.ndarray
-
-
-def certificate_band(stats: LossStatistics, rho: float):
-    """(lower, lower_trivial, upper, upper_trivial) at a radius, falling back to
-    the trivially valid bounds 0 and ceiling beyond each validity radius."""
-    if rho <= max_valid_radius_upper(stats):
-        upper, upper_trivial = upper_bound(stats, rho).bound, False
-    else:
-        upper, upper_trivial = stats.ceiling, True
-    if rho <= max_valid_radius_lower(stats):
-        lower, lower_trivial = lower_bound(stats, rho).bound, False
-    else:
-        lower, lower_trivial = 0.0, True
-    return lower, lower_trivial, upper, upper_trivial
 
 
 def certificate_curve(stats: LossStatistics, n_points: int = 200):
@@ -153,9 +138,10 @@ def label_shift_experiment(
         block /= totals[:, None]
         root_differences = np.sqrt(block, out=roots_buffer[: len(block)])
         np.subtract(root_prior, root_differences, out=root_differences)
-        for q, d, mech in zip(block, root_differences, mechanisms):
-            loss = float(q[:k] @ cond_loss + q[k:].sum())
-            points.append(LabelShiftPoint(hellinger=root_difference_hellinger(d), loss=loss, mechanism=mech))
+        # Row sums by np.add.reduce, not BLAS, so every CPU rounds them alike.
+        losses = np.add.reduce(block[:, :k] * cond_loss, axis=1) + np.add.reduce(block[:, k:], axis=1)
+        hellinger = root_difference_hellinger(root_differences)
+        points += map(LabelShiftPoint, hellinger.tolist(), losses.tolist(), mechanisms)
 
     return LabelShiftResult(
         points=points,

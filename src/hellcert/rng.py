@@ -1,12 +1,13 @@
 """Seeded, counter-based random streams.
 
 Every stochastic component in the library draws from a Philox counter-based
-generator keyed by (seed, stream_index).  The same key always yields the
-same stream on any platform.  That makes reports and experiment CSVs
-byte-reproducible on one machine.  Numbers that pass through BLAS or LAPACK
-(the sweep's networks, the oracle's products) match across CPUs only to a
-relative 1e-13, the tolerance of the golden tests.  Reports embed
-:data:`GENERATOR_NAME` so the provenance of random draws is recorded
+generator keyed by (seed, stream_index), two 64-bit words, each in
+[0, 2**64).  The same key always yields the same stream on any platform, so
+reports and experiment CSVs are byte-reproducible on one machine, and on any
+CPU where no number passes through BLAS or LAPACK (the label-shift scatter).
+Numbers that do (the sweep's networks, the oracle's products) match across
+CPUs only to a relative 1e-13, the tolerance of the golden tests.  Reports
+embed :data:`GENERATOR_NAME` so the provenance of random draws is recorded
 alongside the numbers.
 
 A loop that takes one stream per index, such as the label-shift trials, takes
@@ -20,6 +21,8 @@ import numpy as np
 
 GENERATOR_NAME = "numpy.random.Philox4x64"
 
+KEY_LIMIT = 2**64
+
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
     """Independent generator for the pair (seed, index).
@@ -28,8 +31,8 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     independent (distinct Philox keys), so Monte Carlo trials can be keyed
     by trial index and still run in any order.
     """
-    if seed < 0 or index < 0:
-        raise ValueError(f"seed and index must be non-negative, got ({seed}, {index})")
+    if not (0 <= seed < KEY_LIMIT and 0 <= index < KEY_LIMIT):
+        raise ValueError(f"seed and index must lie in [0, 2**64), got ({seed}, {index})")
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -50,8 +53,8 @@ def rekeyed_stream(seed: int):
     key = fresh["state"]["key"]
 
     def rekey(index: int) -> np.random.Generator:
-        if index < 0:
-            raise ValueError(f"seed and index must be non-negative, got ({seed}, {index})")
+        if not 0 <= index < KEY_LIMIT:
+            raise ValueError(f"seed and index must lie in [0, 2**64), got ({seed}, {index})")
         key[1] = index
         bit_generator.state = fresh
         return generator

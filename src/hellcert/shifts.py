@@ -66,16 +66,17 @@ def discrete_hellinger(p: DiscreteDistribution, q: DiscreteDistribution) -> floa
     this distance between the label marginals.
     """
     pv, qv = _padded(p, q)
-    return root_difference_hellinger(np.sqrt(pv) - np.sqrt(qv))
+    return float(root_difference_hellinger(np.sqrt(pv) - np.sqrt(qv)))
 
 
-def root_difference_hellinger(d: np.ndarray) -> float:
+def root_difference_hellinger(d: np.ndarray):
     """Hellinger distance from d = sqrt(p) - sqrt(q) on a common support, capped at 1.
 
-    ``d.dot(d)`` is the 1-d dot product ``np.linalg.norm`` takes, so a row of a
-    block of differences gives the same bits as the vector on its own.
+    Row-wise on a block of differences.  ``np.add.reduce`` over the last axis
+    sums each row as it sums the vector on its own, without BLAS, so a row
+    gives the same bits as the vector and as on any other CPU.
     """
-    return min(float(np.sqrt(d.dot(d)) / math.sqrt(2.0)), 1.0)
+    return np.minimum(np.sqrt(np.add.reduce(d * d, axis=-1)) / math.sqrt(2.0), 1.0)
 
 
 def mixture_hellinger_disjoint(gamma: float) -> float:

@@ -13,6 +13,7 @@ import pytest
 
 from hellcert.bounds import (
     LossStatistics,
+    certificate_band,
     classification_error_upper,
     lower_bound,
     max_valid_radius_lower,
@@ -20,7 +21,7 @@ from hellcert.bounds import (
     upper_bound,
 )
 from hellcert.cli import main
-from hellcert.experiments import certificate_band, label_shift_experiment, mixture_experiment
+from hellcert.experiments import label_shift_experiment, mixture_experiment
 from hellcert.finite_sample import ConfidenceBudget, EmpiricalSample, corollary_upper_bound
 from hellcert.losses import jsd_gradient, jsd_loss
 from hellcert.network import jsd_head_constants

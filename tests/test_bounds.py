@@ -10,13 +10,13 @@ from hellcert.bounds import (
     LossStatistics,
     RadiusValidityError,
     c_rho,
+    certificate_band,
     classification_error_upper,
     lower_bound,
     max_valid_radius_lower,
     max_valid_radius_upper,
     upper_bound,
 )
-from hellcert.experiments import certificate_band
 
 # High-precision reference values, evaluated independently with mpmath at
 # 40 digits and frozen here.

@@ -1,18 +1,15 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hellcert import experiments
-from hellcert.bounds import LossStatistics
-from hellcert.experiments import (
-    certificate_band,
-    certificate_curve,
-    label_shift_experiment,
-    mixture_experiment,
-)
+from hellcert.bounds import LossStatistics, certificate_band
+from hellcert.experiments import certificate_curve, label_shift_experiment, mixture_experiment
 from hellcert.rng import rekeyed_stream, stream
 from hellcert.shifts import DiscreteDistribution, discrete_hellinger
+from test_imports import fresh
 
 
 def synthetic_predictions(seed=5, n=4000, k=10):
@@ -83,7 +80,8 @@ def per_trial_label_shift(predictions, labels, trials, seed, unseen_classes, dir
     """Reference: (hellinger, loss, mechanism) per trial from the per-trial loop the blocks replaced.
 
     Each trial builds its own ``stream(seed, t)``, ``DiscreteDistribution`` and
-    padded vectors, and takes ``np.linalg.norm`` of the root difference.
+    padded vectors.  Its two sums are the library's formula, ``np.add.reduce``
+    of the products, on the trial's own vectors.
     """
     classes, counts = np.unique(labels, return_counts=True)
     k = classes.size
@@ -113,8 +111,9 @@ def per_trial_label_shift(predictions, labels, trials, seed, unseen_classes, dir
         pv, qv = np.zeros(len(q)), np.zeros(len(q))
         pv[:] = padded_prior.probs
         qv[:] = q.probs
-        h = min(float(np.linalg.norm(np.sqrt(pv) - np.sqrt(qv)) / math.sqrt(2.0)), 1.0)
-        loss = float(q.probs[:k] @ cond_loss + q.probs[k:].sum())
+        d = np.sqrt(pv) - np.sqrt(qv)
+        h = min(float(np.sqrt(np.add.reduce(d * d)) / math.sqrt(2.0)), 1.0)
+        loss = float(np.add.reduce(q.probs[:k] * cond_loss) + q.probs[k:].sum())
         points.append((h, loss, mech))
     return points
 
@@ -148,6 +147,26 @@ def test_label_shift_points_match_the_per_trial_loop_bit_for_bit(monkeypatch, la
     assert got == per_trial_label_shift(preds, labels, trials, seed, unseen, concentration)
 
 
+def test_label_shift_scatter_is_byte_identical_under_every_blas_kernel(tmp_path, label_shift_data):
+    """No scatter number passes through BLAS, whose kernels round sums differently.
+
+    OPENBLAS_CORETYPE picks the kernel; SkylakeX's needs AVX-512.
+    """
+    preds, labels = label_shift_data[1000]
+    (tmp_path / "preds.csv").write_text("pred,label\n" + "".join(f"{p},{y}\n" for p, y in zip(preds, labels)))
+    cpuinfo = Path("/proc/cpuinfo")
+    flags = cpuinfo.read_text().split() if cpuinfo.exists() else []
+    scatters = {}
+    for coretype in ("", "Haswell", "Prescott", *(["SkylakeX"] * ("avx512f" in flags))):
+        fresh("import sys; from hellcert.cli import main; sys.exit(main(sys.argv[1:]))",
+              "label-shift", "--dataset", "preds.csv", "--trials", "3000", "--seed", "3",
+              "--scatter-csv", "scatter.csv", "--curve-csv", "curve.csv", "--output", "report.json",
+              cwd=tmp_path, **({"OPENBLAS_CORETYPE": coretype} if coretype else {}))
+        scatters[coretype or "default"] = (tmp_path / "scatter.csv").read_bytes()
+    assert len(scatters["default"].splitlines()) == 3001
+    assert {name for name, data in scatters.items() if data != scatters["default"]} == set()
+
+
 def _experiment_draws(gen, t):
     """Every draw the label-shift trials make, then an odd count of 32-bit integers.
 
@@ -174,6 +193,28 @@ def test_rekeyed_stream_draws_as_a_fresh_stream():
         assert repr(gen.bit_generator.state) == repr(fresh.bit_generator.state), t
     with pytest.raises(ValueError):
         rekey(-1)
+
+
+_OUTSIDE_64_BITS = r"must lie in \[0, 2\*\*64\)"
+
+
+@pytest.mark.parametrize("seed, index", [(2**64, 0), (0, 2**64), (-1, 0), (0, -1), (10**23, 3)])
+def test_stream_refuses_a_key_word_outside_64_bits(seed, index):
+    with pytest.raises(ValueError, match=_OUTSIDE_64_BITS):
+        stream(seed, index)
+
+
+@pytest.mark.parametrize("bad", [2**64, -1])
+def test_rekeyed_stream_refuses_a_key_word_outside_64_bits(bad):
+    with pytest.raises(ValueError, match=_OUTSIDE_64_BITS):
+        rekeyed_stream(bad)
+    with pytest.raises(ValueError, match=_OUTSIDE_64_BITS):
+        rekeyed_stream(0)(bad)
+
+
+def test_streams_take_the_largest_64_bit_key():
+    top = 2**64 - 1
+    assert stream(top, top).random() == rekeyed_stream(top)(top).random()
 
 
 def test_label_shift_single_class_removes_nothing_and_says_so():

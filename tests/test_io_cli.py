@@ -448,7 +448,7 @@ _OUTPUTS = {
         _bad_value(["label-shift", "--dirichlet-concentration", "0"],
                    "--dirichlet-concentration must be positive, got 0.0"),
         _bad_value(["mixture", "--samples", "0"], "--samples must be at least 1, got 0"),
-        _bad_value(["mixture", "--seed", "-1"], "--seed must be at least 0, got -1"),
+        _bad_value(["mixture", "--seed", "-1"], "--seed must lie in [0, 2**64), got -1"),
         _bad_value(["mixture", "--gamma-grid", "0:1"], "argument --gamma-grid: invalid grid value: '0:1'"),
         _bad_value(["mixture", "--gamma-grid", "0:inf:0.1"],
                    "argument --gamma-grid: '0:inf:0.1': step must be positive and the range finite"),
@@ -469,6 +469,14 @@ _OUTPUTS = {
 )
 def test_synthetic_compare_bad_size_exit_1(tmp_path, capsys, monkeypatch, argv, message):
     """Every size, count, grid and real-valued flag is checked before any file is read, naming the flag."""
+    inputs = _no_file_read(tmp_path, monkeypatch)
+    assert main(argv + _OUTPUTS[argv[0]]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
+
+
+def _no_file_read(tmp_path, monkeypatch):
+    """The inputs of every subcommand in ``tmp_path``, with each reader failing the test if called."""
     monkeypatch.chdir(tmp_path)
     inputs = {"losses.csv": "loss\n0.5\n0.25\n", "preds.csv": "pred,label\n1,1\n0,1\n",
               "scores.csv": "score,label\n0.9,1\n0.1,-1\n"}
@@ -476,9 +484,37 @@ def test_synthetic_compare_bad_size_exit_1(tmp_path, capsys, monkeypatch, argv, 
         (tmp_path / name).write_text(text)
     for reader in ("read_losses", "read_predictions", "read_scores"):
         monkeypatch.setattr(cli, reader, unittest.mock.Mock(side_effect=AssertionError("file read")))
-    assert main(argv + _OUTPUTS[argv[0]]) == 1
-    assert f"error: {message}" in capsys.readouterr().err
+    return inputs
+
+
+_SEEDED = {
+    "mixture": ["mixture", "--samples", "50", "--gamma-grid", "0.5"],
+    "label-shift": ["label-shift", "--trials", "3"],
+    "certify-auc": ["certify-auc", "--rho-conditional", "0.1"],
+    "synthetic-compare": ["synthetic-compare", "--widths", "2", "--depths", "0", "--delta-grid", "0.5",
+                          "--n-train", "20", "--n-eval", "20", "--train-steps", "2"],
+}
+
+
+@pytest.mark.parametrize("command, seed", [("mixture", 2**64), ("label-shift", 2**64), ("certify-auc", 2**64),
+                                           ("synthetic-compare", 99999999999999999999999)])
+def test_a_seed_beyond_64_bits_exits_1_on_one_line(tmp_path, capsys, monkeypatch, command, seed):
+    """A Philox key word holds 64 bits; a larger seed is refused before any file is read."""
+    inputs = _no_file_read(tmp_path, monkeypatch)
+    assert main([*_SEEDED[command], "--seed", str(seed), *_OUTPUTS[command]]) == 1
+    assert capsys.readouterr().err == f"error: --seed must lie in [0, 2**64), got {seed}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
+
+
+@pytest.mark.parametrize("command", sorted(_SEEDED))
+def test_the_largest_64_bit_seed_is_accepted(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "preds.csv").write_text("pred,label\n1,1\n0,1\n0,0\n")
+    (tmp_path / "scores.csv").write_text("score,label\n0.9,1\n0.1,-1\n0.8,1\n0.2,-1\n")
+    argv = [*_SEEDED[command], "--seed", str(2**64 - 1), *_OUTPUTS[command], "--output", "report.json"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "report.json").read_text())["seed"] == 2**64 - 1
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import hellcert
 from hellcert import bounds, finite_sample, losses, oracle, shifts
+from test_imports import fresh
 
 PUBLIC = {
     "__version__",
@@ -24,3 +25,19 @@ def test_package_exports_the_public_names_of_its_modules():
         for name in module.__all__:
             assert getattr(hellcert, name) is getattr(module, name), name
     assert hellcert.__version__ == "0.1.0"
+
+
+def test_a_bare_import_resolves_every_public_name_and_module():
+    """In a new interpreter, where no test has imported a module yet."""
+    fresh(f"""
+import sys
+import hellcert
+assert sorted(m for m in sys.modules if m.startswith("hellcert")) == ["hellcert"]
+for name in {sorted(PUBLIC)!r}:
+    getattr(hellcert, name)
+for name in ("bounds", "finite_sample", "losses", "oracle", "shifts"):
+    assert getattr(hellcert, name) is sys.modules["hellcert." + name], name
+namespace = {{}}
+exec("from hellcert import *", namespace)
+assert sorted(set(namespace) - {{"__builtins__"}}) == {sorted(PUBLIC)!r}
+""")
