@@ -25,7 +25,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """Probability vector on a finite support, normalized on construction."""
+    """Probability vector on a finite support, normalized on construction.
+
+    Valid masses are told apart by one ``min`` and one ``sum``; the checks
+    that name a failure run only after those two reject the vector.  Finite
+    masses whose sum overflows are divided by the largest one first.
+    """
 
     probs: np.ndarray
 
@@ -33,13 +38,19 @@ class DiscreteDistribution:
         probs = np.asarray(probs, dtype=float)
         if probs.ndim != 1 or probs.size < 1:
             raise ValueError("probs must be a non-empty 1-d vector")
-        if not np.isfinite(probs).all():
-            raise ValueError("probs must be finite")
-        if (probs < 0.0).any():
-            raise ValueError("probs must be non-negative")
-        total = float(probs.sum())
-        if total <= 0.0:
-            raise ValueError("probs must have positive total mass")
+        total = math.nan
+        if probs.min() >= 0.0:  # False on NaN as well
+            with np.errstate(over="ignore"):
+                total = float(probs.sum())
+        if not 0.0 < total < math.inf:
+            if not np.isfinite(probs).all():
+                raise ValueError("probs must be finite")
+            if (probs < 0.0).any():
+                raise ValueError("probs must be non-negative")
+            if total <= 0.0:
+                raise ValueError("probs must have positive total mass")
+            probs = probs / probs.max()
+            total = float(probs.sum())
         probs = probs / total
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)

@@ -685,6 +685,16 @@ def test_oracle_with_a_huge_ceiling_exits_0(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_oracle_with_masses_whose_sum_overflows_exits_0(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"p": [1e308, 1e308], "losses": [0.2, 0.5], "M": 1, "rho": 0.1}')
+    code, rep = run_report(tmp_path, ["oracle", str(inst)])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert rep["instance"]["p"] == [0.5, 0.5]
+    assert rep["certificates"]["mean"] == pytest.approx(0.35, abs=1e-15)
+    assert 0.35 < rep["sup"]["value"] < 0.5
+
+
 def _nested(depth):
     return "[" * depth + "]" * depth
 
@@ -724,6 +734,16 @@ def test_non_utf8_byte_is_reported_at_its_line(tmp_path, capsys):
         ("certify-auc", "scores.csv", "score,label\n0.5,1\n0.6,1\n", "degenerate sample: both classes must be present"),
         ("oracle", "inst.json", '{"p": [0.5, 0.5], "losses": [0.1, 0.9], "M": 1, "rho": Infinity}',
          "bad instance file: rho must lie in [0, 1], got inf"),
+        ("oracle", "inst.json", '{"p": [0.5, 0.5], "losses": [NaN, 0.5], "M": 1, "rho": 0.1}',
+         "bad instance file: losses must lie in [0, 1]"),
+        ("oracle", "inst.json", '{"p": [0.5, 0.5], "losses": [0.1, 0.9], "M": 1, "rho": true}',
+         "bad instance file: rho: true is not a number"),
+        ("oracle", "inst.json", '{"p": [0.5, 0.5], "losses": [0.1, 0.9], "M": true, "rho": 0.1}',
+         "bad instance file: M: true is not a number"),
+        ("oracle", "inst.json", '{"p": [true, false], "losses": [0.1, 0.9], "M": 1, "rho": 0.1}',
+         "bad instance file: p: true is not a number"),
+        ("oracle", "inst.json", '{"p": [0.5, 0.5], "losses": [0.1, false], "M": 1, "rho": 0.1}',
+         "bad instance file: losses: false is not a number"),
     ],
 )
 def test_whole_sample_fault_names_its_file(tmp_path, capsys, command, name, text, message):

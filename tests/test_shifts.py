@@ -31,6 +31,26 @@ def test_distribution_rejects_bad_input():
         DiscreteDistribution([0.0, 0.0])
     with pytest.raises(ValueError):
         DiscreteDistribution([])
+    # Named as before; the suite turns a RuntimeWarning into a failure.
+    for probs, message in (([math.inf, -math.inf], "finite"), ([math.nan, 1.0], "finite"),
+                           ([-math.inf, 1.0], "finite"), ([1.0, -1e-300], "non-negative"),
+                           ([0.0], "positive total mass")):
+        with pytest.raises(ValueError, match=message):
+            DiscreteDistribution(probs)
+
+
+def test_distribution_with_an_overflowing_total():
+    assert DiscreteDistribution([1e308, 1e308]).probs.tolist() == [0.5, 0.5]
+    big = DiscreteDistribution([1.7e308, 0.0, 1.7e308, 8.5e307])
+    assert big.probs.tolist() == [0.4, 0.0, 0.4, 0.2]
+
+
+def test_distribution_with_a_finite_total_keeps_its_bits():
+    gen = stream(23)
+    for k in (1, 2, 7, 64, 1000):
+        for scale in (1e-300, 1.0, 1e300 / k):
+            probs = scale * gen.dirichlet(np.full(k, 0.5))
+            assert DiscreteDistribution(probs).probs.tobytes() == (probs / probs.sum()).tobytes()
 
 
 def test_hellinger_identity_and_disjoint():
