@@ -170,7 +170,13 @@ def upper_value(mean: float, variance: float, headroom: float, rho: float) -> fl
 
 def report(direction: str, rho: float, raw: float, mv: float, inputs, ceiling: float,
            confidence: Optional[float] = None) -> CertificateReport:
-    """A certificate's report, its bound clamped into the attainable range [0, ceiling]."""
+    """A certificate's report, its bound clamped into the attainable range [0, ceiling].
+
+    Raises ValueError on a non-finite ``raw``: inputs whose terms overflow
+    the float range certify nothing.
+    """
+    if not math.isfinite(raw):
+        raise ValueError(f"{direction} certificate at radius {rho} is {raw}: its terms overflow the float range")
     return CertificateReport(direction=direction, radius=rho, bound=min(max(raw, 0.0), ceiling),
                              raw_bound=raw, max_valid_radius=mv, inputs=inputs,
                              confidence=confidence)

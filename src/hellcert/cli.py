@@ -251,11 +251,11 @@ def _cmd_mixture(args):
 def _cmd_synthetic_compare(args):
     sizes = dict(widths=args.widths, depths=args.depths, delta_grid=args.delta_grid,
                  n_train=args.n_train, n_eval=args.n_eval)
-    rows = compare_certificates(**sizes, seed=args.seed, budget_convention=args.budget_convention,
-                                confidence_delta=args.delta, train_steps=args.train_steps)
+    rows = compare_certificates(**sizes, seed=args.seed, confidence_delta=args.delta,
+                                train_steps=args.train_steps)
     _write_records(args.csv, SweepRow, rows)
     report = base_report("synthetic-compare", args.seed, {
-        "wasserstein_budget": args.budget_convention,
+        "wasserstein_budget": "squared",
         "dual_gamma_grid": "geometric 24 points, L* to 64 L*",
         "training": f"full-batch gradient descent, {args.train_steps} steps",
     })
@@ -313,7 +313,6 @@ COMMANDS = {
         _arg("--widths", type=integer_list, default="16", check=_at_least(1)),
         _arg("--depths", type=integer_list, default="2", check=_at_least(0)),
         _arg("--delta-grid", type=grid, default="0.01,0.5,1.0,1.5,2.0", check=_shift),
-        _arg("--budget-convention", choices=("squared", "plain"), default="squared"),
         _arg("--n-train", type=int, default=2000, check=_at_least(1)),
         # The Gramian certificate needs a sample variance.
         _arg("--n-eval", type=int, default=10000, check=_at_least(2)),

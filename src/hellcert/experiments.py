@@ -83,7 +83,8 @@ def label_shift_experiment(
        labelled so),
     3. moving a random amount of mass onto synthetic never-seen classes,
        whose conditional loss is the ceiling 1 (a deployed classifier cannot
-       predict a class it never saw).
+       predict a class it never saw; with none, the trial resamples as in 1
+       and is labelled so).
 
     The per-trial loss is the exact mixture sum q(y) * E_hat[loss | y], i.e.
     the expected loss under the shifted distribution that shares the empirical
@@ -117,7 +118,8 @@ def label_shift_experiment(
         for t, q in enumerate(block, start):
             gen = rekey(t)
             mech = MECHANISMS[t % len(MECHANISMS)]
-            if mech == "class_removal" and k == 1:  # one class leaves nothing to remove
+            # One class leaves nothing to remove, and with no unseen class no mass can move.
+            if (mech == "class_removal" and k == 1) or (mech == "unseen_classes" and not unseen_classes):
                 mech = "dirichlet_resample"
             if mech == "dirichlet_resample":
                 q[:k] = gen.dirichlet(alpha)

@@ -68,11 +68,14 @@ class EmpiricalSample:
         object.__setattr__(self, "losses", losses)
         object.__setattr__(self, "ceiling", float(ceiling))
         object.__setattr__(self, "n", int(losses.size))
-        # Rounding can put the mean of losses at the ceiling just above it.
-        object.__setattr__(self, "empirical_mean", min(float(np.mean(losses)), self.ceiling))
-        # np.var of a constant sample is not 0 where its mean rounds off the constant.
-        spread = losses.max() > losses.min()
-        object.__setattr__(self, "unbiased_variance", float(np.var(losses, ddof=1)) if spread else 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Rounding can put the mean of losses at the ceiling just above it.
+            object.__setattr__(self, "empirical_mean", min(float(np.mean(losses)), self.ceiling))
+            # np.var of a constant sample is not 0 where its mean rounds off the constant.
+            variance = float(np.var(losses, ddof=1)) if losses.max() > losses.min() else 0.0
+        if not math.isfinite(variance):
+            raise ValueError(f"the variance of the losses overflows the float range (ceiling {ceiling})")
+        object.__setattr__(self, "unbiased_variance", variance)
 
 
 @dataclass(frozen=True)

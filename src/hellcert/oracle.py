@@ -27,8 +27,9 @@ meets c at nu = max loss, where the optimum is in closed form.  A radius
 at the feasibility edge puts the root at nu -> max loss, where the KKT
 family leaves the float range; the first non-finite evaluation there ends
 the search at the feasible end of the bracket.  An instance whose proven
-gap exceeds ``GAP_TOL`` is raised with the instance attached rather than
-returned.
+gap exceeds ``GAP_TOL`` times its ceiling M is raised with the instance
+attached rather than returned: the gap is in loss units, and the problem
+scales with M.
 """
 
 from __future__ import annotations
@@ -49,16 +50,16 @@ __all__ = [
     "worst_case_inf",
 ]
 
-GAP_TOL = 1e-6
+GAP_TOL = 1e-6  # largest proven gap returned, relative to the ceiling M
 ROOT_WIDTH = 1e-13  # stopping width of the root bracket, relative to its feasible end
 
 
 class OracleGapError(RuntimeError):
-    """The proven duality gap exceeds ``GAP_TOL``; instance attached."""
+    """The proven duality gap exceeds ``GAP_TOL`` times the ceiling M; instance attached."""
 
     def __init__(self, instance: "DiscreteInstance", gap: float):
         super().__init__(
-            f"oracle duality gap {gap:.17g} exceeds {GAP_TOL:g} "
+            f"oracle duality gap {gap:.17g} exceeds {GAP_TOL:g} times M = {instance.ceiling!r} "
             f"on instance {instance.to_json()}"
         )
         self.instance = instance
@@ -281,7 +282,7 @@ def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float):
 
 def _sign_solve(inst: DiscreteInstance, sign: float) -> OracleResult:
     q, gap, steps = _solve_max(inst.p.probs, sign * inst.losses, inst.rho)
-    if gap > GAP_TOL:
+    if gap > GAP_TOL * inst.ceiling:
         raise OracleGapError(inst, gap)
     maximizer = DiscreteDistribution(q)
     # Report the exact expectation under the (renormalized) extremizer.

@@ -16,8 +16,12 @@ common axis:
 * the Lipschitz certificate: empirical loss plus loss Lipschitz constant
   times transport distance.
 
-Each certificate takes a network's whole grid of shifts in one call and
-returns one value per grid entry.
+One evaluation of each network on the unshifted points, losses and input
+gradients, and one Lipschitz profile serve all three: the dual starts its
+ascents from the evaluation and takes L*, the Gramian certificate takes the
+losses, and the Lipschitz certificate their mean and alpha_L.  Each takes
+the network's whole grid of shifts in one call and returns one value per
+grid entry.
 """
 
 from __future__ import annotations
@@ -112,22 +116,22 @@ def _row_sums_of_squares(a: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, (a * a).T)
 
 
-def maximize_penalized(value_and_grad, x0: np.ndarray, gamma: float, max_steps: int = 500,
-                       grad_tol: float = GRAD_TOL, start=None, row_args=()):
+def maximize_penalized(value_and_grad, x0: np.ndarray, gamma: float, start, row_args=(),
+                       max_steps: int = 500):
     """Maximize f(x) - gamma ||x - x0||^2 rows-independently by gradient ascent.
 
     ``value_and_grad(x, *row_args)`` maps a batch of rows to per-row values
     and gradients of f; each array in ``row_args`` (labels, say) is indexed
     by row and arrives cut to the rows of the batch.  ``start`` is
-    ``value_and_grad(x0, *row_args)`` when the caller already has it, so
-    ascents from one x0 at several gammas share the first evaluation.
+    ``value_and_grad(x0, *row_args)``, so ascents from one x0 at several
+    gammas share the first evaluation.
 
     Concavity (gamma above the gradient Lipschitz constant of f) makes the
     ascent globally convergent; the step 1/(2 gamma) matches the curvature of
     the penalty so convergence is geometric.  A row stops at its first
-    iterate whose total gradient norm is below ``grad_tol``: its value and x
+    iterate whose total gradient norm is below ``GRAD_TOL``: its value and x
     are final there, and later passes evaluate only the rows still moving.
-    Strong concavity puts each value within grad_tol^2 / (2 gamma) of the
+    Strong concavity puts each value within GRAD_TOL^2 / (2 gamma) of the
     row's maximum, and starting at x0 itself guarantees it is at least
     f(x0).  Raises :class:`InnerAscentError` if a row is still moving after
     ``max_steps`` evaluations.
@@ -142,7 +146,7 @@ def maximize_penalized(value_and_grad, x0: np.ndarray, gamma: float, max_steps: 
         start = None
         shift = x - x0_rows
         total_grad = grads - 2.0 * gamma * shift
-        done = np.sqrt(_row_sums_of_squares(total_grad)) < grad_tol
+        done = np.sqrt(_row_sums_of_squares(total_grad)) < GRAD_TOL
         if done.any():
             # take() with integer positions: a boolean mask costs ten times more.
             stop, keep = np.flatnonzero(done), np.flatnonzero(~done)
@@ -156,86 +160,64 @@ def maximize_penalized(value_and_grad, x0: np.ndarray, gamma: float, max_steps: 
             return phi, x_out
         x = x + step * total_grad
     raise InnerAscentError(
-        f"inner ascent at gamma={gamma:.6g} stalled above gradient tolerance {grad_tol}"
+        f"inner ascent at gamma={gamma:.6g} stalled above gradient tolerance {GRAD_TOL}"
     )
 
 
-def wasserstein_dual_certificate(
-    net: SmallNetwork,
-    x: np.ndarray,
-    y_idx: np.ndarray,
-    shift_budgets,
-    gamma_grid=None,
-):
-    """Dual upper bound min over gamma of gamma * budget + mean penalized maximum.
-
-    Each gamma's mean carries the ascent's shortfall GRAD_TOL^2 / (2 gamma),
-    so that it bounds the exact mean of the penalized maxima from above.
-    ``shift_budgets`` are Wasserstein budgets in the same units as the cost
-    ||x - x0||^2 (so a dislocation delta has budget ||delta||^2 under the
-    default convention), one certificate each; the penalized maxima do not
-    depend on the budget, so each gamma's inner ascent runs once.  Grid
-    points below the gradient Lipschitz constant L* are rejected: concavity
-    of the inner problem is what makes the inner maxima trustworthy.
-    """
+def _budgets(shift_budgets) -> np.ndarray:
     budgets = np.asarray(shift_budgets, dtype=float)
     if np.any(budgets < 0):
         raise ValueError("shift budget must be non-negative")
-    profile = lipschitz_profile(net)
-    if gamma_grid is None:
-        gamma_grid = dual_gamma_grid(profile.l_star)
-    gamma_grid = np.asarray(gamma_grid, dtype=float)
-    if np.any(gamma_grid < profile.l_star * (1.0 - 1e-12)):
-        raise ValueError("every gamma must be >= L* to keep the inner problem concave")
+    return budgets
 
+
+def wasserstein_dual_certificate(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray, start,
+                                 l_star: float, shift_budgets):
+    """Dual upper bound min over gamma of gamma * budget + mean penalized maximum.
+
+    ``start`` is ``per_sample_losses_and_input_grads(net, x, y_idx)``, where
+    every gamma's ascent starts, and ``l_star`` the network's gradient
+    Lipschitz constant, where :func:`dual_gamma_grid` starts so that every
+    inner problem is concave.  Each gamma's mean carries the ascent's
+    shortfall GRAD_TOL^2 / (2 gamma), so that it bounds the exact mean of
+    the penalized maxima from above.  ``shift_budgets`` are Wasserstein
+    budgets in the units of the cost ||x - x0||^2 (a dislocation delta has
+    budget ||delta||^2), one certificate each; the penalized maxima do not
+    depend on the budget, so each gamma's inner ascent runs once.
+    """
+    budgets = _budgets(shift_budgets)
     y_idx = np.asarray(y_idx)
     workspace = Workspace.per_sample(net, len(x))
 
     def value_and_grad(xb, yb):
         return per_sample_losses_and_input_grads(net, xb, yb, workspace)
 
-    # Every gamma's ascent starts at x itself: evaluate it once.
-    start = value_and_grad(x, y_idx)
     best = np.full(budgets.shape, math.inf)
-    for gamma in map(float, gamma_grid):
-        phi, _ = maximize_penalized(value_and_grad, x, gamma, start=start, row_args=(y_idx,))
+    for gamma in map(float, dual_gamma_grid(l_star)):
+        phi, _ = maximize_penalized(value_and_grad, x, gamma, start, row_args=(y_idx,))
         shortfall = GRAD_TOL * GRAD_TOL / (2.0 * gamma)
         best = np.minimum(best, gamma * budgets + float(phi.mean()) + shortfall)
     return best
 
 
-def lipschitz_certificate(net: SmallNetwork, x: np.ndarray, y_idx: np.ndarray,
-                          shift_budgets):
-    """Empirical loss plus (head constant * alpha_L) times each W1 transport
-    budget, from a single loss evaluation and Lipschitz profile."""
-    budgets = np.asarray(shift_budgets, dtype=float)
-    if np.any(budgets < 0):
-        raise ValueError("shift budget must be non-negative")
+def lipschitz_certificate(mean_loss: float, alpha: float, shift_budgets):
+    """Empirical loss plus (head constant * alpha_L) times each W1 transport budget."""
     l0_head, _ = jsd_head_constants()
-    profile = lipschitz_profile(net)
-    slope = l0_head * profile.alpha[-1]
-    return float(per_sample_losses(net, x, y_idx).mean()) + slope * budgets
+    return mean_loss + l0_head * alpha * _budgets(shift_budgets)
 
 
-def gramian_certificate_on_task(
-    net: SmallNetwork,
-    x: np.ndarray,
-    y_idx: np.ndarray,
-    norm_deltas,
-    confidence_delta: float = 0.01,
-):
+def gramian_certificate_on_task(losses: np.ndarray, norm_deltas, confidence_delta: float = 0.01):
     """Finite-sample JSD certificates at the Hellinger radii the dislocations induce.
 
-    One report per ||delta|| from a single loss evaluation, None for a
-    radius beyond the certificate's maximum valid radius, so that one
-    invalid delta does not cost the others.
+    Returns the certificate's maximum valid radius on ``losses`` and one
+    report per ||delta||, None for a radius beyond it, so that one invalid
+    delta does not cost the others.
     """
-    losses = per_sample_losses(net, x, y_idx)
     sample = EmpiricalSample(losses, ceiling=1.0)
     budget = ConfidenceBudget(confidence_delta)
     valid = max_valid_radius_empirical(sample, budget)
     radii = [shift_distances(nd)[1] for nd in norm_deltas]
-    return [corollary_upper_bound(sample, h, budget) if h <= valid else None for h in radii]
+    return valid, [corollary_upper_bound(sample, h, budget) if h <= valid else None for h in radii]
 
 
 @dataclass(frozen=True)
@@ -264,7 +246,6 @@ def compare_certificates(
     depths=(2,),
     delta_grid=(0.01, 0.5, 1.0, 1.5, 2.0),
     seed: int = 0,
-    budget_convention: str = "squared",
     confidence_delta: float = 0.01,
     n_train: int = 2000,
     n_eval: int = 10000,
@@ -275,29 +256,27 @@ def compare_certificates(
     One unshifted draw of the task serves every (width, depth): a fresh
     network is trained on it, and each ||delta|| grid point then yields the
     three certificates plus the actually measured loss under the dislocation
-    along SHIFT_DIRECTION.
+    along SHIFT_DIRECTION.  The dual's budget is the dislocation's transport
+    cost ||delta||^2.
     """
-    if budget_convention not in ("squared", "plain"):
-        raise ValueError(f"unknown budget convention {budget_convention!r}")
     data = sample_task(n_train, n_eval, seed)
     distances = [shift_distances(d) for d in delta_grid]
     # d * d is +inf past about 1.3e154, where d**2 raises: a vacuous budget.
-    budgets = [d * d if budget_convention == "squared" else d for d in delta_grid]
+    budgets = [d * d for d in delta_grid]
     rows = []
     for depth in depths:
         for width in widths:
             net = SmallNetwork.initialize(hidden=(width,) * depth, seed=seed)
             net = train_network(net, data.x_train, data.y_train, steps=train_steps).network
-            # Each certificate takes the whole delta grid in one call, so it
-            # evaluates the unshifted losses and the profile once per network.
-            duals = wasserstein_dual_certificate(net, data.x_eval, data.y_eval, budgets)
-            # The report at delta = 0 always exists and carries the validity
-            # radius that every delta on this network's sample shares.
-            at_zero, *grams = gramian_certificate_on_task(
-                net, data.x_eval, data.y_eval, [0.0, *delta_grid], confidence_delta
+            start = per_sample_losses_and_input_grads(net, data.x_eval, data.y_eval)
+            losses = start[0]
+            profile = lipschitz_profile(net)
+            duals = wasserstein_dual_certificate(
+                net, data.x_eval, data.y_eval, start, profile.l_star, budgets
             )
+            valid, grams = gramian_certificate_on_task(losses, delta_grid, confidence_delta)
             lips = lipschitz_certificate(
-                net, data.x_eval, data.y_eval, [w for w, _ in distances]
+                float(losses.mean()), profile.alpha[-1], [w for w, _ in distances]
             )
             for norm_delta, (wasserstein, hellinger), dual, gram, lip in zip(
                 delta_grid, distances, duals, grams, lips
@@ -313,7 +292,7 @@ def compare_certificates(
                         wasserstein=wasserstein,
                         empirical_loss_shifted=shifted_loss,
                         gramian_cert=None if gram is None else gram.bound,
-                        gramian_max_valid_radius=at_zero.max_valid_radius,
+                        gramian_max_valid_radius=valid,
                         dual_cert=float(dual),
                         lipschitz_cert=float(lip),
                         width=int(width),

@@ -67,6 +67,15 @@ def test_label_shift_every_point_contained():
         assert lo - 1e-9 <= pt.loss <= up + 1e-9
 
 
+def test_label_shift_without_unseen_classes_resamples_their_trials():
+    # With no unseen class to take mass, every third trial resamples by
+    # Dirichlet instead of sitting at the base distribution.
+    preds, labels = synthetic_predictions()
+    res = label_shift_experiment(preds, labels, trials=30, seed=4, unseen_classes=0)
+    assert [p.mechanism for p in res.points[2::3]] == ["dirichlet_resample"] * 10
+    assert all(p.hellinger > 0.0 for p in res.points)
+
+
 def test_label_shift_deterministic():
     preds, labels = synthetic_predictions()
     a = label_shift_experiment(preds, labels, trials=60, seed=3)
@@ -93,6 +102,8 @@ def per_trial_label_shift(predictions, labels, trials, seed, unseen_classes, dir
     for t in range(trials):
         gen = stream(seed, t)
         mech = ("dirichlet_resample", "class_removal", "unseen_classes")[t % 3]
+        if mech == "unseen_classes" and unseen_classes == 0:
+            mech = "dirichlet_resample"
         if mech == "dirichlet_resample":
             q_existing = gen.dirichlet(dirichlet_concentration * priors)
             q_unseen = np.zeros(unseen_classes)
@@ -130,6 +141,7 @@ def label_shift_data():
 @pytest.mark.parametrize("unseen", [0, 2])
 @pytest.mark.parametrize("trials", [1, 3, "block-1", "block+1", 2500])
 @pytest.mark.parametrize("concentration", [10.0, 0.05])
+@pytest.mark.cpu_bits
 def test_label_shift_points_match_the_per_trial_loop_bit_for_bit(monkeypatch, label_shift_data, k, unseen, trials,
                                                                  concentration):
     m = k + unseen
@@ -147,6 +159,7 @@ def test_label_shift_points_match_the_per_trial_loop_bit_for_bit(monkeypatch, la
     assert got == per_trial_label_shift(preds, labels, trials, seed, unseen, concentration)
 
 
+@pytest.mark.cpu_bits
 def test_label_shift_scatter_is_byte_identical_under_every_blas_kernel(tmp_path, label_shift_data):
     """No scatter number passes through BLAS, whose kernels round sums differently.
 
@@ -183,6 +196,7 @@ def _experiment_draws(gen, t):
     ]
 
 
+@pytest.mark.cpu_bits
 def test_rekeyed_stream_draws_as_a_fresh_stream():
     rekey = rekeyed_stream(11)
     for t in range(301):

@@ -37,6 +37,9 @@ INPUTS = GOLDEN / "inputs"
 REL_TOL = 1e-13
 ABS_TOL = 1e-15
 
+# Their last digits depend on the CPU, as above: CI runs them again on other kernels.
+pytestmark = pytest.mark.cpu_bits
+
 CASES = {
     # The seven command lines of acceptance criterion 13.
     "certify": ["certify", "losses.csv", "--rho", "0.05"],
@@ -59,8 +62,8 @@ CASES = {
     "mixture-range-grid": ["mixture", "--gamma-grid", "0.1:0.9:0.2", "--seed", "3",
                            "--samples", "300", "--csv", "mix.csv"],
     "synthetic-compare-defaults": ["synthetic-compare", "--seed", "1", "--csv", "sweep.csv"],
-    "synthetic-compare-plain": ["synthetic-compare", "--seed", "2", "--depths", "0,2",
-                                "--budget-convention", "plain", "--csv", "sweep.csv"],
+    "synthetic-compare-depth-0": ["synthetic-compare", "--seed", "2", "--depths", "0,2",
+                                  "--csv", "sweep.csv"],
 }
 
 # A number standing alone: not part of a word, a version string or a JSON key.

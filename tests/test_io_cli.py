@@ -576,6 +576,24 @@ def test_traced_cli_names_are_looked_up_at_call_time(tmp_path, monkeypatch):
     assert set(calls["write_csv"]) == {3}
 
 
+@pytest.mark.parametrize("values, args, message", [
+    # sigma_bar is about 1e159, so sigma_bar^2 overflows in the bound.
+    (list(stream(9).random(1000)), ["--rho", "0.01", "--max-loss", "1e160"],
+     "upper certificate at radius 0.01 is nan: its terms overflow the float range"),
+    ([0, 1e200, 5e199], ["--direction", "lower", "--rho", "0", "--max-loss", "1e200"],
+     "the variance of the losses overflows the float range (ceiling 1e+200)"),
+    ([0, 1e200, 5e199], ["--direction", "upper", "--rho", "0", "--max-loss", "1e200"],
+     "the variance of the losses overflows the float range (ceiling 1e+200)"),
+    # Their sum overflows too, in the mean.
+    ([1e308, 1.5e308], ["--rho", "0", "--max-loss", "1.7e308"],
+     "the variance of the losses overflows the float range (ceiling 1.7e+308)"),
+])
+def test_certify_whose_numbers_overflow_exits_1(tmp_path, capsys, values, args, message):
+    path = losses_file(tmp_path, values)
+    assert main(["certify", path, *args]) == 1
+    assert capsys.readouterr().err == f"error: {path}:0: {message}\n"
+
+
 def test_cli_determinism_certify(tmp_path):
     path = losses_file(tmp_path, list(stream(3).random(50)))
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -677,6 +695,15 @@ def test_oracle_gap_above_tolerance_exits_3(tmp_path, capsys, monkeypatch):
         oracle.worst_case_sup(oracle.DiscreteInstance.from_json(inst.read_text()))
 
 
+def test_oracle_gap_tolerance_is_relative_to_the_ceiling(tmp_path, capsys):
+    # The inf's proven gap is about 2.7e-6, above GAP_TOL but 2.7e-15 of M.
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"p": [0.3, 0.7], "losses": [0, 1e9], "M": 1e9, "rho": 0.5}')
+    code, rep = run_report(tmp_path, ["oracle", str(inst)])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert GAP_TOL < rep["inf"]["certified_gap"] <= GAP_TOL * 1e9
+
+
 def test_oracle_with_a_huge_ceiling_exits_0(tmp_path, capsys):
     # The ceiling's square overflows a float; the Bhatia-Davis check must not raise.
     inst = tmp_path / "inst.json"
@@ -685,6 +712,7 @@ def test_oracle_with_a_huge_ceiling_exits_0(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.cpu_bits
 def test_oracle_with_masses_whose_sum_overflows_exits_0(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     inst.write_text('{"p": [1e308, 1e308], "losses": [0.2, 0.5], "M": 1, "rho": 0.1}')
@@ -746,6 +774,7 @@ def test_non_utf8_byte_is_reported_at_its_line(tmp_path, capsys):
          "bad instance file: losses: false is not a number"),
     ],
 )
+@pytest.mark.cpu_bits
 def test_whole_sample_fault_names_its_file(tmp_path, capsys, command, name, text, message):
     """A fault of no one line is reported at line 0 of its file, as a reader reports an unreadable file."""
     f = tmp_path / name

@@ -41,6 +41,7 @@ def test_operator_norm_zero_matrix():
     assert isinstance(sigma, float) and sigma == 0.0
 
 
+@pytest.mark.cpu_bits
 def test_spectral_normalize_unit_ball():
     net = SmallNetwork(weights=[stream(7, j).standard_normal((6, 6)) * 3.0 for j in range(3)])
     spectral_normalize(net)
@@ -48,6 +49,7 @@ def test_spectral_normalize_unit_ball():
         assert float(np.linalg.svd(w, compute_uv=False)[0]) <= 1.0 + 1e-14
 
 
+@pytest.mark.cpu_bits
 def test_spectral_normalize_leaves_small_matrices_alone():
     w = np.eye(4) * 0.5
     net = SmallNetwork(weights=[w.copy()])
@@ -128,6 +130,7 @@ def test_train_detects_divergence():
         train_network(net, x, y, steps=5)
 
 
+@pytest.mark.cpu_bits
 def test_lipschitz_profile_single_unit_layer():
     net = SmallNetwork(weights=[np.eye(2)])
     prof = lipschitz_profile(net)
@@ -137,6 +140,7 @@ def test_lipschitz_profile_single_unit_layer():
     assert prof.l_star == pytest.approx(l0 * 1.0 + l1 * 1.0, abs=1e-12)
 
 
+@pytest.mark.cpu_bits
 def test_lipschitz_profile_alpha_bounded_by_one(trained_default):
     _, _, result = trained_default
     prof = lipschitz_profile(result.network)
@@ -152,6 +156,7 @@ def _near_tied(seed: int) -> np.ndarray:
     return (u * np.array([0.9, 0.8991, *np.linspace(0.5, 0.1, 6)])) @ v.T
 
 
+@pytest.mark.cpu_bits
 def test_lipschitz_profile_matches_svd_products():
     # A power iteration reads low where the top two singular values nearly
     # tie; the profile must take LAPACK's norms exactly.
@@ -300,6 +305,7 @@ def _elu_inputs():
     return np.concatenate([3.0 * stream(21).standard_normal(4988), edges]).reshape(-1, 8)
 
 
+@pytest.mark.cpu_bits
 def test_elu_inplace_equals_branching_form():
     z = _elu_inputs()
     ref = _ref_elu(z)
@@ -311,6 +317,7 @@ def test_elu_inplace_equals_branching_form():
     assert np.array_equal(got[nonzero].view(np.int64), ref[nonzero].view(np.int64))
 
 
+@pytest.mark.cpu_bits
 def test_kept_slope_is_the_derivative_from_the_post_activation():
     # Backprop takes ELU' as the forward's slope + 1; it must be, bit for
     # bit, min(a, 0) + 1 of the post-activation a = elu(z).
@@ -336,6 +343,7 @@ def test_column_folded_softmax_matches_axis_reductions(classes):
         np.testing.assert_allclose(got, ref, rtol=8 * np.finfo(float).eps, atol=0.0)
 
 
+@pytest.mark.cpu_bits
 def test_workspace_reuse_matches_fresh_calls():
     net = SmallNetwork.initialize(hidden=(8, 5), seed=6)
     gen = stream(23)
@@ -377,6 +385,7 @@ def test_passes_leave_the_callers_input_alone(n):
         assert np.array_equal(x.view(np.int64), kept.view(np.int64))
 
 
+@pytest.mark.cpu_bits
 def test_train_network_matches_fresh_allocating_reference():
     gen = stream(24)
     n = 300
@@ -391,6 +400,7 @@ def test_train_network_matches_fresh_allocating_reference():
 
 
 @pytest.mark.parametrize("batch", [1, 3, 7, 731, ROWS_PER_PASS, 10000])
+@pytest.mark.cpu_bits
 def test_rows_in_any_batch_size_match_the_full_batch(batch):
     # BLAS kernels may round a row differently at different batch sizes (the
     # 2-wide products, on OpenBLAS's SkylakeX kernels), and batches above

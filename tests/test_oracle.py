@@ -243,6 +243,7 @@ PLATEAU = DiscreteInstance([8.39450350178218e-37, 0.9999999603825273, 3.96174727
                            [0.25, 0.25, 0.7499999999999999], 1.0, 0.9972491500922974)
 
 
+@pytest.mark.cpu_bits
 def test_root_search_evaluation_budget():
     steps = []
     for inst in [*batch_instances(68), PLATEAU]:
@@ -558,6 +559,7 @@ def reference_instances():
     yield PLATEAU
 
 
+@pytest.mark.cpu_bits
 def test_solver_matches_its_matmul_form_bit_for_bit():
     steps_seen = set()
     overflowed = 0

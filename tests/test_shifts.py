@@ -24,6 +24,7 @@ def test_distribution_normalizes():
     assert abs(d.probs.sum() - 1.0) < 1e-12
 
 
+@pytest.mark.cpu_bits
 def test_distribution_rejects_bad_input():
     with pytest.raises(ValueError):
         DiscreteDistribution([0.5, -0.1])
@@ -39,12 +40,14 @@ def test_distribution_rejects_bad_input():
             DiscreteDistribution(probs)
 
 
+@pytest.mark.cpu_bits
 def test_distribution_with_an_overflowing_total():
     assert DiscreteDistribution([1e308, 1e308]).probs.tolist() == [0.5, 0.5]
     big = DiscreteDistribution([1.7e308, 0.0, 1.7e308, 8.5e307])
     assert big.probs.tolist() == [0.4, 0.0, 0.4, 0.2]
 
 
+@pytest.mark.cpu_bits
 def test_distribution_with_a_finite_total_keeps_its_bits():
     gen = stream(23)
     for k in (1, 2, 7, 64, 1000):

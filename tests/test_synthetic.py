@@ -25,6 +25,18 @@ from hellcert.synthetic import (
 HELLINGER_DELTA_2 = 0.6272713450233213  # sqrt(1 - exp(-1/2)), mpmath
 
 
+def dual_certificate_of(net, x, y, budgets):
+    """The dual certificate as the sweep calls it: from one evaluation at x and L*."""
+    start = per_sample_losses_and_input_grads(net, x, y)
+    return wasserstein_dual_certificate(net, x, y, start, lipschitz_profile(net).l_star, budgets)
+
+
+def lipschitz_certificate_of(net, x, y, budgets):
+    """The Lipschitz certificate as the sweep calls it: from the mean loss at x and alpha_L."""
+    mean_loss = float(per_sample_losses(net, x, y).mean())
+    return lipschitz_certificate(mean_loss, lipschitz_profile(net).alpha[-1], budgets)
+
+
 @pytest.fixture(scope="module")
 def small_trained():
     data = sample_task(n_train=800, n_eval=2000, seed=4)
@@ -64,7 +76,7 @@ def test_maximize_penalized_linear_closed_form():
     def value_and_grad(x):
         return x @ a, np.tile(a, (x.shape[0], 1))
 
-    phi, x_star = maximize_penalized(value_and_grad, x0, gamma)
+    phi, x_star = maximize_penalized(value_and_grad, x0, gamma, value_and_grad(x0))
     expect_x = x0 + a / (2 * gamma)
     expect_phi = x0 @ a + (a @ a) / (4 * gamma)
     assert np.allclose(x_star, expect_x, atol=1e-7)
@@ -85,7 +97,8 @@ def test_maximize_penalized_evaluates_once_per_iteration():
         seen.append((ids.copy(), x.copy()))
         return -np.sum((x - c[ids]) ** 2, axis=1), -2.0 * (x - c[ids])
 
-    phi, x_star = maximize_penalized(value_and_grad, x0, gamma, row_args=(np.arange(6),))
+    ids = np.arange(6)
+    phi, x_star = maximize_penalized(value_and_grad, x0, gamma, value_and_grad(x0, ids), row_args=(ids,))
     assert len(seen) > 2
     assert [ids.size for ids, _ in seen] == sorted((ids.size for ids, _ in seen), reverse=True)
     assert seen[-1][0].size < 6
@@ -97,14 +110,14 @@ def test_maximize_penalized_evaluates_once_per_iteration():
     assert np.array_equal(phi, expect)
 
 
-def full_batch_ascent(value_and_grad, x0, gamma, max_steps=500, grad_tol=1e-6):
+def full_batch_ascent(value_and_grad, x0, gamma, max_steps=500):
     """The inner ascent before compaction: every row steps until the slowest converges."""
     x = x0.copy()
     step = 1.0 / (2.0 * gamma)
     for _ in range(max_steps):
         values, grads = value_and_grad(x)
         total_grad = grads - 2.0 * gamma * (x - x0)
-        if float(np.max(np.linalg.norm(total_grad, axis=1))) < grad_tol:
+        if float(np.max(np.linalg.norm(total_grad, axis=1))) < GRAD_TOL:
             break
         x = x + step * total_grad
     else:
@@ -115,11 +128,10 @@ def full_batch_ascent(value_and_grad, x0, gamma, max_steps=500, grad_tol=1e-6):
 def test_compacted_ascent_within_strong_concavity_bound_of_full_batch(small_trained):
     # gamma >= L* makes each inner problem (2 gamma - L*)-strongly concave, so
     # an iterate with total gradient g lies within |g|^2 / (2 gamma) of the
-    # maximum, and both ascents stop below grad_tol.
+    # maximum, and both ascents stop below GRAD_TOL.
     data, net = small_trained
     x, y = data.x_eval, data.y_eval
     grid = dual_gamma_grid(lipschitz_profile(net).l_star)
-    grad_tol = 1e-6
 
     def full(xb):
         return per_sample_losses_and_input_grads(net, xb, y)
@@ -130,15 +142,14 @@ def test_compacted_ascent_within_strong_concavity_bound_of_full_batch(small_trai
     start = rows(x, y)
     for gamma in grid[[0, 5, 11, 23]]:
         gamma = float(gamma)
-        ref_phi, _ = full_batch_ascent(full, x, gamma, grad_tol=grad_tol)
-        phi, x_star = maximize_penalized(rows, x, gamma, grad_tol=grad_tol, start=start,
-                                         row_args=(y,))
+        ref_phi, _ = full_batch_ascent(full, x, gamma)
+        phi, x_star = maximize_penalized(rows, x, gamma, start, row_args=(y,))
         gap = np.abs(phi - ref_phi)
-        assert np.all(gap <= grad_tol**2 / (2.0 * gamma) + 4.0 * np.spacing(np.abs(ref_phi)))
+        assert np.all(gap <= GRAD_TOL**2 / (2.0 * gamma) + 4.0 * np.spacing(np.abs(ref_phi)))
         # Every returned row is a stopping point in its own right.
         values, grads = full(x_star)
         total_grad = grads - 2.0 * gamma * (x_star - x)
-        assert np.all(np.linalg.norm(total_grad, axis=1) < grad_tol)
+        assert np.all(np.linalg.norm(total_grad, axis=1) < GRAD_TOL)
         assert np.all(phi >= start[0])
 
 
@@ -151,29 +162,7 @@ def test_compacted_ascent_raises_when_rows_still_move(small_trained):
         return per_sample_losses_and_input_grads(net, xb, yb)
 
     with pytest.raises(InnerAscentError, match="stalled"):
-        maximize_penalized(rows, x, gamma, max_steps=2, row_args=(y,))
-
-
-def test_dual_certificate_evaluates_x0_once_per_network(monkeypatch):
-    at_x0 = collections.Counter()
-    dual_points = []  # the x of each dual certificate, one per network
-    input_grads = synthetic.per_sample_losses_and_input_grads
-    dual = synthetic.wasserstein_dual_certificate
-
-    def recorded_dual(net, x, y, budgets, grid=None):
-        dual_points.append(x)
-        return dual(net, x, y, budgets, grid)
-
-    def counted(net, xb, yb, workspace=None):
-        if xb.shape == dual_points[-1].shape and np.array_equal(xb, dual_points[-1]):
-            at_x0[len(dual_points)] += 1
-        return input_grads(net, xb, yb, workspace)
-
-    monkeypatch.setattr(synthetic, "per_sample_losses_and_input_grads", counted)
-    monkeypatch.setattr(synthetic, "wasserstein_dual_certificate", recorded_dual)
-    compare_certificates(widths=(2, 3), depths=(1,), delta_grid=(0.5,), seed=3,
-                         n_train=200, n_eval=300, train_steps=100)
-    assert at_x0 == {1: 1, 2: 1}
+        maximize_penalized(rows, x, gamma, rows(x, y), row_args=(y,), max_steps=2)
 
 
 def test_dual_gamma_grid_spans_concave_regime():
@@ -184,20 +173,11 @@ def test_dual_gamma_grid_spans_concave_regime():
     assert np.all(np.diff(grid) > 0)
 
 
-def test_dual_certificate_rejects_nonconcave_gamma(small_trained):
-    data, net = small_trained
-    l_star = lipschitz_profile(net).l_star
-    with pytest.raises(ValueError, match="concave"):
-        wasserstein_dual_certificate(
-            net, data.x_eval[:50], data.y_eval[:50], [0.1], [l_star * 0.5]
-        )
-
-
 def test_dual_certificate_zero_budget_limit(small_trained):
     data, net = small_trained
     x, y = data.x_eval[:500], data.y_eval[:500]
     emp = float(per_sample_losses(net, x, y).mean())
-    (cert,) = wasserstein_dual_certificate(net, x, y, [0.01**2])
+    (cert,) = dual_certificate_of(net, x, y, [0.01**2])
     assert cert >= emp - 1e-9  # phi_gamma >= loss at the data point
     assert abs(cert - emp) <= 0.02
 
@@ -209,14 +189,13 @@ def test_dual_certificate_adds_each_gammas_ascent_shortfall(small_trained):
     x, y = data.x_eval[:300], data.y_eval[:300]
     grid = dual_gamma_grid(lipschitz_profile(net).l_star)
     budgets = [0.0, 0.25, 1.0]
-    certs = wasserstein_dual_certificate(net, x, y, budgets, grid)
+    certs = dual_certificate_of(net, x, y, budgets)
 
     def rows(xb, yb):
         return per_sample_losses_and_input_grads(net, xb, yb)
 
     start = rows(x, y)
-    means = [float(maximize_penalized(rows, x, float(g), grad_tol=GRAD_TOL, start=start,
-                                      row_args=(y,))[0].mean()) for g in grid]
+    means = [float(maximize_penalized(rows, x, float(g), start, row_args=(y,))[0].mean()) for g in grid]
     for b, cert in zip(budgets, certs):
         assert cert == min(float(g) * b + m + GRAD_TOL * GRAD_TOL / (2.0 * float(g))
                            for g, m in zip(grid, means))
@@ -225,8 +204,7 @@ def test_dual_certificate_adds_each_gammas_ascent_shortfall(small_trained):
 def test_dual_certificate_monotone_in_budget(small_trained):
     data, net = small_trained
     x, y = data.x_eval[:300], data.y_eval[:300]
-    grid = dual_gamma_grid(lipschitz_profile(net).l_star)
-    values = wasserstein_dual_certificate(net, x, y, [0.0, 0.1, 0.5, 2.0], grid)
+    values = dual_certificate_of(net, x, y, [0.0, 0.1, 0.5, 2.0])
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -234,7 +212,7 @@ def test_lipschitz_certificate_form(small_trained):
     data, net = small_trained
     x, y = data.x_eval[:400], data.y_eval[:400]
     emp = float(per_sample_losses(net, x, y).mean())
-    c0, c1, c2 = lipschitz_certificate(net, x, y, [0.0, 1.0, 2.0])
+    c0, c1, c2 = lipschitz_certificate_of(net, x, y, [0.0, 1.0, 2.0])
     assert c0 == pytest.approx(emp, abs=1e-15)
     # Linear in the budget with slope = head constant * product of norms.
     l0, _ = jsd_head_constants()
@@ -249,86 +227,106 @@ def test_gramian_certificate_depends_only_on_loss_statistics(small_trained):
     for width, seed in ((2, 14), (8, 15)):
         net = SmallNetwork.initialize(hidden=(width, width), seed=seed)
         net = train_network(net, data.x_train, data.y_train, steps=200).network
-        (cert,) = gramian_certificate_on_task(net, data.x_eval, data.y_eval, [0.5], 0.01)
         losses = per_sample_losses(net, data.x_eval, data.y_eval)
+        valid, (cert,) = gramian_certificate_on_task(losses, [0.5], 0.01)
         _, rho = shift_distances(0.5)
         replay = corollary_upper_bound(
             EmpiricalSample(losses, 1.0), rho, ConfidenceBudget(0.01)
         )
         assert cert.bound == replay.bound
         assert cert.radius == rho
+        assert valid == cert.max_valid_radius == replay.max_valid_radius
 
 
 def test_gramian_certificate_monotone_in_shift(small_trained):
     data, net = small_trained
-    reports = gramian_certificate_on_task(net, data.x_eval, data.y_eval, [0.0, 0.3, 0.8, 1.5], 0.01)
+    losses = per_sample_losses(net, data.x_eval, data.y_eval)
+    _, reports = gramian_certificate_on_task(losses, [0.0, 0.3, 0.8, 1.5], 0.01)
     bounds = [r.bound for r in reports]
     assert all(b >= a - 1e-12 for a, b in zip(bounds, bounds[1:]))
     # Zero dislocation collapses to the radius-0 certificate: the mean loss.
-    emp = float(per_sample_losses(net, data.x_eval, data.y_eval).mean())
-    assert bounds[0] == emp
+    assert bounds[0] == float(losses.mean())
 
 
 def test_dual_certificate_grid_entries_match_one_element_calls(small_trained):
     data, net = small_trained
     x, y = data.x_eval[:200], data.y_eval[:200]
-    grid = dual_gamma_grid(lipschitz_profile(net).l_star)
     budgets = np.array([0.0, 0.25, 1.0, 4.0])
-    certs = wasserstein_dual_certificate(net, x, y, budgets, grid)
+    certs = dual_certificate_of(net, x, y, budgets)
     assert certs.shape == budgets.shape
     for b, cert in zip(budgets, certs):
-        assert [cert] == list(wasserstein_dual_certificate(net, x, y, [b], grid))
+        assert [cert] == list(dual_certificate_of(net, x, y, [b]))
     with pytest.raises(ValueError, match="non-negative"):
-        wasserstein_dual_certificate(net, x, y, np.array([0.5, -1e-9, 1.0]), grid)
+        dual_certificate_of(net, x, y, np.array([0.5, -1e-9, 1.0]))
 
 
 def test_lipschitz_and_gramian_grid_entries_match_one_element_calls(small_trained):
     data, net = small_trained
     x, y = data.x_eval[:300], data.y_eval[:300]
+    losses = per_sample_losses(net, x, y)
     deltas = [0.0, 0.3, 1.5]
-    lips = lipschitz_certificate(net, x, y, np.array(deltas))
-    grams = gramian_certificate_on_task(net, x, y, deltas, 0.01)
+    lips = lipschitz_certificate_of(net, x, y, np.array(deltas))
+    valid, grams = gramian_certificate_on_task(losses, deltas, 0.01)
     assert lips.shape == (3,) and len(grams) == 3
     for d, lip, gram in zip(deltas, lips, grams):
-        assert [lip] == list(lipschitz_certificate(net, x, y, [d]))
-        (single,) = gramian_certificate_on_task(net, x, y, [d], 0.01)
+        assert [lip] == list(lipschitz_certificate_of(net, x, y, [d]))
+        (single,) = gramian_certificate_on_task(losses, [d], 0.01)[1]
         assert (gram.radius, gram.raw_bound, gram.bound) == (single.radius, single.raw_bound, single.bound)
     # A radius beyond the Gramian validity radius costs only its own entry.
     beyond = [0.3, 50.0]
-    mixed = gramian_certificate_on_task(net, x, y, beyond, 0.01)
+    mixed = gramian_certificate_on_task(losses, beyond, 0.01)[1]
     assert mixed[0].bound == grams[1].bound and mixed[1] is None
-    assert gramian_certificate_on_task(net, x, y, [50.0], 0.01) == [None]
+    assert gramian_certificate_on_task(losses, [50.0], 0.01) == (valid, [None])
     with pytest.raises(ValueError, match="non-negative"):
-        lipschitz_certificate(net, x, y, np.array([0.5, -1e-9]))
+        lipschitz_certificate_of(net, x, y, np.array([0.5, -1e-9]))
 
 
 def test_compare_certificates_evaluates_unshifted_losses_once_per_certificate(monkeypatch):
-    losses_calls, profile_calls = collections.Counter(), collections.Counter()
-    nets = []  # holds every network, so no id is reused
-    losses, profile = synthetic.per_sample_losses, synthetic.lipschitz_profile
+    # One evaluation of each network on the unshifted set, losses and input
+    # gradients, and one Lipschitz profile serve all three certificates.
+    losses_calls, grads_calls, profile_calls = (collections.Counter() for _ in range(3))
+    nets, x_eval = [], []  # every network, so no id is reused; the unshifted set
+    losses, input_grads = synthetic.per_sample_losses, synthetic.per_sample_losses_and_input_grads
+    profile, sample = synthetic.lipschitz_profile, synthetic.sample_task
+
+    def recorded_sample(*args):
+        data = sample(*args)
+        x_eval.append(data.x_eval)
+        return data
 
     def counted_losses(net, x, y):
         nets.append(net)
-        losses_calls[id(net), x.tobytes()] += 1
+        losses_calls[id(net), x.tobytes() == x_eval[0].tobytes()] += 1
         return losses(net, x, y)
+
+    def counted_grads(net, x, y, workspace=None):
+        nets.append(net)
+        if x.shape == x_eval[0].shape and np.array_equal(x, x_eval[0]):
+            grads_calls[id(net)] += 1
+        return input_grads(net, x, y, workspace)
 
     def counted_profile(net):
         nets.append(net)
         profile_calls[id(net)] += 1
         return profile(net)
 
+    monkeypatch.setattr(synthetic, "sample_task", recorded_sample)
     monkeypatch.setattr(synthetic, "per_sample_losses", counted_losses)
+    monkeypatch.setattr(synthetic, "per_sample_losses_and_input_grads", counted_grads)
     monkeypatch.setattr(synthetic, "lipschitz_profile", counted_profile)
     delta_grid = (0.01, 0.5, 1.0)
     compare_certificates(
         widths=(2, 3), depths=(1,), delta_grid=delta_grid, seed=3,
         n_train=200, n_eval=300, train_steps=100,
     )
-    # Per network: each shifted set once, and the unshifted set once for the
-    # Gramian and once for the Lipschitz certificate, whatever the grid size.
-    assert sorted(losses_calls.values()) == [1] * 6 + [2] * 2
-    # One profile for the dual's concavity check, one for the Lipschitz slope.
-    assert list(profile_calls.values()) == [2, 2]
+    # Per network: each shifted set once by per_sample_losses, the unshifted
+    # set never; the unshifted set once with its input gradients, whatever
+    # the grid size; and one profile.
+    assert sorted(losses_calls.values()) == [3, 3]
+    assert not any(unshifted for _, unshifted in losses_calls)
+    assert list(grads_calls.values()) == [1, 1]
+    assert list(profile_calls.values()) == [1, 1]
+    assert set(grads_calls) == set(profile_calls) == {net for net, _ in losses_calls}
 
 
 def test_compare_certificates_solves_each_inner_ascent_once_per_network(monkeypatch):
@@ -340,9 +338,9 @@ def test_compare_certificates_solves_each_inner_ascent_once_per_network(monkeypa
         calls.append((len(duals), args[2]))  # (network, gamma)
         return ascent(*args, **kwargs)
 
-    def recorded_dual(net, x, y, budgets, grid=None):
-        duals.append((net, x, y, grid))
-        return dual(net, x, y, budgets, grid)
+    def recorded_dual(net, x, y, start, l_star, budgets):
+        duals.append((net, x, y, start, l_star))
+        return dual(net, x, y, start, l_star, budgets)
 
     monkeypatch.setattr(synthetic, "maximize_penalized", counted_ascent)
     monkeypatch.setattr(synthetic, "wasserstein_dual_certificate", recorded_dual)
@@ -355,5 +353,7 @@ def test_compare_certificates_solves_each_inner_ascent_once_per_network(monkeypa
     assert len(calls) == 2 * synthetic.DUAL_GRID_POINTS
     assert len(set(calls)) == len(calls)  # one call per gamma per network
     for k, row in enumerate(rows):
-        net, x, y, grid = duals[k // len(delta_grid)]
-        assert [row.dual_cert] == list(dual(net, x, y, [row.norm_delta**2], grid))
+        net, x, y, start, l_star = duals[k // len(delta_grid)]
+        assert l_star == lipschitz_profile(net).l_star
+        assert [row.dual_cert] == list(dual(net, x, y, start, l_star, [row.norm_delta**2]))
+        assert [row.dual_cert] == list(dual_certificate_of(net, x, y, [row.norm_delta**2]))
