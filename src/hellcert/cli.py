@@ -195,11 +195,10 @@ def _cmd_oracle(args):
         raise ValueError(f"bad instance file: {exc}") from None
     sup = worst_case_sup(inst)
     inf = worst_case_inf(inst)
-    mean = float(inst.p.probs @ inst.losses)
-    variance = float(inst.p.probs @ (inst.losses - mean) ** 2)
+    mean, variance = inst.moments()
     stats = LossStatistics(mean, variance, inst.ceiling)
     lower, lower_trivial, upper, upper_trivial = certificate_band(stats, inst.rho)
-    report = base_report("oracle", None, {"duality_gap_tol": GAP_TOL})
+    report = base_report("oracle", None, {"duality_gap_tol": GAP_TOL * inst.ceiling})
     report.update(
         instance=json.loads(inst.to_json()),
         sup=_extremum(sup, "maximizer"),

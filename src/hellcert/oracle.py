@@ -94,6 +94,18 @@ class DiscreteInstance:
         object.__setattr__(self, "ceiling", float(ceiling))
         object.__setattr__(self, "rho", float(rho))
 
+    def moments(self) -> tuple[float, float]:
+        """Mean and variance of the losses under p, summed by ``np.add.reduce``, not BLAS.
+
+        The mean is clamped into [min loss, max loss], where the exact mean
+        lies: with every loss at M, rounding can otherwise put it above M.
+        """
+        p, losses = self.p.probs, self.losses
+        mean = float(np.add.reduce(p * losses))
+        mean = min(max(mean, float(np.minimum.reduce(losses))), float(np.maximum.reduce(losses)))
+        dev = losses - mean
+        return mean, float(np.add.reduce(p * (dev * dev)))
+
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -132,6 +144,17 @@ def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float):
     pays more per call.  ``test_oracle.py`` keeps the ``@`` form as a
     reference and checks that both give the same bits wherever the
     reference stays inside the float range.
+
+    Every reduction on this path, and in ``_sign_solve`` and
+    ``DiscreteDistribution``, calls the ufunc's ``reduce`` (``np.add.reduce``,
+    ``np.maximum.reduce``, ``np.minimum.reduce``), never the ndarray method
+    (``.sum()``, ``.max()``, ``.any()``), whose Python wrapper adds about a
+    microsecond at a few dozen points; the bits are the same.  With every
+    p_i > 0 the support needs no boolean compress.  On the benchmark's seed-1
+    oracle round (2-core AVX-512 box, Python 3.11.7, NumPy 2.4.6) a sup+inf
+    operation spends about 52 us in its 6.7 KKT evaluations; everything else
+    took about 60 us and takes about 48 us with these rules, so the KKT
+    share of its CPU rose from 47% to 53%.
     """
     e = rho * rho * (2.0 - rho * rho)  # 1 - c^2 without cancellation
     if e == 0.0:  # rho = 0, or so small that rho^2 underflows: the ball is {p}
@@ -140,21 +163,25 @@ def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float):
     # Feasibility of the unconstrained optimum: all mass on the max-loss
     # coordinates, distributed proportionally to p (maximizes affinity).
     # sqrt(top mass) >= c is tested as (mass off the top) <= 1 - c^2.
-    lmax = float(losses.max())
+    lmax = float(np.maximum.reduce(losses))
     top = losses >= lmax
-    top_on_support = p[top].any()
-    off_top = float(p[~top].sum())
+    on_support = np.minimum.reduce(p) > 0.0
+    top_on_support = on_support or np.maximum.reduce(p[top]) > 0.0
+    off_top = float(np.add.reduce(p[~top]))
     if off_top <= e:
-        q = np.where(top, p, 0.0) if top_on_support else top / top.sum()
-        return q / q.sum(), 0.0, 0
+        q = np.where(top, p, 0.0) if top_on_support else top / np.add.reduce(top)
+        return q / np.add.reduce(q), 0.0, 0
 
     # nu = lmax + t, so nu - loss = t + d is exact on the max-loss points
     # however close to lmax the root lies (a tiny p there puts it very close).
-    support = p > 0.0
-    p_s = p[support]
-    d = lmax - losses[support]
+    if on_support:
+        p_s, d = p, lmax - losses
+    else:
+        support = p > 0.0
+        p_s = p[support]
+        d = lmax - losses[support]
 
-    dmax = float(d.max())
+    dmax = float(np.maximum.reduce(d))
 
     def kkt_at(t):
         """r = k / (nu - loss), S, k^2 T, 1 - affinity^2 and a Newton step at nu = lmax + t.
@@ -275,18 +302,23 @@ def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float):
     # Primal at the feasible end; g(nu) - E_q[loss] = S/T - c^2/S equals
     # (1 - c^2 - deficit) / S, evaluated without cancelling nu against itself.
     r, s, t2, deficit, _ = at_hi
-    q = np.zeros_like(p)
-    q[support] = p_s * r * r / t2
+    if on_support:
+        q = p * r
+        q *= r
+        q /= t2
+    else:
+        q = np.zeros_like(p)
+        q[support] = p_s * r * r / t2
     return q, max((e - deficit) / s, 0.0), steps
 
 
 def _sign_solve(inst: DiscreteInstance, sign: float) -> OracleResult:
-    q, gap, steps = _solve_max(inst.p.probs, sign * inst.losses, inst.rho)
+    q, gap, steps = _solve_max(inst.p.probs, inst.losses if sign > 0.0 else -inst.losses, inst.rho)
     if gap > GAP_TOL * inst.ceiling:
         raise OracleGapError(inst, gap)
-    maximizer = DiscreteDistribution(q)
+    maximizer = DiscreteDistribution._normalized(q)
     # Report the exact expectation under the (renormalized) extremizer.
-    value = float((maximizer.probs * inst.losses).sum())
+    value = float(np.add.reduce(maximizer.probs * inst.losses))
     return OracleResult(value=value, maximizer=maximizer, method="kkt_dual", certified_gap=gap,
                         root_steps=steps)
 

@@ -39,9 +39,9 @@ class DiscreteDistribution:
         if probs.ndim != 1 or probs.size < 1:
             raise ValueError("probs must be a non-empty 1-d vector")
         total = math.nan
-        if probs.min() >= 0.0:  # False on NaN as well
+        if np.minimum.reduce(probs) >= 0.0:  # False on NaN as well
             with np.errstate(over="ignore"):
-                total = float(probs.sum())
+                total = float(np.add.reduce(probs))
         if not 0.0 < total < math.inf:
             if not np.isfinite(probs).all():
                 raise ValueError("probs must be finite")
@@ -54,6 +54,16 @@ class DiscreteDistribution:
         probs = probs / total
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
+
+    @classmethod
+    def _normalized(cls, masses: np.ndarray) -> "DiscreteDistribution":
+        """``DiscreteDistribution(masses)`` for masses known finite and
+        non-negative, with a finite positive total: the same division, no checks."""
+        probs = masses / np.add.reduce(masses)
+        probs.setflags(write=False)
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "probs", probs)
+        return dist
 
     def __len__(self) -> int:
         return self.probs.size

