@@ -81,13 +81,16 @@ def integer_list(text):
 
 
 def grid(text):
-    """'0.1,0.2,0.3' or 'start:stop:step' (stop inclusive up to rounding)."""
+    """'0.1,0.2,0.3' or 'start:stop:step', which ends at the last point not
+    beyond stop, up to rounding."""
     if ":" not in text:
         return [float(v) for v in text.split(",")]
     start, stop, step = (float(v) for v in text.split(":"))
     if not (step > 0 and math.isfinite((stop - start) / step)):
         raise argparse.ArgumentTypeError(f"{text!r}: step must be positive and the range finite")
-    n = int(round((stop - start) / step)) + 1
+    # Floor the count, so that no point lies beyond stop, allowing a quotient
+    # rounded just below a whole number ((0.6 - 0.2) / 0.2 is 1.9999999999999998).
+    n = math.floor((stop - start) / step * (1.0 + 1e-9)) + 1
     if n < 1:
         raise argparse.ArgumentTypeError(f"{text!r} has no points")
     return [start + i * step for i in range(n)]

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,6 +74,7 @@ class DiscreteInstance:
     losses: np.ndarray
     ceiling: float
     rho: float
+    loss_range: tuple[float, float] = field(init=False, repr=False, compare=False)  # (min, max)
 
     def __init__(self, p, losses, ceiling: float, rho: float):
         if not isinstance(p, DiscreteDistribution):
@@ -83,7 +84,8 @@ class DiscreteInstance:
             raise ValueError("losses must match the support size")
         if not (ceiling > 0 and math.isfinite(ceiling)):
             raise ValueError(f"ceiling must be positive and finite, got {ceiling}")
-        if not (losses.min() >= 0.0 and losses.max() <= ceiling):  # False on NaN as well
+        low, high = float(np.minimum.reduce(losses)), float(np.maximum.reduce(losses))
+        if not (low >= 0.0 and high <= ceiling):  # False on NaN as well
             raise ValueError(f"losses must lie in [0, {ceiling}]")
         if not (0.0 <= rho <= 1.0):
             raise ValueError(f"rho must lie in [0, 1], got {rho}")
@@ -93,6 +95,7 @@ class DiscreteInstance:
         object.__setattr__(self, "losses", losses)
         object.__setattr__(self, "ceiling", float(ceiling))
         object.__setattr__(self, "rho", float(rho))
+        object.__setattr__(self, "loss_range", (low, high))
 
     def moments(self) -> tuple[float, float]:
         """Mean and variance of the losses under p, summed by ``np.add.reduce``, not BLAS.
@@ -101,8 +104,8 @@ class DiscreteInstance:
         lies: with every loss at M, rounding can otherwise put it above M.
         """
         p, losses = self.p.probs, self.losses
-        mean = float(np.add.reduce(p * losses))
-        mean = min(max(mean, float(np.minimum.reduce(losses))), float(np.maximum.reduce(losses)))
+        low, high = self.loss_range
+        mean = min(max(float(np.add.reduce(p * losses)), low), high)
         dev = losses - mean
         return mean, float(np.add.reduce(p * (dev * dev)))
 
@@ -317,8 +320,11 @@ def _sign_solve(inst: DiscreteInstance, sign: float) -> OracleResult:
     if gap > GAP_TOL * inst.ceiling:
         raise OracleGapError(inst, gap)
     maximizer = DiscreteDistribution._normalized(q)
-    # Report the exact expectation under the (renormalized) extremizer.
-    value = float(np.add.reduce(maximizer.probs * inst.losses))
+    # Report the expectation under the (renormalized) extremizer, clamped into
+    # the loss range, where the exact one lies: with every loss at M, the
+    # masses' rounded sum can otherwise put it above M.
+    low, high = inst.loss_range
+    value = min(max(float(np.add.reduce(maximizer.probs * inst.losses)), low), high)
     return OracleResult(value=value, maximizer=maximizer, method="kkt_dual", certified_gap=gap,
                         root_steps=steps)
 

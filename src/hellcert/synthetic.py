@@ -12,7 +12,9 @@ common axis:
   Hellinger radius, blind to the network internals;
 * the dual certificate: min over gamma >= L* of gamma * budget + mean of the
   per-point penalized maxima sup_x {loss(x) - gamma ||x - x0||^2} (concave
-  inner problems because gamma dominates the gradient Lipschitz constant);
+  inner problems because gamma dominates the gradient Lipschitz constant),
+  scanned upward over the gamma grid until convexity in gamma proves that
+  no later gamma can lower any budget's minimum;
 * the Lipschitz certificate: empirical loss plus loss Lipschitz constant
   times transport distance.
 
@@ -184,6 +186,15 @@ def wasserstein_dual_certificate(net: SmallNetwork, x: np.ndarray, y_idx: np.nda
     budgets in the units of the cost ||x - x0||^2 (a dislocation delta has
     budget ||delta||^2), one certificate each; the penalized maxima do not
     depend on the budget, so each gamma's inner ascent runs once.
+
+    The scan goes up the grid and stops once every budget has risen:
+    T(gamma) = gamma * budget + mean sup_x {loss(x) - gamma ||x - x0||^2}, a
+    sup of functions affine in gamma, is convex, and each computed value
+    lies in [T, T + shortfall], so a value above the previous gamma's by at
+    least both shortfalls proves T rose past that previous value, which by
+    convexity no later gamma's value can go below: the full scan's bits.  A
+    zero budget's T falls with gamma and never rises, so it scans it all;
+    an infinite budget's value is infinite at once and counts as risen.
     """
     budgets = _budgets(shift_budgets)
     y_idx = np.asarray(y_idx)
@@ -192,11 +203,18 @@ def wasserstein_dual_certificate(net: SmallNetwork, x: np.ndarray, y_idx: np.nda
     def value_and_grad(xb, yb):
         return per_sample_losses_and_input_grads(net, xb, yb, workspace)
 
-    best = np.full(budgets.shape, math.inf)
+    best = last = np.full(budgets.shape, math.inf)
+    last_shortfall = 0.0
+    risen = np.zeros(budgets.shape, dtype=bool)
     for gamma in map(float, dual_gamma_grid(l_star)):
         phi, _ = maximize_penalized(value_and_grad, x, gamma, start, row_args=(y_idx,))
         shortfall = GRAD_TOL * GRAD_TOL / (2.0 * gamma)
-        best = np.minimum(best, gamma * budgets + float(phi.mean()) + shortfall)
+        values = gamma * budgets + float(phi.mean()) + shortfall
+        best = np.minimum(best, values)
+        risen |= values >= last + (shortfall + last_shortfall)  # inf >= inf: a vacuous budget
+        if risen.all():
+            break
+        last, last_shortfall = values, shortfall
     return best
 
 

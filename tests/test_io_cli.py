@@ -314,7 +314,7 @@ def test_oracle_with_every_loss_at_the_ceiling_exits_0(tmp_path, capsys):
     code, rep = run_report(tmp_path, ["oracle", str(inst)])
     assert code == 0 and capsys.readouterr().err == ""
     assert rep["certificates"]["mean"] == 1.0 and rep["certificates"]["variance"] == 0.0
-    assert rep["sup"]["value"] == pytest.approx(1.0, abs=1e-15) == rep["inf"]["value"]
+    assert rep["sup"]["value"] == 1.0 == rep["inf"]["value"]
 
 
 def test_oracle_bad_instance(tmp_path):
@@ -368,6 +368,38 @@ def test_gamma_grid_parser_colon_form(tmp_path):
     )
     assert code == 0
     assert rep["gamma_grid"] == pytest.approx([0.2, 0.4, 0.6])
+
+
+@pytest.mark.parametrize("text, n", [("0.05:1.0:0.05", 20), ("0.1:0.9:0.2", 5), ("0.2:0.6:0.2", 3)])
+def test_grid_keeps_a_stop_the_quotient_rounds_past(text, n):
+    start, _, step = map(float, text.split(":"))
+    assert cli.grid(text) == [start + i * step for i in range(n)]
+
+
+def test_gamma_grid_stops_at_or_before_its_stop(tmp_path):
+    # 1 / 0.06 is 16.7: the grid ends at 0.96, not at a gamma of 1.02 beyond [0, 1].
+    csv = tmp_path / "mix.csv"
+    code, rep = run_report(
+        tmp_path,
+        ["mixture", "--gamma-grid", "0:1:0.06", "--samples", "50", "--csv", str(csv)],
+    )
+    assert code == 0
+    assert rep["gamma_grid"] == [i * 0.06 for i in range(17)]
+
+
+def test_delta_grid_stops_at_or_before_its_stop(tmp_path):
+    # 2 / 0.3 is 6.7: no shift beyond 2 is certified.
+    csv_path = tmp_path / "sweep.csv"
+    args = [
+        "synthetic-compare", "--widths", "2", "--depths", "1",
+        "--delta-grid", "0:2:0.3", "--seed", "3", "--n-train", "200",
+        "--n-eval", "300", "--train-steps", "100", "--csv", str(csv_path),
+    ]
+    code, _ = run_report(tmp_path, args)
+    assert code == 0
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        deltas = [float(row["norm_delta"]) for row in csv.DictReader(fh)]
+    assert deltas == [i * 0.3 for i in range(7)]
 
 
 def test_synthetic_compare_command_small(tmp_path):

@@ -201,6 +201,55 @@ def test_dual_certificate_adds_each_gammas_ascent_shortfall(small_trained):
                            for g, m in zip(grid, means))
 
 
+def counted_ascents(monkeypatch):
+    """The gammas of the inner ascents the dual certificate runs from here on, in order."""
+    gammas = []
+
+    def counted(*args, **kwargs):
+        gammas.append(args[2])
+        return maximize_penalized(*args, **kwargs)
+
+    monkeypatch.setattr(synthetic, "maximize_penalized", counted)
+    return gammas
+
+
+def test_dual_certificate_stops_the_gamma_scan_with_the_same_bits(small_trained, monkeypatch):
+    # gamma * b + phi(gamma) is convex in gamma, and each computed value lies
+    # within its shortfall above it: once every budget's value has risen by
+    # at least two shortfalls, no later gamma can lower its minimum.
+    data, net = small_trained
+    x, y = data.x_eval[:300], data.y_eval[:300]
+    grid = [float(g) for g in dual_gamma_grid(lipschitz_profile(net).l_star)]
+    budgets = [1e-4, 0.25, 4.0]
+
+    def rows(xb, yb):
+        return per_sample_losses_and_input_grads(net, xb, yb)
+
+    start = rows(x, y)
+    means = [float(maximize_penalized(rows, x, g, start, row_args=(y,))[0].mean()) for g in grid]
+    full_scan = [min(g * b + m + GRAD_TOL * GRAD_TOL / (2.0 * g) for g, m in zip(grid, means))
+                 for b in budgets]
+    gammas = counted_ascents(monkeypatch)
+    assert list(dual_certificate_of(net, x, y, budgets)) == full_scan
+    assert 0 < len(gammas) < len(grid)
+    assert gammas == grid[:len(gammas)]
+    # An infinite budget (a squared shift past the float range) does not hold the scan up.
+    assert list(dual_certificate_of(net, x, y, budgets + [math.inf])) == full_scan + [math.inf]
+    assert gammas == 2 * grid[:len(gammas) // 2]
+    gammas.clear()
+    assert list(dual_certificate_of(net, x, y, [math.inf])) == [math.inf]
+    assert gammas == grid[:1]
+
+
+def test_dual_certificate_scans_every_gamma_for_a_zero_budget(small_trained, monkeypatch):
+    # At budget 0 the objective phi(gamma) falls with gamma, so it never rises.
+    data, net = small_trained
+    x, y = data.x_eval[:300], data.y_eval[:300]
+    gammas = counted_ascents(monkeypatch)
+    dual_certificate_of(net, x, y, [0.0, 0.25, 4.0])
+    assert gammas == [float(g) for g in dual_gamma_grid(lipschitz_profile(net).l_star)]
+
+
 def test_dual_certificate_monotone_in_budget(small_trained):
     data, net = small_trained
     x, y = data.x_eval[:300], data.y_eval[:300]
@@ -350,7 +399,9 @@ def test_compare_certificates_solves_each_inner_ascent_once_per_network(monkeypa
         n_train=200, n_eval=300, train_steps=100,
     )
     assert len(duals) == 2 and len(rows) == 2 * len(delta_grid)
-    assert len(calls) == 2 * synthetic.DUAL_GRID_POINTS
+    for k, (_, _, _, _, l_star) in enumerate(duals):  # each network's scan stops early or not
+        gammas = [gamma for n, gamma in calls if n == k + 1]
+        assert gammas == [float(g) for g in dual_gamma_grid(l_star)[:len(gammas)]]
     assert len(set(calls)) == len(calls)  # one call per gamma per network
     for k, row in enumerate(rows):
         net, x, y, start, l_star = duals[k // len(delta_grid)]
