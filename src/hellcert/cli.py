@@ -80,19 +80,26 @@ def integer_list(text):
     return [int(v) for v in text.split(",")]
 
 
+GRID_POINTS_MAX = 10**6
+
+
 def grid(text):
     """'0.1,0.2,0.3' or 'start:stop:step', which ends at the last point not
-    beyond stop, up to rounding."""
+    beyond stop, up to rounding, and has at most GRID_POINTS_MAX points."""
     if ":" not in text:
         return [float(v) for v in text.split(",")]
     start, stop, step = (float(v) for v in text.split(":"))
-    if not (step > 0 and math.isfinite((stop - start) / step)):
+    quotient = (stop - start) / step if step > 0 else math.nan
+    if not math.isfinite(quotient):
         raise argparse.ArgumentTypeError(f"{text!r}: step must be positive and the range finite")
     # Floor the count, so that no point lies beyond stop, allowing a quotient
     # rounded just below a whole number ((0.6 - 0.2) / 0.2 is 1.9999999999999998).
-    n = math.floor((stop - start) / step * (1.0 + 1e-9)) + 1
+    # The cap keeps a quotient near the float maximum from overflowing.
+    n = math.floor(min(quotient, GRID_POINTS_MAX) * (1.0 + 1e-9)) + 1
     if n < 1:
         raise argparse.ArgumentTypeError(f"{text!r} has no points")
+    if n > GRID_POINTS_MAX:
+        raise argparse.ArgumentTypeError(f"{text!r} has more than {GRID_POINTS_MAX} points")
     return [start + i * step for i in range(n)]
 
 

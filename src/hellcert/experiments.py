@@ -126,6 +126,8 @@ def label_shift_experiment(
             elif mech == "class_removal":
                 n_remove = int(gen.integers(1, k))
                 q[:k] = priors
+                # Only the chosen set matters, but shuffle=False is no same-bits saving:
+                # for k > 10,000 NumPy also picks another algorithm on it, and so another set.
                 q[gen.choice(k, size=n_remove, replace=False)] = 0.0
                 q[:k] /= q[:k].sum()
             else:

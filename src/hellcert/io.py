@@ -10,7 +10,11 @@ Files are UTF-8, split into lines at ``\\n`` alone.  Blank lines are skipped
 and whitespace around a line or a CSV field is ignored, so CRLF endings read
 like LF ones.  Each reader first parses a file in one vectorized pass: one
 ``np.loadtxt`` call for a CSV body, the JSON C scanner over each stripped line
-of a JSONL file, keeping only their numbers.  Whatever that pass cannot take (it
+of a JSONL file, keeping only their numbers.  Loadtxt is given the CSV file's
+path, so that its C reader takes the text in chunks rather than one line at a
+time.  It reads with universal newlines, so a binary screen first keeps from
+it a file with a ``\\r`` that no ``\\n`` follows, as well as a file that is
+not regular.  Whatever that pass cannot take (it
 raises or warns) is parsed again line by line, and only that parser reports
 errors, with the file and the 1-based number of the first bad line.  All
 emitted numbers carry 17 significant digits (lossless for binary64) and JSON
@@ -25,6 +29,7 @@ import itertools
 import json
 import math
 import operator
+import os
 import warnings
 from typing import Iterable
 
@@ -108,19 +113,46 @@ def detect_format(path) -> str:
     raise InputFormatError(path, 1, f"unrecognized header {first!r}")
 
 
+_SCREEN_BYTES = 1 << 20
+
+
 def _loadtxt(path, fields):
     """One array per field: the CSV body in one ``np.loadtxt`` call, one record per line.
 
+    Loadtxt is given the file's path, not an open handle: from a path its C
+    reader takes the text in large chunks, where from a handle it takes one
+    Python string per line.  It opens that path with universal newlines, which
+    end a line at a lone ``\\r`` as well, where :func:`_lines` splits at
+    ``\\n`` alone.  So one binary pass first checks the header line and
+    screens each chunk for a ``\\r`` that no ``\\n`` follows; such a file, like
+    one that is not regular (it may be readable only once), is left to the
+    per-line parser.  CRLF endings pass.  The path is made absolute, so that
+    NumPy's ``_datasource``, which opens it, cannot take it for a URL.  It
+    picks a decompressor by extension, so a plain file named ``*.gz`` fails
+    in loadtxt and a compressed one fails the header check.
+
     The record dtype makes loadtxt reject a line with another number of
-    columns.  The handle splits lines at ``\\n`` alone, as :func:`_lines` does,
-    so loadtxt raises on a ``\\r`` inside a line.  It decodes ASCII alone,
-    because loadtxt reads some other characters as digits (``5\\u01fe`` as the
-    integer 512); Python reads non-ASCII digits and spaces its own way.
+    columns.  It decodes ASCII alone, because loadtxt reads some other
+    characters as digits (``5\\u01fe`` as the integer 512); Python reads
+    non-ASCII digits and spaces its own way.
     """
-    with open(path, encoding="ascii", newline="\n") as fh:
-        if _header(fh.readline()) != ",".join(fields):
+    if not os.path.isfile(path):
+        raise ValueError("not a regular file")
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        if _header(header.decode("ascii")) != ",".join(fields):
             raise ValueError("header")
-        rows = np.loadtxt(fh, dtype=list(fields.items()), delimiter=",", comments=None, ndmin=1)
+        cr = False  # the chunk before ended in \r
+        for chunk in itertools.chain([header], iter(functools.partial(fh.read, _SCREEN_BYTES), b"")):
+            if cr and not chunk.startswith(b"\n"):
+                raise ValueError("lone CR")
+            cr = chunk.endswith(b"\r")
+            if b"\r" in chunk and chunk.count(b"\r") - cr != chunk.count(b"\r\n"):
+                raise ValueError("lone CR")
+        if cr:
+            raise ValueError("lone CR")
+    rows = np.loadtxt(os.path.abspath(path), dtype=list(fields.items()), delimiter=",", comments=None,
+                      skiprows=1, ndmin=1, encoding="ascii")
     return [np.ascontiguousarray(rows[name]) for name in fields]
 
 

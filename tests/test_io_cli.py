@@ -1,8 +1,11 @@
 import ast
 import collections
 import csv
+import gzip
 import json
 import math
+import os
+import threading
 import unittest.mock
 from pathlib import Path
 
@@ -400,6 +403,24 @@ def test_delta_grid_stops_at_or_before_its_stop(tmp_path):
     with open(csv_path, newline="", encoding="utf-8") as fh:
         deltas = [float(row["norm_delta"]) for row in csv.DictReader(fh)]
     assert deltas == [i * 0.3 for i in range(7)]
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["mixture", "--samples", "50"], "--gamma-grid"),
+    (["synthetic-compare", "--widths", "2", "--depths", "1"], "--delta-grid"),
+])
+@pytest.mark.parametrize("text", ["0:1:1e-300", "0:1000000:1", "0:1.7976931348623157e308:1"])
+def test_grid_of_too_many_points_exits_1(tmp_path, capsys, command, flag, text):
+    # Rejected before a point is built: 0:1:1e-300 asks for 1e300 of them.
+    csv_path = tmp_path / "out.csv"
+    assert main([*command, flag, text, "--csv", str(csv_path)]) == 1
+    message = f"error: argument {flag}: {text!r} has more than {cli.GRID_POINTS_MAX} points\n"
+    assert capsys.readouterr().err.endswith(message)
+    assert not csv_path.exists()
+
+
+def test_grid_takes_its_most_points():
+    assert cli.grid(f"0:{cli.GRID_POINTS_MAX - 1}:1") == list(map(float, range(cli.GRID_POINTS_MAX)))
 
 
 def test_synthetic_compare_command_small(tmp_path):
@@ -981,6 +1002,99 @@ def test_common_spellings_take_the_fast_path(tmp_path, fmt, fields, text, expect
     assert [c.tolist() for c in columns] == expected
     assert [c.dtype for c in columns] == list(fields.values())
     assert all(c.flags.c_contiguous for c in columns)
+
+
+def _losses_as_per_line_parser_reads_them(path, fmt="csv_losses"):
+    """read_losses' outcome, which must equal the per-line parser's."""
+    fast = _outcome(read_losses, path, fmt, "csv_losses")
+    with unittest.mock.patch.object(hio, "_fast", return_value=None):
+        assert fast == _outcome(read_losses, path, fmt, "csv_losses")
+    return fast
+
+
+def test_csv_fast_pass_gives_loadtxt_a_path(tmp_path, monkeypatch):
+    # From a path loadtxt's C reader takes the text in chunks; from a handle, one line at a time.
+    loadtxt, names = np.loadtxt, []
+
+    def spy(fname, *args, **kwargs):
+        names.append(fname)
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    path = tmp_path / "losses.csv"
+    path.write_bytes(b"loss\r\n0.5\r\n0.25\r\n")
+    assert _losses_as_per_line_parser_reads_them(path) == [np.array([0.5, 0.25]).tobytes()]
+    assert [type(name) for name in names] == [str]
+
+
+@pytest.mark.parametrize("text", [
+    b"\rloss\n0.5\n", b"lo\rss\n0.5\n", b"loss\r\r\n0.5\n", b"loss\n0.5\r\r\n", b"loss\n0.5\r0.25\n",
+    b"loss\n0.5\n\r", b"loss\r",
+])
+def test_csv_fast_pass_leaves_a_lone_cr_to_the_per_line_parser(tmp_path, text):
+    # Loadtxt, which reads with universal newlines, would end a line there; the per-line parser does not.
+    path = tmp_path / "losses.csv"
+    path.write_bytes(text)
+    assert hio._fast("csv_losses", path, hio.FORMATS["csv_losses"]) is None
+    _losses_as_per_line_parser_reads_them(path)
+
+
+@pytest.mark.parametrize("lone", [False, True])
+def test_csv_cr_screen_sees_across_its_read_boundary(tmp_path, lone):
+    header, size = b"loss\r\n", hio._SCREEN_BYTES
+    # Leading spaces put the \r of a record at the last byte of the first read after the header.
+    pad = (size - 4) % 5
+    data = bytearray(header + b" " * pad + b"0.5\r\n" * ((size - 4 - pad) // 5 + 3))
+    at = len(header) + size - 1
+    assert data[at:at + 2] == b"\r\n"
+    if lone:
+        data[at + 1:at + 2] = b"0"
+    path = tmp_path / "losses.csv"
+    path.write_bytes(bytes(data))
+    fast = hio._fast("csv_losses", path, hio.FORMATS["csv_losses"])
+    assert (fast is None) == lone
+    outcome = _losses_as_per_line_parser_reads_them(path)
+    if lone:
+        assert "bad loss" in outcome
+    else:
+        assert outcome == [fast[0].tobytes()]
+
+
+def test_plain_text_named_as_compressed_is_read_as_text(tmp_path):
+    # NumPy's _datasource, behind loadtxt, picks gzip by the extension: loadtxt fails, the per-line parser reads.
+    path = tmp_path / "losses.csv.gz"
+    path.write_text("loss\n0.5\n0.25\n")
+    assert _losses_as_per_line_parser_reads_them(path, "auto") == [np.array([0.5, 0.25]).tobytes()]
+
+
+def test_gzip_file_forced_to_csv_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "losses.csv.gz"
+    with gzip.open(path, "wt") as fh:
+        fh.write("loss\n0.5\n")
+    assert main(["certify", str(path), "--format", "csv_losses", "--rho", "0.1"]) == 1
+    assert f"error: {path}:1: not UTF-8 (invalid start byte, byte 0x8b)\n" == capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_named_pipe_is_read_once(tmp_path):
+    # A pipe can be read only once, so it skips the fast pass and its errors still name their line.
+    pipe = tmp_path / "losses.csv"
+    os.mkfifo(pipe)
+    outcomes = []
+
+    def read():
+        try:
+            outcomes.append(read_losses(pipe, "csv_losses").tolist())
+        except InputFormatError as exc:
+            outcomes.append(str(exc))
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    with open(pipe, "w") as fh:  # opens once the reader has
+        fh.write("loss\n0.5\nx\n")
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert outcomes == [f"{pipe}:3: bad loss: 'x'"]
 
 
 @pytest.mark.parametrize("line", [
