@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 MECHANISMS = ("dirichlet_resample", "class_removal", "unseen_classes")
+CURVE_POINTS = 200  # radii of the certificate curve, evenly spaced over [0, 1]
 
 # Label-shift trials are validated, normalized and differenced a block of
 # about this many bytes of q at a time.
@@ -53,10 +54,10 @@ class LabelShiftResult:
     class_priors: np.ndarray
 
 
-def certificate_curve(stats: LossStatistics, n_points: int = 200):
-    """Band sampled on an even radius grid over [0, 1]."""
+def certificate_curve(stats: LossStatistics):
+    """Band sampled at CURVE_POINTS radii, evenly spaced over [0, 1]."""
     rows = []
-    for rho in np.linspace(0.0, 1.0, n_points):
+    for rho in np.linspace(0.0, 1.0, CURVE_POINTS):
         lo, lo_triv, up, up_triv = certificate_band(stats, float(rho))
         rows.append((float(rho), lo, lo_triv, up, up_triv))
     return rows

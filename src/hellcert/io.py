@@ -8,18 +8,18 @@ is binary64; an integer column takes only integers within int64.
 
 Files are UTF-8, split into lines at ``\\n`` alone.  Blank lines are skipped
 and whitespace around a line or a CSV field is ignored, so CRLF endings read
-like LF ones.  Each reader first parses a file in one vectorized pass: one
-``np.loadtxt`` call for a CSV body, the JSON C scanner over each stripped line
-of a JSONL file, keeping only their numbers.  Loadtxt is given the CSV file's
-path, so that its C reader takes the text in chunks rather than one line at a
-time.  It reads with universal newlines, so a binary screen first keeps from
-it a file with a ``\\r`` that no ``\\n`` follows, as well as a file that is
-not regular.  Whatever that pass cannot take (it
-raises or warns) is parsed again line by line, and only that parser reports
-errors, with the file and the 1-based number of the first bad line.  All
-emitted numbers carry 17 significant digits (lossless for binary64) and JSON
-reports are pretty-printed with sorted keys, so identical inputs produce
-byte-identical outputs.
+like LF ones.  Each input is read once, and its bytes serve every pass, so a
+named pipe or ``/dev/stdin`` reads as a regular file does.  Each reader first
+parses in one vectorized pass: one ``np.loadtxt`` call for a CSV body, the
+JSON C scanner over each stripped line of a JSONL file, keeping only their
+numbers.  Loadtxt alone is given the path of a regular CSV file, so that its
+C reader takes the text in chunks, and never a file whose ``\\r`` count is
+not its ``\\r\\n`` count, since it reads with universal newlines.  Whatever
+that pass cannot take (it raises or warns) is parsed again line by line, and
+only that parser reports errors, with the file and the 1-based number of the
+first bad line.  All emitted numbers carry 17 significant digits (lossless
+for binary64) and JSON reports are pretty-printed with sorted keys, so
+identical inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import math
 import operator
 import os
 import warnings
+from io import BytesIO, TextIOWrapper
 from typing import Iterable
 
 import numpy as np
@@ -70,38 +71,40 @@ FORMATS = {
 }
 
 
-def _lines(path):
-    """Yield (1-based number, text) for each line, ``\\n`` kept, one line held at a time.
-
-    Each line is decoded on its own, so a byte that is not UTF-8 is an error at its line.
-    """
+def _read(path) -> bytes:
+    """The whole file, in the one read every pass below takes."""
     try:
         with open(path, "rb") as fh:
-            for i, raw in enumerate(fh, start=1):
-                try:
-                    line = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise InputFormatError(
-                        path, i, f"not UTF-8 ({exc.reason}, byte 0x{raw[exc.start]:02x})") from None
-                yield i, line
+            return fh.read()
     except OSError as exc:
         raise InputFormatError(path, 0, f"cannot read file: {exc}") from exc
 
 
+def _lines(path, data):
+    """Yield (1-based number, text) for each line of ``data``, ``\\n`` kept; each is decoded on
+    its own, so a byte that is not UTF-8 is an error at its line."""
+    for i, raw in enumerate(BytesIO(data), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(
+                path, i, f"not UTF-8 ({exc.reason}, byte 0x{raw[exc.start]:02x})") from None
+        yield i, line
+
+
 def read_text(path) -> str:
     """The whole of a UTF-8 text file; a byte that is not UTF-8 is an error at its line."""
-    return "".join(line for _, line in _lines(path))
+    return "".join(line for _, line in _lines(path, _read(path)))
 
 
 def _header(line: str) -> str:
     return line.strip().lower().replace(" ", "")
 
 
-def detect_format(path) -> str:
-    """Infer the record format from the extension or the CSV header line, the only line read."""
+def _detect(path, data) -> str:
     if str(path).endswith(".jsonl"):
         return "jsonl"
-    first = next(_lines(path), (1, ""))[1].strip()
+    first = next(_lines(path, data), (1, ""))[1].strip()
     if not first:
         raise InputFormatError(path, 1, "empty file")
     header = _header(first)
@@ -113,23 +116,24 @@ def detect_format(path) -> str:
     raise InputFormatError(path, 1, f"unrecognized header {first!r}")
 
 
-_SCREEN_BYTES = 1 << 20
+def detect_format(path) -> str:
+    """Infer the record format from the extension or the CSV header line."""
+    return _detect(path, _read(path))
 
 
-def _loadtxt(path, fields):
+def _loadtxt(path, data, fields):
     """One array per field: the CSV body in one ``np.loadtxt`` call, one record per line.
 
-    Loadtxt is given the file's path, not an open handle: from a path its C
-    reader takes the text in large chunks, where from a handle it takes one
-    Python string per line.  It opens that path with universal newlines, which
-    end a line at a lone ``\\r`` as well, where :func:`_lines` splits at
-    ``\\n`` alone.  So one binary pass first checks the header line and
-    screens each chunk for a ``\\r`` that no ``\\n`` follows; such a file, like
-    one that is not regular (it may be readable only once), is left to the
-    per-line parser.  CRLF endings pass.  The path is made absolute, so that
-    NumPy's ``_datasource``, which opens it, cannot take it for a URL.  It
-    picks a decompressor by extension, so a plain file named ``*.gz`` fails
-    in loadtxt and a compressed one fails the header check.
+    The file's bytes ``data`` serve the checks, but loadtxt is given its path:
+    from a path its C reader takes the text in large chunks, where from a
+    handle or a buffer it takes one Python string per line.  That reads the
+    file again, so one that is not regular (it may be readable only once) is
+    left to the per-line parser, as is one whose count of ``\\r`` is not its
+    count of ``\\r\\n``: loadtxt, which reads with universal newlines, would
+    end a line at that lone ``\\r``, where :func:`_lines` does not.  The path
+    is made absolute, so that NumPy's ``_datasource``, which opens it, cannot
+    take it for a URL.  It picks a decompressor by extension, so a plain file
+    named ``*.gz`` fails in loadtxt and a compressed one fails the header check.
 
     The record dtype makes loadtxt reject a line with another number of
     columns.  It decodes ASCII alone, because loadtxt reads some other
@@ -138,19 +142,10 @@ def _loadtxt(path, fields):
     """
     if not os.path.isfile(path):
         raise ValueError("not a regular file")
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        if _header(header.decode("ascii")) != ",".join(fields):
-            raise ValueError("header")
-        cr = False  # the chunk before ended in \r
-        for chunk in itertools.chain([header], iter(functools.partial(fh.read, _SCREEN_BYTES), b"")):
-            if cr and not chunk.startswith(b"\n"):
-                raise ValueError("lone CR")
-            cr = chunk.endswith(b"\r")
-            if b"\r" in chunk and chunk.count(b"\r") - cr != chunk.count(b"\r\n"):
-                raise ValueError("lone CR")
-        if cr:
-            raise ValueError("lone CR")
+    if _header(next(_lines(path, data), (1, ""))[1]) != ",".join(fields):
+        raise ValueError("header")
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+        raise ValueError("lone CR")
     rows = np.loadtxt(os.path.abspath(path), dtype=list(fields.items()), delimiter=",", comments=None,
                       skiprows=1, ndmin=1, encoding="ascii")
     return [np.ascontiguousarray(rows[name]) for name in fields]
@@ -159,17 +154,18 @@ def _loadtxt(path, fields):
 _JSON_TYPES = {np.float64: {int, float}, np.int64: {int}}
 
 
-def _decode_jsonl(path, fields):
+def _decode_jsonl(path, data, fields):
     """One array per field: each stripped line through the JSON C scanner, keeping its numbers only.
 
     A line must be one JSON value from its first character to its last, as
-    ``json.loads(line.strip())`` in the per-line parser requires.
+    ``json.loads(line.strip())`` in the per-line parser requires.  The bytes
+    are decoded a chunk at a time, so no decoded copy of the file is held.
     """
     scan = json.JSONDecoder().scan_once
     numbers = operator.itemgetter(*fields)
     rows = []
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        for text in map(str.strip, fh):
+    with TextIOWrapper(BytesIO(data), encoding="utf-8", newline="\n") as text_lines:
+        for text in map(str.strip, text_lines):
             if text:
                 obj, end = scan(text, 0)
                 if end != len(text):
@@ -186,8 +182,8 @@ def _decode_jsonl(path, fields):
     return arrays
 
 
-def _fast(fmt, path, fields):
-    """One array per field from one vectorized pass over the file, or None if that pass fails.
+def _fast(fmt, path, data, fields):
+    """One array per field from one vectorized pass over the file's bytes, or None if that pass fails.
 
     ``fields`` maps each CSV column or JSON key to its dtype.  Any exception or
     warning means the file is not for this pass: the caller then parses it line
@@ -197,14 +193,14 @@ def _fast(fmt, path, fields):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return parse(path, fields)
+            return parse(path, data, fields)
     except Exception:  # every failure is the per-line parser's to report
         return None
 
 
-def _iter_csv(path, fields):
+def _iter_csv(path, data, fields):
     """Yield (line number, raw field texts in table order) for each record of a CSV file."""
-    lines = _lines(path)
+    lines = _lines(path, data)
     header = ",".join(fields)
     if _header(next(lines, (1, ""))[1]) != header:
         raise InputFormatError(path, 1, f"expected header {header!r}")
@@ -218,9 +214,9 @@ def _iter_csv(path, fields):
         yield i, parts
 
 
-def _iter_jsonl(path, fields):
+def _iter_jsonl(path, data, fields):
     """Yield (line number, JSON numbers in table order) for each record of a JSONL file."""
-    for i, line in _lines(path):
+    for i, line in _lines(path, data):
         line = line.strip()
         if not line:
             continue
@@ -255,20 +251,22 @@ def _value(path, line_no, raw, name, dtype):
 
 def _columns(path, fmt, own, carries):
     """The columns of CSV format ``own``, typed by :data:`FORMATS`, and index -> line number."""
+    # A forced format that does not carry these columns is refused before the file is read.
+    data = _read(path) if fmt in ("auto", own, "jsonl") else b""
     if fmt == "auto":
-        fmt = detect_format(path)
+        fmt = _detect(path, data)
     if fmt not in (own, "jsonl"):
         raise InputFormatError(path, 0, f"format {fmt!r} does not carry {carries}")
     fields = FORMATS[own]
-    records = functools.partial(_iter_jsonl if fmt == "jsonl" else _iter_csv, path, fields)
-    columns = _fast(fmt, path, fields)
+    records = functools.partial(_iter_jsonl if fmt == "jsonl" else _iter_csv, path, data, fields)
+    columns = _fast(fmt, path, data, fields)
     if columns is None:
         columns = [[] for _ in fields]
         for i, values in records():
             for column, raw, (name, dtype) in zip(columns, values, fields.items()):
                 column.append(_value(path, i, raw, name, dtype))
         columns = [np.array(column, dtype=dtype) for column, dtype in zip(columns, fields.values())]
-    # Only the failing path pays for the second pass that recovers a line number.
+    # Only the failing path pays for the second pass over the bytes that recovers a line number.
     return columns, lambda index: next(itertools.islice(records(), index, None))[0]
 
 

@@ -70,6 +70,7 @@ SHIFT_DIRECTION = np.array([-1.0, 0.0])  # unit vector toward the negative class
 DUAL_GRID_POINTS = 24
 DUAL_GRID_SPAN = 64.0
 GRAD_TOL = 1e-6  # gradient norm at which an inner ascent row stops
+MAX_ASCENT_STEPS = 500  # evaluations before an inner ascent is declared stalled
 
 
 class InnerAscentError(RuntimeError):
@@ -118,8 +119,7 @@ def _row_sums_of_squares(a: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, (a * a).T)
 
 
-def maximize_penalized(value_and_grad, x0: np.ndarray, gamma: float, start, row_args=(),
-                       max_steps: int = 500):
+def maximize_penalized(value_and_grad, x0: np.ndarray, gamma: float, start, row_args=()):
     """Maximize f(x) - gamma ||x - x0||^2 rows-independently by gradient ascent.
 
     ``value_and_grad(x, *row_args)`` maps a batch of rows to per-row values
@@ -136,14 +136,14 @@ def maximize_penalized(value_and_grad, x0: np.ndarray, gamma: float, start, row_
     Strong concavity puts each value within GRAD_TOL^2 / (2 gamma) of the
     row's maximum, and starting at x0 itself guarantees it is at least
     f(x0).  Raises :class:`InnerAscentError` if a row is still moving after
-    ``max_steps`` evaluations.
+    ``MAX_ASCENT_STEPS`` evaluations.
     """
     phi = np.empty(x0.shape[0])
     x_out = np.empty_like(x0)
     rows = np.arange(x0.shape[0])  # positions of the rows still moving
     x, x0_rows, args = x0, x0, tuple(row_args)
     step = 1.0 / (2.0 * gamma)
-    for _ in range(max_steps):
+    for _ in range(MAX_ASCENT_STEPS):
         values, grads = value_and_grad(x, *args) if start is None else start
         start = None
         shift = x - x0_rows

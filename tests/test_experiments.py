@@ -34,8 +34,9 @@ def test_certificate_band_fallbacks():
     assert up == 1.0 and up_triv
 
 
-def test_certificate_curve_shape():
-    curve = certificate_curve(LossStatistics(0.2, 0.16, 1.0), 50)
+def test_certificate_curve_shape(monkeypatch):
+    monkeypatch.setattr(experiments, "CURVE_POINTS", 50)
+    curve = certificate_curve(LossStatistics(0.2, 0.16, 1.0))
     assert len(curve) == 50
     assert curve[0][0] == 0.0 and curve[-1][0] == 1.0
     assert curve[0][1] == pytest.approx(0.2) and curve[0][3] == pytest.approx(0.2)

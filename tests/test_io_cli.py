@@ -868,7 +868,7 @@ def test_prediction_beyond_int64_is_a_bad_line(tmp_path, capsys, name, text, lin
 def test_int64_extremes_are_read_on_both_paths(tmp_path, monkeypatch):
     f = tmp_path / "p.csv"
     f.write_text("pred,label\n9223372036854775807,-9223372036854775808\n")
-    columns = hio._fast("csv_predictions", f, hio.FORMATS["csv_predictions"])
+    columns = hio._fast("csv_predictions", f, f.read_bytes(), hio.FORMATS["csv_predictions"])
     assert [c.tolist() for c in columns] == [[2**63 - 1], [-2**63]]
     monkeypatch.setattr(hio, "_fast", lambda *args: None)
     preds, labels = read_predictions(f)
@@ -998,7 +998,7 @@ def test_fast_path_matches_per_line_parser_on_each_adversarial_line(tmp_path, re
 def test_common_spellings_take_the_fast_path(tmp_path, fmt, fields, text, expected):
     path = tmp_path / "input"
     path.write_text(text, newline="")
-    columns = hio._fast(fmt, path, fields)
+    columns = hio._fast(fmt, path, path.read_bytes(), fields)
     assert [c.tolist() for c in columns] == expected
     assert [c.dtype for c in columns] == list(fields.values())
     assert all(c.flags.c_contiguous for c in columns)
@@ -1035,13 +1035,13 @@ def test_csv_fast_pass_leaves_a_lone_cr_to_the_per_line_parser(tmp_path, text):
     # Loadtxt, which reads with universal newlines, would end a line there; the per-line parser does not.
     path = tmp_path / "losses.csv"
     path.write_bytes(text)
-    assert hio._fast("csv_losses", path, hio.FORMATS["csv_losses"]) is None
+    assert hio._fast("csv_losses", path, path.read_bytes(), hio.FORMATS["csv_losses"]) is None
     _losses_as_per_line_parser_reads_them(path)
 
 
 @pytest.mark.parametrize("lone", [False, True])
 def test_csv_cr_screen_sees_across_its_read_boundary(tmp_path, lone):
-    header, size = b"loss\r\n", hio._SCREEN_BYTES
+    header, size = b"loss\r\n", 1 << 20
     # Leading spaces put the \r of a record at the last byte of the first read after the header.
     pad = (size - 4) % 5
     data = bytearray(header + b" " * pad + b"0.5\r\n" * ((size - 4 - pad) // 5 + 3))
@@ -1051,7 +1051,7 @@ def test_csv_cr_screen_sees_across_its_read_boundary(tmp_path, lone):
         data[at + 1:at + 2] = b"0"
     path = tmp_path / "losses.csv"
     path.write_bytes(bytes(data))
-    fast = hio._fast("csv_losses", path, hio.FORMATS["csv_losses"])
+    fast = hio._fast("csv_losses", path, path.read_bytes(), hio.FORMATS["csv_losses"])
     assert (fast is None) == lone
     outcome = _losses_as_per_line_parser_reads_them(path)
     if lone:
@@ -1097,6 +1097,45 @@ def test_named_pipe_is_read_once(tmp_path):
     assert outcomes == [f"{pipe}:3: bad loss: 'x'"]
 
 
+_SCORES = b"score,label\n0.9,1\n0.8,1\n0.7,-1\n0.4,1\n0.3,-1\n0.1,-1\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("name, data, command, code, message", [
+    ("losses.csv", b"loss\n0.5\n0.2\n", ["certify", "--rho", "0.1"], 2, ""),
+    ("losses.csv", b"loss\n0.5\n2\n", ["certify", "--format", "csv_losses", "--rho", "0.1"], 1,
+     "3: loss 2.0 is outside [0, 1.0]"),
+    ("scores.csv", _SCORES, ["certify-auc", "--rho-conditional", "0.1"], 0, ""),
+    ("scores.csv", _SCORES.replace(b"0.8,1", b"0.8,0"), ["certify-auc", "--rho-conditional", "0.1"], 1,
+     "3: label 0 is not -1 or +1"),
+    ("inst.json", (Path(__file__).parent / "golden" / "inputs" / "inst.json").read_bytes(), ["oracle"], 0, ""),
+], ids=["losses-detected", "loss-above-ceiling", "scores", "label-0", "oracle"])
+def test_named_pipe_reads_as_a_regular_file(tmp_path, capsys, name, data, command, code, message):
+    # Each input is read once, so detection, both parsers and a bad value's line lookup share one read.
+    path, report = tmp_path / name, tmp_path / "report.json"
+
+    def run():
+        exit_code = main([command[0], str(path), *command[1:], "--output", str(report)])
+        written = report.read_bytes() if report.exists() else None
+        report.unlink(missing_ok=True)
+        return exit_code, written, capsys.readouterr().err
+
+    os.mkfifo(path)
+    outcomes = []
+    reader = threading.Thread(target=lambda: outcomes.append(run()), daemon=True)
+    reader.start()
+    with open(path, "wb") as fh:  # opens once the reader has
+        fh.write(data)
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    path.unlink()
+    path.write_bytes(data)
+    assert outcomes == [run()]
+    (exit_code, written, err), = outcomes
+    assert exit_code == code and err == (f"error: {path}:{message}\n" if message else "")
+    assert (written is None) == bool(message)
+
+
 @pytest.mark.parametrize("line", [
     '{"loss": 0.5} {"loss": 0.5}', '{"loss": 0.5}{"loss": 0.5}', '{"loss": 0.5,}', '{"loss": 0.5},',
     '[{"loss": 0.5}]', "0.5", '"0.5"', "{", '{"loss": 0.5} x',
@@ -1104,7 +1143,7 @@ def test_named_pipe_is_read_once(tmp_path):
 def test_jsonl_fast_pass_leaves_lines_that_are_not_one_object(tmp_path, line):
     path = tmp_path / "input.jsonl"
     path.write_text('{"loss": 0.25}\n' + line + "\n", encoding="utf-8")
-    assert hio._fast("jsonl", path, {"loss": np.float64}) is None
+    assert hio._fast("jsonl", path, path.read_bytes(), {"loss": np.float64}) is None
     with pytest.raises(InputFormatError, match=r"input\.jsonl:2: "):
         read_losses(path)
 

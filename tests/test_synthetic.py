@@ -153,7 +153,7 @@ def test_compacted_ascent_within_strong_concavity_bound_of_full_batch(small_trai
         assert np.all(phi >= start[0])
 
 
-def test_compacted_ascent_raises_when_rows_still_move(small_trained):
+def test_compacted_ascent_raises_when_rows_still_move(small_trained, monkeypatch):
     data, net = small_trained
     x, y = data.x_eval[:500], data.y_eval[:500]
     gamma = float(lipschitz_profile(net).l_star)
@@ -161,8 +161,9 @@ def test_compacted_ascent_raises_when_rows_still_move(small_trained):
     def rows(xb, yb):
         return per_sample_losses_and_input_grads(net, xb, yb)
 
+    monkeypatch.setattr(synthetic, "MAX_ASCENT_STEPS", 2)
     with pytest.raises(InnerAscentError, match="stalled"):
-        maximize_penalized(rows, x, gamma, rows(x, y), row_args=(y,), max_steps=2)
+        maximize_penalized(rows, x, gamma, rows(x, y), row_args=(y,))
 
 
 def test_dual_gamma_grid_spans_concave_regime():
