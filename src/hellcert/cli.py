@@ -2,8 +2,8 @@
 
 Each subcommand is one entry of :data:`COMMANDS` (``hellcert --help`` lists
 them): its help, its handler, its arguments, from which the parser is built,
-and the library modules the handler uses.  A handler returns the report and
-the exit code, and :func:`main` writes the report.
+and the library modules the handler uses.  A handler returns the report, and
+:func:`main` writes it and picks the exit code.
 
 Importing this module imports only :mod:`hellcert.io` and :mod:`hellcert.rng`.
 A library name the handlers use is imported at its first lookup (PEP 562), or
@@ -11,10 +11,11 @@ by :func:`main` for the command it runs, and kept as a module global that is
 never overwritten.  Handlers look those globals up when they run, so a wrapper
 set on one of them, even before :func:`main` runs, wraps every call to it.
 
-Exit codes: 0 success, 1 input error (usage errors included), 2
-validity-radius violation, 3 solver diagnostic.  All randomness flows
-through seeded counter-based streams and reports carry a null timestamp,
-so identical command lines produce byte-identical outputs.
+Exit codes: 0 success, 1 input error (usage errors included), 3 solver
+diagnostic.  Beyond a certificate's validity radius the certify commands
+report the trivial bound, flagged ``vacuous``, and exit 0.  All randomness
+flows through seeded counter-based streams and reports carry a null
+timestamp, so identical command lines produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .rng import KEY_LIMIT
 
 # The library names the handlers use, by module, each bound as described above.
 _LIBRARY = {
-    "bounds": ("LossStatistics", "RadiusValidityError", "certificate_band", "classification_error_upper"),
+    "bounds": ("LossStatistics", "certificate_band"),
     "experiments": ("LabelShiftPoint", "MixtureCell", "label_shift_experiment", "mixture_experiment"),
     "finite_sample": ("ConfidenceBudget", "EmpiricalSample", "corollary_lower_bound", "corollary_upper_bound",
                       "max_valid_radius_empirical", "max_valid_radius_empirical_lower"),
@@ -61,7 +62,6 @@ def __getattr__(name):
 
 EXIT_OK = 0
 EXIT_INPUT = 1
-EXIT_RADIUS = 2
 EXIT_SOLVER = 3
 
 _AUC_DECISIONS = {
@@ -129,53 +129,48 @@ _confidence = _must(lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
 _seed = _must(lambda v: 0 <= v < KEY_LIMIT, "lie in [0, 2**64)")
 
 
-def _certify(args, report: dict, sample: EmpiricalSample, radius: float, direction: str,
-             floor_at_zero: bool = False, **inputs):
+def _certify(args, report: dict, sample: EmpiricalSample, radius: float, direction: str, **inputs):
     """The flow every certify command ends in: the finite-sample bound at ``radius``.
 
-    Beyond the validity radius the bound is null and the exit code 2, unless
-    ``floor_at_zero``: then the report carries the lower bound 0, sound at
-    any radius, and says so in ``vacuous``.  ``inputs`` adds to the sample's
-    statistics in the report.
+    Beyond the validity radius the bound is the trivial one, the ceiling
+    (upper) or 0 (lower), with a null ``raw_bound``, and ``vacuous`` says so.
+    It holds at any radius, and beyond a closed form's validity radius it is
+    the exact worst case over every law on [0, M] with the same mean and
+    variance.  ``inputs`` adds to the sample's statistics in the report.
     """
     upper = direction == "upper"
     budget = ConfidenceBudget(args.delta)
     valid_radius = max_valid_radius_empirical if upper else max_valid_radius_empirical_lower
     bound = corollary_upper_bound if upper else corollary_lower_bound
+    max_valid = valid_radius(sample, budget)
     report["inputs"] = {"n": sample.n, "max_loss": sample.ceiling, "delta": args.delta,
                         "empirical_mean": sample.empirical_mean,
                         "unbiased_variance": sample.unbiased_variance, **inputs}
-    report.update(direction=direction, radius=radius, max_valid_radius=valid_radius(sample, budget))
-    report["decisions"]["delta_split"] = "two_way" if upper else "three_way"
-    try:
+    report.update(direction=direction, radius=radius, max_valid_radius=max_valid, vacuous=radius > max_valid)
+    report["decisions"].update(delta_split="two_way" if upper else "three_way",
+                               radius_policy="trivial_bound_beyond_validity")
+    if report["vacuous"]:
+        report.update(bound=sample.ceiling if upper else 0.0, raw_bound=None, confidence=1.0 - budget.delta)
+    else:
         cert = bound(sample, radius, budget)
-    except RadiusValidityError:
-        if floor_at_zero:
-            report.update(bound=0.0, raw_bound=None, confidence=1.0 - budget.delta, vacuous=True)
-            return report, EXIT_OK
-        report.update(bound=None, raw_bound=None, confidence=None)
-        return report, EXIT_RADIUS
-    report.update(bound=cert.bound, raw_bound=cert.raw_bound, confidence=cert.confidence)
-    return report, EXIT_OK
+        report.update(bound=cert.bound, raw_bound=cert.raw_bound, confidence=cert.confidence)
+    return report
 
 
 def _cmd_certify(args):
     losses = read_losses(args.input, args.format, ceiling=args.max_loss)
     sample = EmpiricalSample(losses, ceiling=args.max_loss)
-    report = base_report("certify", None, {"radius_policy": "reject_beyond_validity"})
-    return _certify(args, report, sample, args.rho, args.direction)
+    return _certify(args, base_report("certify", None, {}), sample, args.rho, args.direction)
 
 
 def _cmd_certify_accuracy(args):
     preds, labels = read_predictions(args.input, args.format)
     sample = zero_one_stats(PredictionSample(preds, labels))
-    try:
-        population_reference = classification_error_upper(sample.empirical_mean, args.rho).bound
-    except RadiusValidityError:
-        population_reference = None
-    report = base_report("certify-accuracy", None, {"radius_policy": "reject_beyond_validity"})
-    report.update(empirical_error_rate=sample.empirical_mean,
-                  population_reference_upper=population_reference)
+    error = sample.empirical_mean
+    population = LossStatistics(error, error * (1.0 - error), 1.0)
+    _, _, population_reference, _ = certificate_band(population, args.rho)
+    report = base_report("certify-accuracy", None, {})
+    report.update(empirical_error_rate=error, population_reference_upper=population_reference)
     return _certify(args, report, sample, args.rho, args.direction)
 
 
@@ -184,9 +179,8 @@ def _cmd_certify_auc(args):
     pairs = auc_pair_sample(scored, args.seed)
     composite = auc_composite_radius(args.rho_conditional)
     report = base_report("certify-auc", args.seed, dict(_AUC_DECISIONS))
-    report.update(radius_conditional=args.rho_conditional, auc_point_estimate=auc_estimate(scored),
-                  vacuous=False)
-    return _certify(args, report, pairs, composite, "lower", floor_at_zero=True,
+    report.update(radius_conditional=args.rho_conditional, auc_point_estimate=auc_estimate(scored))
+    return _certify(args, report, pairs, composite, "lower",
                     n_positive=int(scored.positives.size), n_negative=int(scored.negatives.size))
 
 
@@ -217,7 +211,7 @@ def _cmd_oracle(args):
                       "upper_is_trivial": upper_trivial, "lower": lower,
                       "lower_is_trivial": lower_trivial},
     )
-    return report, EXIT_OK
+    return report
 
 
 def _write_records(path, cls, records) -> None:
@@ -245,7 +239,7 @@ def _cmd_label_shift(args):
                           "empirical_mean": stats.mean, "variance": stats.variance,
                           "max_loss": stats.ceiling},
                   scatter_csv=args.scatter_csv, curve_csv=args.curve_csv)
-    return report, EXIT_OK
+    return report
 
 
 def _cmd_mixture(args):
@@ -254,7 +248,7 @@ def _cmd_mixture(args):
     report = base_report("mixture", args.seed, dict(
         _AUC_DECISIONS, mixture_reference="classifier perfect on P, inverted on Q"))
     report.update(gamma_grid=args.gamma_grid, samples=args.samples, csv=args.csv)
-    return report, EXIT_OK
+    return report
 
 
 def _cmd_synthetic_compare(args):
@@ -269,7 +263,7 @@ def _cmd_synthetic_compare(args):
         "training": f"full-batch gradient descent, {args.train_steps} steps",
     })
     report.update(sizes, confidence_delta=args.delta, csv=args.csv)
-    return report, EXIT_OK
+    return report
 
 
 def _arg(*flags, check=None, **options):
@@ -333,7 +327,7 @@ COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a ValueError, so that it exits 1 like any input
-    error: argparse's own exit code 2 means a radius beyond validity here."""
+    error, where argparse's own would exit 2."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -362,7 +356,7 @@ def main(argv=None) -> int:
         for module in modules:
             _bind(module)
         try:
-            report, code = handler(args)
+            report = handler(args)
         except ValueError as exc:  # a fault of the whole input: name its file, as a reader does
             if isinstance(exc, InputFormatError) or getattr(args, "input", None) is None:
                 raise
@@ -373,7 +367,7 @@ def main(argv=None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-        return code
+        return EXIT_OK
     except RuntimeError as exc:  # the oracle's, bound only by a command that imports it
         if not isinstance(exc, globals().get("OracleGapError", ())):
             raise

@@ -18,7 +18,13 @@ from hellcert import cli
 from hellcert import io as hio
 from hellcert.cli import main
 from hellcert.bounds import c_rho
-from hellcert.finite_sample import ConfidenceBudget, EmpiricalSample, corollary_upper_bound
+from hellcert.finite_sample import (
+    ConfidenceBudget,
+    EmpiricalSample,
+    corollary_upper_bound,
+    max_valid_radius_empirical,
+    max_valid_radius_empirical_lower,
+)
 from hellcert.io import (
     InputFormatError,
     detect_format,
@@ -146,7 +152,8 @@ def test_certify_mean_of_ceiling_losses_stays_at_the_ceiling(tmp_path):
         code, rep = run_report(
             tmp_path, ["certify", path, "--rho", "0.1", "--max-loss", "0.001", "--direction", direction]
         )
-        assert code == (2 if direction == "upper" else 0)
+        assert code == 0
+        assert rep["vacuous"] is (direction == "upper")  # no headroom above the mean
         assert rep["inputs"]["empirical_mean"] == 0.001
 
 
@@ -158,12 +165,23 @@ def test_certify_constant_sample_reports_zero_variance(tmp_path):
     assert rep["inputs"]["unbiased_variance"] == 0.0
 
 
-def test_certify_beyond_validity_exit_2(tmp_path):
-    path = losses_file(tmp_path, [0.4] * 20)
-    code, rep = run_report(tmp_path, ["certify", path, "--rho", "0.999"])
-    assert code == 2
-    assert rep["bound"] is None
-    assert 0.0 < rep["max_valid_radius"] < 1.0
+@pytest.mark.parametrize("direction, valid_radius, trivial", [
+    ("upper", max_valid_radius_empirical, 2.0),
+    ("lower", max_valid_radius_empirical_lower, 0.0),
+], ids=["upper", "lower"])
+def test_certify_beyond_validity_reports_the_trivial_bound(tmp_path, direction, valid_radius, trivial):
+    path = losses_file(tmp_path, [0.4] * 200)
+    code, rep = run_report(
+        tmp_path, ["certify", path, "--rho", "0.999", "--max-loss", "2", "--direction", direction]
+    )
+    assert code == 0
+    assert rep["bound"] == trivial and rep["inputs"]["max_loss"] == 2.0
+    assert rep["vacuous"] is True and rep["raw_bound"] is None
+    assert rep["confidence"] == 0.99
+    assert rep["decisions"]["radius_policy"] == "trivial_bound_beyond_validity"
+    sample = EmpiricalSample([0.4] * 200, ceiling=2.0)
+    assert rep["max_valid_radius"] == valid_radius(sample, ConfidenceBudget(0.01))
+    assert 0.0 < rep["max_valid_radius"] < 0.999
 
 
 def test_certify_lower_direction(tmp_path):
@@ -227,8 +245,13 @@ def test_certify_accuracy_all_wrong(tmp_path):
     code, rep = run_report(tmp_path, ["certify-accuracy", str(f), "--rho", "0"])
     assert code == 0
     assert rep["bound"] == 1.0  # saturated at the ceiling
+    # Nothing is certifiable beyond radius 0 at 100% error: the report holds the ceiling.
     code, rep = run_report(tmp_path, ["certify-accuracy", str(f), "--rho", "0.3"])
-    assert code == 2  # nothing certifiable beyond radius 0 at 100% error
+    assert code == 0
+    assert rep["bound"] == rep["inputs"]["max_loss"] == 1.0
+    assert rep["vacuous"] is True and rep["raw_bound"] is None
+    assert rep["max_valid_radius"] == 0.0
+    assert rep["population_reference_upper"] == 1.0
 
 
 def test_certify_accuracy_matches_certify_pipeline(tmp_path):
@@ -809,7 +832,7 @@ def test_deeply_nested_oracle_instance_exit_1(tmp_path, capsys):
 def test_non_utf8_byte_is_reported_at_its_line(tmp_path, capsys):
     f = tmp_path / "losses.csv"
     f.write_bytes(b"loss\n0.5\n0.25\xff\n0.75\n")
-    assert detect_format(f) == "csv_losses"  # the header alone is read
+    assert detect_format(f) == "csv_losses"  # the whole file is read, the header line alone decoded
     assert main(["certify", str(f), "--rho", "0.1"]) == 1
     assert f"error: {f}:3: not UTF-8 (invalid start byte, byte 0xff)\n" == capsys.readouterr().err
     inst = tmp_path / "inst.json"
@@ -1102,7 +1125,7 @@ _SCORES = b"score,label\n0.9,1\n0.8,1\n0.7,-1\n0.4,1\n0.3,-1\n0.1,-1\n"
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
 @pytest.mark.parametrize("name, data, command, code, message", [
-    ("losses.csv", b"loss\n0.5\n0.2\n", ["certify", "--rho", "0.1"], 2, ""),
+    ("losses.csv", b"loss\n0.5\n0.2\n", ["certify", "--rho", "0.1"], 0, ""),
     ("losses.csv", b"loss\n0.5\n2\n", ["certify", "--format", "csv_losses", "--rho", "0.1"], 1,
      "3: loss 2.0 is outside [0, 1.0]"),
     ("scores.csv", _SCORES, ["certify-auc", "--rho-conditional", "0.1"], 0, ""),

@@ -6,6 +6,7 @@ import pytest
 
 from hellcert.bounds import (
     LossStatistics,
+    certificate_band,
     lower_bound,
     max_valid_radius_lower,
     max_valid_radius_upper,
@@ -384,28 +385,31 @@ def extremal_laws(gen, count):
 def test_closed_form_is_attained_at_its_extremal_laws():
     # The closed form is the exact worst case over laws on [0, M] with its
     # (E, V): P_up attains the upper one and P_down the lower, so the oracle
-    # pins each from both sides, the certified gap aside.  Both sides are
-    # evaluated at the instance's own float moments.  Half the radii lie
-    # uniformly below the validity radius and half within a factor 1e-1 to
-    # 1e-12 of it, one in eight at it.  Over these 1,600 solves the worst
-    # deviations are 3.0e-16 M on the unsafe side and 4.3e-16 M on the loose one.
+    # pins each from both sides, the certified gap aside.  Beyond the
+    # validity radius the point mass at M (or at 0) is in the ball, so the
+    # band's trivial bound is attained too.  Both sides are evaluated at the
+    # instance's own float moments.  A quarter of the radii lie uniformly
+    # below the validity radius, a quarter uniformly beyond it, up to 1, and
+    # half within a factor 1e-1 to 1e-12 of it: a quarter below, one in eight
+    # at it and one in eight beyond.  Over these 1,600 solves, 600 of them
+    # beyond, the worst deviations are 3.0e-16 M on the unsafe side and
+    # 4.3e-16 M on the loose one; beyond it they are 0 and 1.2e-26 M.
     gen = stream(2112)
-    directions = ((max_valid_radius_upper, upper_bound, worst_case_sup, 1.0),
-                  (max_valid_radius_lower, lower_bound, worst_case_inf, -1.0))
+    directions = ((max_valid_radius_upper, 2, worst_case_sup, 1.0),
+                  (max_valid_radius_lower, 0, worst_case_inf, -1.0))
     for i, (ceiling, *laws) in enumerate(extremal_laws(gen, 800)):
         x, u = gen.random(), gen.uniform(1, 12)
         tol = 1e-15 * ceiling
-        for (probs, losses), (valid_radius, bound_at, solve, sign) in zip(laws, directions):
+        for (probs, losses), (valid_radius, side, solve, sign) in zip(laws, directions):
             inst = DiscreteInstance(probs, losses, ceiling, 0.0)
             stats = LossStatistics(*inst.moments(), ceiling)
             edge = valid_radius(stats)
-            rho = edge * x if i % 2 == 0 else edge if i % 8 == 1 else edge * (1.0 - 10.0**-u)
+            near = edge if i % 8 == 3 else min(edge * (1.0 + 10.0**-u), 1.0)
+            rho = (edge * x, 1.0 - (1.0 - edge) * x, edge * (1.0 - 10.0**-u), near)[i % 4]
             inst = DiscreteInstance(probs, losses, ceiling, rho)
             res = solve(inst)
-            bound = bound_at(stats, rho).bound
-            where = (inst.to_json(), sign)
-            assert sign * (bound - res.value) >= -tol, where
-            assert sign * (bound - res.value) <= res.certified_gap + tol, where
+            slack = sign * (certificate_band(stats, rho)[side] - res.value)
+            assert -tol <= slack <= res.certified_gap + tol, (inst.to_json(), sign)
 
 
 def test_tiny_mass_on_max_loss_matches_off_support():
