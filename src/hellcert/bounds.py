@@ -8,11 +8,13 @@ matrix of square-root densities yields closed-form bounds on
 
 Both directions share the coefficient C(rho) = sqrt(rho^2 (1-rho^2)^2 (2-rho^2))
 and are valid only up to a maximum radius determined by (E, V, M); beyond it
-the sign condition behind the derivation fails and we refuse to produce a
-number rather than silently clamp the radius.  Every certificate, here and
-in :mod:`hellcert.finite_sample`, is admitted by :func:`admit`, valued by
-:func:`upper_value` (a lower bound too, for the negated loss, except the
-finite-sample one) and reported by :func:`report`.
+the sign condition behind the derivation fails, and the closed form's
+extremal two-point law reaches the ceiling M (upper) or 0 (lower), so the
+trivial bound is the exact worst case there.  Every certificate, here and in
+:mod:`hellcert.finite_sample`, is valued by :func:`upper_value` (a lower
+bound too, for the negated loss, except the finite-sample one) and reported
+by :func:`report`, the one place that compares a radius with its validity
+radius: beyond it the report carries the trivial bound, flagged ``vacuous``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-# Public names; the certificate core (admit, upper_value, report) and the
+# Public names; the certificate core (upper_value, report) and the
 # radius helpers are shared with the sibling modules only.
 __all__ = [
     "LossStatistics",
@@ -41,19 +43,12 @@ _BD_SLACK = 1e-12
 
 
 class RadiusValidityError(ValueError):
-    """Requested radius exceeds the certificate's maximum valid radius.
+    """A radius beyond a certificate's maximum valid radius.
 
-    Carries ``max_valid_radius`` so callers can report how far the inputs
-    can actually be certified.
+    Kept importable for callers that catch it; no certificate raises it,
+    since beyond the radius each reports the trivial bound, flagged
+    ``vacuous`` (see :func:`report`).
     """
-
-    def __init__(self, rho: float, max_valid_radius: float):
-        super().__init__(
-            f"radius {rho:.17g} exceeds the maximum valid radius "
-            f"{max_valid_radius:.17g} for these loss statistics"
-        )
-        self.rho = rho
-        self.max_valid_radius = max_valid_radius
 
 
 @dataclass(frozen=True)
@@ -89,24 +84,27 @@ class LossStatistics:
 class CertificateReport:
     """Outcome of one certificate evaluation.
 
-    ``bound`` is clamped into the trivially attainable loss range; the
-    pre-clamp value is kept in ``raw_bound`` for diagnostics.  ``inputs``
-    holds whatever statistics object produced the bound.
+    Inside ``max_valid_radius``, ``bound`` is clamped into the trivially
+    attainable loss range and the pre-clamp value is kept in ``raw_bound``
+    for diagnostics.  Beyond it ``vacuous`` is set, ``bound`` is the trivial
+    one, the ceiling (upper) or 0 (lower), and ``raw_bound`` is None.
+    ``inputs`` holds whatever statistics object produced the bound.
     """
 
     direction: str  # "upper" | "lower"
     radius: float
     bound: float
-    raw_bound: float
+    raw_bound: Optional[float]
     max_valid_radius: float
     inputs: object
     confidence: Optional[float] = None
+    vacuous: bool = False
 
     def __post_init__(self):
         if self.direction not in ("upper", "lower"):
             raise ValueError(f"direction must be 'upper' or 'lower', got {self.direction!r}")
-        if self.radius > self.max_valid_radius:
-            raise ValueError("populated certificate with radius beyond validity")
+        if self.vacuous != (self.radius > self.max_valid_radius):
+            raise ValueError("vacuous must say whether the radius exceeds the validity radius")
 
 
 def check_radius(rho: float) -> None:
@@ -149,13 +147,6 @@ def max_valid_radius_lower(stats: LossStatistics) -> float:
     return validity_radius(stats.mean * stats.mean / stats.variance)
 
 
-def admit(rho: float, mv: float) -> None:
-    """Reject a radius outside [0, 1] or beyond the certificate's validity radius ``mv``."""
-    check_radius(rho)
-    if rho > mv:
-        raise RadiusValidityError(rho, mv)
-
-
 def upper_value(mean: float, variance: float, headroom: float, rho: float) -> float:
     """The upper certificate's value E + 2 C(rho) sqrt(V) + rho^2 (2 - rho^2) [h - V / h].
 
@@ -170,11 +161,18 @@ def upper_value(mean: float, variance: float, headroom: float, rho: float) -> fl
 
 def report(direction: str, rho: float, raw: float, mv: float, inputs, ceiling: float,
            confidence: Optional[float] = None) -> CertificateReport:
-    """A certificate's report, its bound clamped into the attainable range [0, ceiling].
+    """A certificate's report at radius ``rho`` against its validity radius ``mv``.
 
-    Raises ValueError on a non-finite ``raw``: inputs whose terms overflow
-    the float range certify nothing.
+    Inside, the bound is ``raw`` clamped into the attainable range
+    [0, ceiling], and a non-finite ``raw`` raises ValueError: inputs whose
+    terms overflow the float range certify nothing.  Beyond, ``raw`` is not
+    looked at: the bound is the trivial one, ``ceiling`` (upper) or 0
+    (lower), flagged ``vacuous``, with ``raw_bound`` None.
     """
+    if rho > mv:
+        return CertificateReport(direction=direction, radius=rho, bound=ceiling if direction == "upper" else 0.0,
+                                 raw_bound=None, max_valid_radius=mv, inputs=inputs,
+                                 confidence=confidence, vacuous=True)
     if not math.isfinite(raw):
         raise ValueError(f"{direction} certificate at radius {rho} is {raw}: its terms overflow the float range")
     return CertificateReport(direction=direction, radius=rho, bound=min(max(raw, 0.0), ceiling),
@@ -185,11 +183,10 @@ def report(direction: str, rho: float, raw: float, mv: float, inputs, ceiling: f
 def upper_bound(stats: LossStatistics, rho: float) -> CertificateReport:
     """Certified upper bound on sup E_Q[loss] over the radius-rho Hellinger ball.
 
-    Value :func:`upper_value` at headroom M - E.  Raises
-    :class:`RadiusValidityError` when rho exceeds :func:`max_valid_radius_upper`.
+    Value :func:`upper_value` at headroom M - E, valid up to
+    :func:`max_valid_radius_upper`.
     """
     mv = max_valid_radius_upper(stats)
-    admit(rho, mv)
     raw = upper_value(stats.mean, stats.variance, stats.ceiling - stats.mean, rho)
     return report("upper", rho, raw, mv, stats, stats.ceiling)
 
@@ -201,7 +198,6 @@ def lower_bound(stats: LossStatistics, rho: float) -> CertificateReport:
     value negated for the loss -l, whose mean -E sits E below its ceiling 0.
     """
     mv = max_valid_radius_lower(stats)
-    admit(rho, mv)
     raw = 0.0 - upper_value(-stats.mean, stats.variance, stats.mean, rho)  # 0 - u: a zero bound is +0
     return report("lower", rho, raw, mv, stats, stats.ceiling)
 
@@ -209,32 +205,19 @@ def lower_bound(stats: LossStatistics, rho: float) -> CertificateReport:
 def classification_error_upper(error_rate: float, rho: float) -> CertificateReport:
     """Worst-case classification error over the Hellinger ball.
 
-    Specialization to the 0-1 loss: plugging E = eps, V = eps(1 - eps), M = 1
-    into the upper certificate gives
+    Specialization to the 0-1 loss: the upper certificate at E = eps,
+    V = eps(1 - eps), M = 1, which is
 
         eps + 2 C(rho) sqrt(eps (1 - eps)) + rho^2 (2 - rho^2) (1 - 2 eps),
 
     valid for rho^2 <= 1 - sqrt(eps).  At eps = 0 the bound rho^2 (2 - rho^2)
     is attained exactly by moving probability mass onto a misclassified point.
     """
-    if not (0.0 <= error_rate <= 1.0):
-        raise ValueError(f"error rate must lie in [0, 1], got {error_rate}")
-    stats = LossStatistics(mean=error_rate, variance=error_rate * (1.0 - error_rate), ceiling=1.0)
-    mv = math.sqrt(1.0 - math.sqrt(error_rate))
-    admit(rho, mv)
-    raw = upper_value(stats.mean, stats.variance, 1.0 - error_rate, rho)
-    return report("upper", rho, raw, mv, stats, 1.0)
+    return upper_bound(LossStatistics(error_rate, error_rate * (1.0 - error_rate), 1.0), rho)
 
 
 def certificate_band(stats: LossStatistics, rho: float):
-    """(lower, lower_trivial, upper, upper_trivial) at a radius, falling back to
-    the trivially valid bounds 0 and ceiling beyond each validity radius."""
-    if rho <= max_valid_radius_upper(stats):
-        upper, upper_trivial = upper_bound(stats, rho).bound, False
-    else:
-        upper, upper_trivial = stats.ceiling, True
-    if rho <= max_valid_radius_lower(stats):
-        lower, lower_trivial = lower_bound(stats, rho).bound, False
-    else:
-        lower, lower_trivial = 0.0, True
-    return lower, lower_trivial, upper, upper_trivial
+    """(lower, lower_trivial, upper, upper_trivial) at a radius: each bound with
+    its ``vacuous`` flag."""
+    lower, upper = lower_bound(stats, rho), upper_bound(stats, rho)
+    return lower.bound, lower.vacuous, upper.bound, upper.vacuous

@@ -10,7 +10,9 @@ delta/2, which is the published finite-sample expression rearranged (see
 :func:`corollary_upper_bound`).  The lower certificate is a conservative
 construction at delta/3 per bound (see :func:`corollary_lower_bound`).
 Each direction computes its concentration bounds once and takes both its
-validity radius and its value from them.
+validity radius and its value from them; beyond that radius the report
+carries the trivial bound, flagged ``vacuous`` (see
+:func:`hellcert.bounds.report`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import CertificateReport, admit, c_rho, report, upper_value, validity_radius
+from .bounds import CertificateReport, c_rho, report, upper_value, validity_radius
 
 __all__ = [
     "EmpiricalSample",
@@ -180,7 +182,6 @@ def corollary_upper_bound(
     """
     sigma, headroom = _upper_inputs(sample, budget)
     mv = _radius(headroom, sigma)
-    admit(rho, mv)
     raw = upper_value(sample.empirical_mean, sigma * sigma, headroom, rho)
     return report("upper", rho, raw, mv, sample, sample.ceiling, 1.0 - budget.delta)
 
@@ -198,6 +199,5 @@ def corollary_lower_bound(
     """
     e_lo, e_hi, std_up = _lower_inputs(sample, budget)
     mv = _radius(e_lo, std_up)
-    admit(rho, mv)
     raw = e_lo - 2.0 * c_rho(rho) * std_up - rho * rho * (2.0 - rho * rho) * e_hi
     return report("lower", rho, raw, mv, sample, sample.ceiling, 1.0 - budget.delta)

@@ -228,14 +228,13 @@ def gramian_certificate_on_task(losses: np.ndarray, norm_deltas, confidence_delt
     """Finite-sample JSD certificates at the Hellinger radii the dislocations induce.
 
     Returns the certificate's maximum valid radius on ``losses`` and one
-    report per ||delta||, None for a radius beyond it, so that one invalid
-    delta does not cost the others.
+    report per ||delta||, None where the report is vacuous, so that one
+    invalid delta does not cost the others.
     """
     sample = EmpiricalSample(losses, ceiling=1.0)
     budget = ConfidenceBudget(confidence_delta)
-    valid = max_valid_radius_empirical(sample, budget)
-    radii = [shift_distances(nd)[1] for nd in norm_deltas]
-    return valid, [corollary_upper_bound(sample, h, budget) if h <= valid else None for h in radii]
+    reports = (corollary_upper_bound(sample, shift_distances(nd)[1], budget) for nd in norm_deltas)
+    return max_valid_radius_empirical(sample, budget), [None if r.vacuous else r for r in reports]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hellcert.bounds import (
     CertificateReport,
     LossStatistics,
-    RadiusValidityError,
     c_rho,
     certificate_band,
     classification_error_upper,
@@ -17,6 +16,8 @@ from hellcert.bounds import (
     max_valid_radius_upper,
     upper_bound,
 )
+from hellcert.finite_sample import ConfidenceBudget, EmpiricalSample, corollary_lower_bound, corollary_upper_bound
+from hellcert.rng import stream
 
 # High-precision reference values, evaluated independently with mpmath at
 # 40 digits and frozen here.
@@ -92,11 +93,11 @@ def test_upper_bound_frozen():
     assert r.bound == pytest.approx(UPPER_01_009_01, abs=1e-12)
 
 
-def test_upper_bound_radius_error_carries_max_valid():
+def test_upper_bound_beyond_radius_carries_max_valid():
     stats = LossStatistics(0.1, 0.09, 1.0)
-    with pytest.raises(RadiusValidityError) as err:
-        upper_bound(stats, 0.9)
-    assert err.value.max_valid_radius == pytest.approx(MVR_UPPER_01_009, abs=1e-12)
+    r = upper_bound(stats, 0.9)
+    assert (r.vacuous, r.bound, r.raw_bound) == (True, 1.0, None)
+    assert r.max_valid_radius == pytest.approx(MVR_UPPER_01_009, abs=1e-12)
 
 
 def test_upper_bound_accepts_radius_at_exact_validity():
@@ -106,13 +107,14 @@ def test_upper_bound_accepts_radius_at_exact_validity():
 
 def test_mean_at_ceiling_with_positive_variance_is_the_trivial_sup():
     # The Bhatia-Davis slack admits V > 0 at E = M, as a mean rounded to the
-    # ceiling leaves it: the upper certificate is valid at radius 0 alone.
+    # ceiling leaves it: the upper certificate is valid at radius 0 alone,
+    # and beyond it the report is the trivial sup, flagged.
     stats = LossStatistics(1.0, 2.5e-18, 1.0)
     assert max_valid_radius_upper(stats) == 0.0
     report = upper_bound(stats, 0.0)
     assert report.bound == report.raw_bound == 1.0
-    with pytest.raises(RadiusValidityError):
-        upper_bound(stats, 1e-9)
+    beyond = upper_bound(stats, 1e-9)
+    assert (beyond.vacuous, beyond.bound, beyond.raw_bound, beyond.max_valid_radius) == (True, 1.0, None, 0.0)
     lower, lower_trivial, upper, upper_trivial = certificate_band(stats, 0.1)
     assert (upper, upper_trivial) == (1.0, True)
     assert not lower_trivial and 0.0 <= lower <= 1.0
@@ -142,8 +144,9 @@ def test_lower_bound_validity_radius():
     # 1 - [1 + E^2/V]^(-1/2) with E^2/V = 1.
     expect = math.sqrt(1.0 - 2.0 ** -0.5)
     assert max_valid_radius_lower(stats) == pytest.approx(expect, abs=1e-12)
-    with pytest.raises(RadiusValidityError):
-        lower_bound(stats, expect + 1e-6)
+    r = lower_bound(stats, expect + 1e-6)
+    assert (r.vacuous, r.bound, r.raw_bound) == (True, 0.0, None)
+    assert r.max_valid_radius == max_valid_radius_lower(stats)
 
 
 def test_classification_error_trivials():
@@ -167,10 +170,11 @@ def test_classification_error_matches_general_bound():
             assert direct == pytest.approx(general, abs=1e-12)
 
 
-def test_classification_error_all_wrong_only_zero_radius():
-    assert classification_error_upper(1.0, 0.0).bound == 1.0
-    with pytest.raises(RadiusValidityError):
-        classification_error_upper(1.0, 0.1)
+def test_classification_error_all_wrong_is_one_at_every_radius():
+    # At eps = 1 the variance is 0: the loss is 1 under every law in the ball.
+    for rho in (0.0, 0.1, 0.5, 1.0):
+        r = classification_error_upper(1.0, rho)
+        assert (r.vacuous, r.bound, r.raw_bound, r.max_valid_radius) == (False, 1.0, 1.0, 1.0)
 
 
 def test_report_rejects_radius_beyond_validity():
@@ -179,6 +183,43 @@ def test_report_rejects_radius_beyond_validity():
             direction="upper", radius=0.5, bound=1.0, raw_bound=1.0,
             max_valid_radius=0.4, inputs=None,
         )
+    with pytest.raises(ValueError):
+        CertificateReport(
+            direction="upper", radius=0.3, bound=1.0, raw_bound=None,
+            max_valid_radius=0.4, inputs=None, vacuous=True,
+        )
+
+
+def _corollary(certificate, losses):
+    return lambda rho: certificate(EmpiricalSample(losses, 1.0), rho, ConfidenceBudget(0.05))
+
+
+# One certificate per case, as a function of the radius, with its trivial bound.
+EDGE_CASES = {
+    "upper": (lambda rho: upper_bound(LossStatistics(0.4, 0.18, 2.0), rho), 2.0),
+    "upper-mean-at-ceiling": (lambda rho: upper_bound(LossStatistics(1.0, 2.5e-18, 1.0), rho), 1.0),
+    "lower": (lambda rho: lower_bound(LossStatistics(0.5, 0.25, 1.0), rho), 0.0),
+    "lower-mean-at-zero": (lambda rho: lower_bound(LossStatistics(0.0, 2.5e-18, 1.0), rho), 0.0),
+    "classification-error": (lambda rho: classification_error_upper(0.1, rho), 1.0),
+    "corollary-upper": (_corollary(corollary_upper_bound, stream(5).random(500)), 1.0),
+    "corollary-upper-at-ceiling": (_corollary(corollary_upper_bound, np.ones(100)), 1.0),
+    "corollary-lower": (_corollary(corollary_lower_bound, 0.5 + 0.5 * stream(6).random(500)), 0.0),
+    "corollary-lower-at-zero": (_corollary(corollary_lower_bound, np.zeros(10)), 0.0),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_every_certificate_at_and_just_beyond_its_validity_radius(case):
+    certify, trivial = EDGE_CASES[case]
+    mv = certify(0.0).max_valid_radius
+    assert mv < 1.0
+    at = certify(mv)
+    assert not at.vacuous and math.isfinite(at.raw_bound)
+    beyond = certify(math.nextafter(mv, 2.0))
+    assert beyond.vacuous and (beyond.bound, beyond.raw_bound) == (trivial, None)
+    assert (beyond.max_valid_radius, beyond.confidence) == (mv, at.confidence)
+    with pytest.raises(ValueError):
+        certify(1.5)
 
 
 def test_upper_reaches_ceiling_at_validity_edge():
