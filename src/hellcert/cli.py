@@ -11,6 +11,15 @@ by :func:`main` for the command it runs, and kept as a module global that is
 never overwritten.  Handlers look those globals up when they run, so a wrapper
 set on one of them, even before :func:`main` runs, wraps every call to it.
 
+:func:`main` registers :func:`gc.freeze` with :mod:`atexit`, once per
+process.  The hook runs only when the process exits, before the interpreter's
+final collections, which then skip the frozen heap and leave it to the OS:
+about 20 ms of CPU per invocation on a 2-core x86-64 box (Python 3.11, README
+"Startup and exit").  So in a process that has called :func:`main`, objects
+held in reference cycles get no finalizer at exit; every file hellcert opens,
+to read or to write, is closed in a ``with`` block before :func:`main`
+returns, so nothing it does relies on such a finalizer.
+
 Exit codes: 0 success, 1 input error (usage errors included), 3 solver
 diagnostic.  Beyond a certificate's validity radius the certify commands
 report the trivial bound, flagged ``vacuous``, and exit 0.  All randomness
@@ -21,7 +30,9 @@ timestamp, so identical command lines produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
+import gc
 import importlib
 import json
 import math
@@ -343,6 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # The exit hook of the module docstring; unregistering it first keeps one
+    # registration however often main runs.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     try:
         args = build_parser().parse_args(argv)
         _, handler, arguments, modules = COMMANDS[args.command]

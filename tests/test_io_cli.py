@@ -184,6 +184,19 @@ def test_certify_beyond_validity_reports_the_trivial_bound(tmp_path, direction, 
     assert 0.0 < rep["max_valid_radius"] < 0.999
 
 
+@pytest.mark.parametrize("direction", ["upper", "lower"])
+@pytest.mark.parametrize("rho", [0.0, 0.3])
+def test_certify_two_losses(tmp_path, direction, rho):
+    """n = 2, the smallest sample with a variance: its validity radius is 0, so any positive radius is vacuous."""
+    path = losses_file(tmp_path, [0.2, 0.7])
+    code, rep = run_report(tmp_path, ["certify", path, "--rho", str(rho), "--direction", direction])
+    assert code == 0
+    assert rep["inputs"]["n"] == 2
+    assert 0.0 <= rep["bound"] <= rep["inputs"]["max_loss"]
+    assert rep["max_valid_radius"] == 0.0
+    assert rep["vacuous"] is (rho > rep["max_valid_radius"])
+
+
 def test_certify_lower_direction(tmp_path):
     path = losses_file(tmp_path, [0.5, 0.6, 0.4, 0.5, 0.55, 0.45] * 10)
     code, rep = run_report(
