@@ -19,10 +19,11 @@ the smaller of two estimates of the root, one from each end of that curve,
 and kept inside a bracket whose upper end is always feasible; it bisects
 whenever a Newton step would leave the bracket or stops shrinking.  It
 stops on the feasible side within the same relative width 1e-13 of the root
-as plain bisection does, after about 4.6 evaluations on the benchmark's
-oracle instances where bisection takes about 44; ``OracleResult.root_steps``
-counts them.  One evaluation is 15 NumPy passes over the support.  Points with
-p_i = 0 only constrain nu: they receive mass only when the affinity already
+as plain bisection does, after about 4.5 evaluations where bisection takes
+about 50 on the benchmark's seed-1 oracle round (3.3 per solve with the
+closed forms included); ``OracleResult.root_steps`` counts them.  One
+evaluation is 15 NumPy passes over the support.  Points with p_i = 0 only
+constrain nu: they receive mass only when the affinity already
 meets c at nu = max loss, where the optimum is in closed form.  A radius
 at the feasibility edge puts the root at nu -> max loss, where the KKT
 family leaves the float range; the first non-finite evaluation there ends
@@ -75,6 +76,7 @@ class DiscreteInstance:
     ceiling: float
     rho: float
     loss_range: tuple[float, float] = field(init=False, repr=False, compare=False)  # (min, max)
+    on_support: bool = field(init=False, repr=False, compare=False)  # every p_i > 0
 
     def __init__(self, p, losses, ceiling: float, rho: float):
         if not isinstance(p, DiscreteDistribution):
@@ -96,6 +98,7 @@ class DiscreteInstance:
         object.__setattr__(self, "ceiling", float(ceiling))
         object.__setattr__(self, "rho", float(rho))
         object.__setattr__(self, "loss_range", (low, high))
+        object.__setattr__(self, "on_support", bool(np.minimum.reduce(p.probs) > 0.0))
 
     def moments(self) -> tuple[float, float]:
         """Mean and variance of the losses under p, summed by ``np.add.reduce``, not BLAS.
@@ -139,8 +142,12 @@ class OracleResult:
     root_steps: int  # KKT evaluations made; 0 on the closed forms that need none
 
 
-def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float):
+def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float, lmax: float, lmin: float,
+               on_support: bool):
     """Maximize sum q_i loss_i over the Hellinger cap; returns (q, proven gap, root steps).
+
+    ``lmax`` and ``lmin`` are the largest and smallest loss, and
+    ``on_support`` says whether every p_i > 0; the instance holds all three.
 
     Instances are small, so a solve costs NumPy calls rather than arithmetic.
     Every 1-d product is ``ndarray.dot``: the same BLAS ddot as ``@``, which
@@ -152,12 +159,21 @@ def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float):
     ``DiscreteDistribution``, calls the ufunc's ``reduce`` (``np.add.reduce``,
     ``np.maximum.reduce``, ``np.minimum.reduce``), never the ndarray method
     (``.sum()``, ``.max()``, ``.any()``), whose Python wrapper adds about a
-    microsecond at a few dozen points; the bits are the same.  With every
-    p_i > 0 the support needs no boolean compress.  On the benchmark's seed-1
-    oracle round (2-core AVX-512 box, Python 3.11.7, NumPy 2.4.6) a sup+inf
-    operation spends about 52 us in its 6.7 KKT evaluations; everything else
-    took about 60 us and takes about 48 us with these rules, so the KKT
-    share of its CPU rose from 47% to 53%.
+    microsecond at a few dozen points; the bits are the same.  A value the
+    instance already holds is read, not reduced again: the loss range (its
+    negation for the inf, which is exact) and the full-support flag.  On full
+    support the largest d is lmax - lmin, with the same bits as its reduction,
+    since rounding is monotone: max_i fl(lmax - l_i) = fl(lmax - min_i l_i).
+    Off the support d covers the support only, so its max is still reduced.
+    With every p_i > 0 the support needs no boolean compress.  The sums that
+    remain (the mass off the top, the maximizer's normalization, the reported
+    value) depend on their order, so nothing held elsewhere can stand in for
+    them.
+    On the benchmark's seed-1 oracle round (2-core AVX-512 box, Python
+    3.11.7, NumPy 2.4.6) a sup+inf operation spends about 70 us in its 6.68
+    KKT evaluations; everything else took about 63 us and takes about 53 us
+    with the values read from the instance, so the KKT share of its CPU rose
+    from 53% to 57%.
     """
     e = rho * rho * (2.0 - rho * rho)  # 1 - c^2 without cancellation
     if e == 0.0:  # rho = 0, or so small that rho^2 underflows: the ball is {p}
@@ -166,9 +182,7 @@ def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float):
     # Feasibility of the unconstrained optimum: all mass on the max-loss
     # coordinates, distributed proportionally to p (maximizes affinity).
     # sqrt(top mass) >= c is tested as (mass off the top) <= 1 - c^2.
-    lmax = float(np.maximum.reduce(losses))
     top = losses >= lmax
-    on_support = np.minimum.reduce(p) > 0.0
     top_on_support = on_support or np.maximum.reduce(p[top]) > 0.0
     off_top = float(np.add.reduce(p[~top]))
     if off_top <= e:
@@ -179,12 +193,12 @@ def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float):
     # however close to lmax the root lies (a tiny p there puts it very close).
     if on_support:
         p_s, d = p, lmax - losses
+        dmax = lmax - lmin
     else:
         support = p > 0.0
         p_s = p[support]
         d = lmax - losses[support]
-
-    dmax = float(np.maximum.reduce(d))
+        dmax = float(np.maximum.reduce(d))
 
     def kkt_at(t):
         """r = k / (nu - loss), S, k^2 T, 1 - affinity^2 and a Newton step at nu = lmax + t.
@@ -316,14 +330,17 @@ def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float):
 
 
 def _sign_solve(inst: DiscreteInstance, sign: float) -> OracleResult:
-    q, gap, steps = _solve_max(inst.p.probs, inst.losses if sign > 0.0 else -inst.losses, inst.rho)
+    low, high = inst.loss_range
+    if sign > 0.0:
+        q, gap, steps = _solve_max(inst.p.probs, inst.losses, inst.rho, high, low, inst.on_support)
+    else:
+        q, gap, steps = _solve_max(inst.p.probs, -inst.losses, inst.rho, -low, -high, inst.on_support)
     if gap > GAP_TOL * inst.ceiling:
         raise OracleGapError(inst, gap)
     maximizer = DiscreteDistribution._normalized(q)
     # Report the expectation under the (renormalized) extremizer, clamped into
     # the loss range, where the exact one lies: with every loss at M, the
     # masses' rounded sum can otherwise put it above M.
-    low, high = inst.loss_range
     value = min(max(float(np.add.reduce(maximizer.probs * inst.losses)), low), high)
     return OracleResult(value=value, maximizer=maximizer, method="kkt_dual", certified_gap=gap,
                         root_steps=steps)

@@ -785,7 +785,8 @@ def test_oracle_gap_above_tolerance_exits_3(tmp_path, capsys, monkeypatch):
 
     inst = tmp_path / "inst.json"
     inst.write_text('{"p": [0.6, 0.4], "losses": [0.1, 0.8], "M": 1.0, "rho": 0.2}')
-    monkeypatch.setattr(oracle, "_solve_max", lambda p, losses, rho: (p.copy(), 2 * oracle.GAP_TOL, 0))
+    monkeypatch.setattr(oracle, "_solve_max",
+                        lambda p, losses, rho, lmax, lmin, on_support: (p.copy(), 2 * oracle.GAP_TOL, 0))
     assert main(["oracle", str(inst)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("solver diagnostic: oracle duality gap")

@@ -47,6 +47,17 @@ def test_instance_validation():
         DiscreteInstance([0.5, 0.5], [0.0, 1.0], 1.0, 1.2)  # bad radius
 
 
+def test_on_support_is_taken_from_the_normalized_masses():
+    assert DiscreteInstance([0.25, 0.75], [0.2, 0.9], 1.0, 0.3).on_support is True
+    assert DiscreteInstance([0.25, 0.0, 0.75], [0.2, 0.5, 0.9], 1.0, 0.3).on_support is False
+    # The sum overflows, so the masses are divided by the largest first, and
+    # the smallest one normalizes to 0: a flag from the raw masses would be True.
+    inst = DiscreteInstance([1e308, 1e308, 5e-324], [0.2, 0.9, 0.5], 1.0, 0.3)
+    assert inst.p.probs[2] == 0.0 and inst.on_support is False
+    assert worst_case_sup(inst).value == 0.8141054545063366
+    assert worst_case_inf(inst).value == 0.2858945454936633
+
+
 def test_instance_json_round_trip():
     inst = DiscreteInstance([0.25, 0.75], [0.2, 0.9], 1.0, 0.3)
     again = DiscreteInstance.from_json(inst.to_json())
@@ -443,6 +454,28 @@ def test_gram_determinant_psd_sample():
         assert gram_determinant(p, q, f) >= -1e-12
 
 
+@pytest.mark.cpu_bits
+def test_largest_difference_is_the_difference_from_the_smallest():
+    # max_i fl(a - l_i) = fl(a - min_i l_i), bit for bit, because rounding is
+    # monotone; the oracle takes its largest d this way on full support.
+    gen = stream(73)
+    big = np.finfo(float).max
+    pools = (
+        np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-310]),  # zeros and subnormals
+        np.array([0.0, -0.0, 1.0, 0.5, 1e-300, 0.3]),
+        np.array([big, -big, big / 3, -big / 7, 0.0, -0.0, 1e308]),  # spreads near the float maximum
+    )
+    with np.errstate(over="ignore"):
+        for _ in range(3000):
+            pool = pools[int(gen.integers(len(pools)))]
+            k = int(gen.integers(1, 40))
+            l = pool[gen.integers(pool.size, size=k)] * gen.choice([1.0, 0.75, 1.0 - 2.0**-53], size=k)
+            a = float(gen.choice([np.maximum.reduce(l), l[int(gen.integers(k))], 0.0, -0.0, big]))
+            left = np.maximum.reduce(a - l)
+            right = a - np.minimum.reduce(l)
+            assert np.float64(left).tobytes() == np.float64(right).tobytes(), (a, l.tolist())
+
+
 # ----------------------------------------- the solver in its ``@`` form
 # Every 1-d product below is ``@``, where the oracle calls ``ndarray.dot``;
 # both are the same BLAS ddot, and the test after it holds the oracle to these
@@ -588,8 +621,24 @@ def reference_instances():
     """Instances on k = 1-64 points: Dirichlet masses, some points off the
     support, tied maximum losses, and tied maxima all off the support (the
     boundary form); radii 0, 1e-9, 1, a random one and the feasibility edge
-    of each direction with its two float neighbours for the sup."""
+    of each direction with its two float neighbours for the sup.  Then the
+    cases the oracle's loss range and support flag must get right: -0.0 and
+    0.0 tied at the smallest loss (the inf's largest) and at every loss, the
+    smallest loss on a p_i = 0 point, and constant losses."""
     gen = stream(71)
+
+    def at_radii(p, losses):
+        probs = DiscreteDistribution(p).probs
+        radii = {0.0, 1e-9, 1.0, float(gen.random())}
+        for sign in (1.0, -1.0):
+            top = sign * losses >= (sign * losses).max()
+            edge = math.sqrt(1.0 - math.sqrt(max(1.0 - float(probs[~top].sum()), 0.0)))
+            radii.add(edge)
+            if sign > 0.0:
+                radii.update(math.nextafter(edge, x) for x in (0.0, 1.0))
+        for rho in sorted(radii):
+            yield DiscreteInstance(p, losses, 1.0, rho)
+
     for k in range(1, 65):
         for variant in range(4):
             p = gen.dirichlet(np.full(k, 0.3 if variant == 0 else 1.0))
@@ -601,16 +650,20 @@ def reference_instances():
                 p[gen.choice(k, size=int(gen.integers(1, k)), replace=False)] = 0.0
             if variant == 3 and ties.size < k:
                 p[ties] = 0.0
-            probs = DiscreteDistribution(p).probs
-            radii = {0.0, 1e-9, 1.0, float(gen.random())}
-            for sign in (1.0, -1.0):
-                top = sign * losses >= (sign * losses).max()
-                edge = math.sqrt(1.0 - math.sqrt(max(1.0 - float(probs[~top].sum()), 0.0)))
-                radii.add(edge)
-                if sign > 0.0:
-                    radii.update(math.nextafter(edge, x) for x in (0.0, 1.0))
-            for rho in sorted(radii):
-                yield DiscreteInstance(p, losses, 1.0, rho)
+            yield from at_radii(p, losses)
+    for k in (2, 5, 16):
+        p = gen.dirichlet(np.ones(k))
+        zeros = np.where(gen.random(k) < 0.5, -0.0, 0.0)
+        zeros[:2] = -0.0, 0.0
+        losses = gen.random(k)
+        losses[: max(2, k // 3)] = zeros[: max(2, k // 3)]
+        yield from at_radii(p, losses)  # -0.0 and 0.0 tied at the smallest loss
+        yield from at_radii(p, zeros)  # and at the largest
+        yield from at_radii(p, np.full(k, float(gen.random())))
+        p[0] = 0.0
+        losses = 0.25 + 0.75 * gen.random(k)
+        losses[0] = 0.0  # the smallest loss alone, off the support
+        yield from at_radii(p, losses)
     big = stream(72)
     p = big.dirichlet(np.ones(100_000))
     p[big.choice(100_000, size=1000, replace=False)] = 0.0
