@@ -132,8 +132,7 @@ def _at_least(minimum):
     return _must(lambda v: v >= minimum, f"be at least {minimum}")
 
 
-_positive = _must(lambda v: v > 0.0, "be positive")
-_ceiling = _must(lambda v: 0.0 < v < math.inf, "be positive and finite")
+_positive_finite = _must(lambda v: 0.0 < v < math.inf, "be positive and finite")
 _shift = _must(lambda v: 0.0 <= v < math.inf, "be finite and non-negative")
 _radius = _must(lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
 _confidence = _must(lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
@@ -232,7 +231,8 @@ def _cmd_label_shift(args):
     result = label_shift_experiment(preds, labels, trials=args.trials, seed=args.seed,
                                     unseen_classes=args.unseen_classes,
                                     dirichlet_concentration=args.dirichlet_concentration)
-    _write_records(args.scatter_csv, LabelShiftPoint, result.points)
+    write_csv(args.scatter_csv, [field.name for field in dataclasses.fields(LabelShiftPoint)],
+              zip(result.hellinger.tolist(), result.loss.tolist(), result.mechanism))
     write_csv(args.curve_csv, ("rho", "lower", "lower_is_trivial", "upper", "upper_is_trivial"),
               result.curve)
     report = base_report("label-shift", args.seed, {
@@ -293,7 +293,7 @@ _OUTPUT = _arg("--output", default=None, help="write the JSON report here (defau
 # every subcommand also takes --output.
 COMMANDS = {
     "certify": ("finite-sample certificate for a file of losses", _cmd_certify, [
-        _FILE, _RHO, _DELTA, _arg("--max-loss", type=float, default=1.0, check=_ceiling),
+        _FILE, _RHO, _DELTA, _arg("--max-loss", type=float, default=1.0, check=_positive_finite),
         _DIRECTION, _FORMAT,
     ], ("bounds", "finite_sample")),
     "certify-accuracy": ("0-1 loss certificate from (pred, label) records", _cmd_certify_accuracy, [
@@ -310,11 +310,11 @@ COMMANDS = {
         _arg("--dataset", dest="input", metavar="DATASET", required=True), _FORMAT, _SEED,
         _arg("--trials", type=int, default=10000, check=_at_least(1)),
         _arg("--unseen-classes", type=int, default=2, check=_at_least(0)),
-        _arg("--dirichlet-concentration", type=float, default=10.0, check=_positive),
+        _arg("--dirichlet-concentration", type=float, default=10.0, check=_positive_finite),
         _arg("--scatter-csv", required=True), _arg("--curve-csv", required=True),
     ], ("experiments",)),
     "mixture": ("disjoint-support mixture curve (0-1 loss and AUC)", _cmd_mixture, [
-        _arg("--gamma-grid", type=grid, default="0.05:1.0:0.05"),
+        _arg("--gamma-grid", type=grid, default="0.05:1.0:0.05", check=_radius),
         _arg("--samples", type=int, default=10000, check=_at_least(1)),
         _SEED, _CSV,
     ], ("experiments",)),

@@ -5,6 +5,9 @@ evaluation distribution as the reference P, so the shifted losses they emit
 are exact reweightings of measured conditional losses.  At that level the closed-form certificates hold
 deterministically, which is what makes the containment checks sharp instead
 of statistical.
+
+The label-shift scatter is computed a block of trials at a time and kept as
+columns; :class:`LabelShiftPoint` records are built only when asked for.
 """
 
 from __future__ import annotations
@@ -48,10 +51,19 @@ class LabelShiftPoint:
 
 @dataclass(frozen=True)
 class LabelShiftResult:
-    points: list
+    """The scatter as columns, one entry per trial in trial order, named as LabelShiftPoint's fields."""
+
+    hellinger: np.ndarray
+    loss: np.ndarray
+    mechanism: list
     curve: list  # (rho, lower, lower_is_trivial, upper, upper_is_trivial)
     stats: LossStatistics
     class_priors: np.ndarray
+
+    @property
+    def points(self) -> list:
+        """The scatter as one LabelShiftPoint per trial, built on each call."""
+        return list(map(LabelShiftPoint, self.hellinger.tolist(), self.loss.tolist(), self.mechanism))
 
 
 def certificate_curve(stats: LossStatistics):
@@ -110,12 +122,11 @@ def label_shift_experiment(
     rekey = rekeyed_stream(seed)
     rows = max(1, _BLOCK_BYTES // (8 * m))
     block_buffer, roots_buffer = np.empty((rows, m)), np.empty((rows, m))
-    points = []
+    distances, losses, mechanisms = [], [], []
     for start in range(0, trials, rows):
         # One row of q per trial t, from the draws of stream(seed, t).
         block = block_buffer[: min(rows, trials - start)]
         block.fill(0.0)
-        mechanisms = []
         for t, q in enumerate(block, start):
             gen = rekey(t)
             mech = MECHANISMS[t % len(MECHANISMS)]
@@ -127,29 +138,34 @@ def label_shift_experiment(
             elif mech == "class_removal":
                 n_remove = int(gen.integers(1, k))
                 q[:k] = priors
-                # Only the chosen set matters, but shuffle=False is no same-bits saving:
-                # for k > 10,000 NumPy also picks another algorithm on it, and so another set.
-                q[gen.choice(k, size=n_remove, replace=False)] = 0.0
+                # Only the chosen set matters.  Up to 10,000 classes NumPy picks it by Floyd's
+                # algorithm and then permutes it, so shuffle=False draws the same set for less;
+                # beyond, shuffle=False picks another algorithm, and so another set.
+                q[gen.choice(k, size=n_remove, replace=False, shuffle=k > 10_000)] = 0.0
                 q[:k] /= q[:k].sum()
             else:
                 moved = float(gen.uniform(0.0, 1.0))
                 q[k:] = moved * gen.dirichlet(flat)
                 q[:k] = (1.0 - moved) * priors
             mechanisms.append(mech)
+        # A row is a law when its least entry is at least 0 (NaN is not) and its total is
+        # positive and finite (an infinite entry makes it infinite or NaN).
         totals = block.sum(axis=1)
-        bad = ~np.isfinite(block).all(axis=1) | (block < 0.0).any(axis=1) | ~(totals > 0.0)
+        bad = ~((np.minimum.reduce(block, axis=1) >= 0.0) & (totals > 0.0) & (totals < math.inf))
         if bad.any():
             DiscreteDistribution(block[np.argmax(bad)])  # raises the first bad trial's error
         block /= totals[:, None]
         root_differences = np.sqrt(block, out=roots_buffer[: len(block)])
         np.subtract(root_prior, root_differences, out=root_differences)
         # Row sums by np.add.reduce, not BLAS, so every CPU rounds them alike.
-        losses = np.add.reduce(block[:, :k] * cond_loss, axis=1) + np.add.reduce(block[:, k:], axis=1)
-        hellinger = root_difference_hellinger(root_differences)
-        points += map(LabelShiftPoint, hellinger.tolist(), losses.tolist(), mechanisms)
+        losses.append(np.add.reduce(block[:, :k] * cond_loss, axis=1) + np.add.reduce(block[:, k:], axis=1))
+        distances.append(root_difference_hellinger(root_differences))
 
+    no_trial = [np.empty(0)]  # the columns when no block ran
     return LabelShiftResult(
-        points=points,
+        hellinger=np.concatenate(distances or no_trial),
+        loss=np.concatenate(losses or no_trial),
+        mechanism=mechanisms,
         curve=certificate_curve(stats),
         stats=stats,
         class_priors=priors,

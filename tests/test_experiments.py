@@ -77,6 +77,14 @@ def test_label_shift_without_unseen_classes_resamples_their_trials():
     assert all(p.hellinger > 0.0 for p in res.points)
 
 
+@pytest.mark.parametrize("concentration", [math.inf, math.nan])
+def test_label_shift_trial_that_is_no_law_raises(concentration):
+    # Dirichlet draws at an infinite or NaN concentration are NaN: the block check catches them.
+    preds, labels = synthetic_predictions()
+    with pytest.raises(ValueError, match="probs must be finite"):
+        label_shift_experiment(preds, labels, trials=3, seed=1, dirichlet_concentration=concentration)
+
+
 def test_label_shift_deterministic():
     preds, labels = synthetic_predictions()
     a = label_shift_experiment(preds, labels, trials=60, seed=3)
@@ -97,7 +105,9 @@ def per_trial_label_shift(predictions, labels, trials, seed, unseen_classes, dir
     k = classes.size
     priors = counts / counts.sum()
     wrong = (predictions != labels).astype(float)
-    cond_loss = np.array([wrong[labels == c].mean() for c in classes])
+    # Each class's losses in file order, by a stable sort: one mask per class costs O(k n).
+    by_class = np.split(wrong[np.argsort(labels, kind="stable")], np.cumsum(counts)[:-1])
+    cond_loss = np.array([class_wrong.mean() for class_wrong in by_class])
     padded_prior = DiscreteDistribution(np.concatenate([priors, np.zeros(unseen_classes)]))
     points = []
     for t in range(trials):
@@ -133,7 +143,7 @@ def per_trial_label_shift(predictions, labels, trials, seed, unseen_classes, dir
 @pytest.fixture(scope="module")
 def label_shift_data():
     """k -> (predictions, labels) in which each of the k classes occurs."""
-    data = {k: synthetic_predictions(seed=k, n=max(400, 30 * k), k=k) for k in (2, 7, 1000)}
+    data = {k: synthetic_predictions(seed=k, n=max(400, 30 * k), k=k) for k in (2, 7, 1000, 10_001)}
     assert all(np.unique(labels).size == k for k, (_, labels) in data.items())
     return data
 
@@ -158,6 +168,22 @@ def test_label_shift_points_match_the_per_trial_loop_bit_for_bit(monkeypatch, la
                                  dirichlet_concentration=concentration)
     got = [(p.hellinger, p.loss, p.mechanism) for p in res.points]
     assert got == per_trial_label_shift(preds, labels, trials, seed, unseen, concentration)
+
+
+@pytest.mark.cpu_bits
+def test_label_shift_points_match_the_per_trial_loop_beyond_10000_classes(label_shift_data):
+    """Beyond 10,000 classes NumPy's shuffle changes which set a class-removal trial removes."""
+    preds, labels = label_shift_data[10_001]
+    res = label_shift_experiment(preds, labels, trials=2500, seed=7, unseen_classes=2, dirichlet_concentration=0.05)
+    got = [(p.hellinger, p.loss, p.mechanism) for p in res.points]
+    assert got == per_trial_label_shift(preds, labels, 2500, 7, 2, 0.05)
+
+
+def test_label_shift_without_trials_gives_an_empty_scatter_and_the_curve():
+    preds, labels = synthetic_predictions()
+    res = label_shift_experiment(preds, labels, trials=0, seed=1)
+    assert res.points == [] and res.hellinger.shape == res.loss.shape == (0,)
+    assert res.curve == label_shift_experiment(preds, labels, trials=1, seed=1).curve
 
 
 @pytest.mark.cpu_bits

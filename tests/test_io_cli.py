@@ -115,6 +115,12 @@ def test_write_csv(tmp_path):
     write_csv(f, ("a", "b"), [(1.5, "x"), (0.1, "y")])
     text = f.read_bytes().decode()
     assert text == "a,b\n1.5,x\n0.10000000000000001,y\n"
+    # Every kind of cell: floats of each width, None, flags and integers of Python and NumPy.
+    rows = [(0.1, None, True, 3), (np.float64(0.1), None, np.False_, np.int64(-3)),
+            (np.float32(0.1), "z", np.True_, 2**70), (0.5, None, False, 0)]
+    write_csv(f, "abcd", rows)
+    assert f.read_bytes().decode() == ("a,b,c,d\n0.10000000000000001,,true,3\n0.10000000000000001,,false,-3\n"
+                                       "0.10000000149011612,z,true,1180591620717411303424\n0.5,,false,0\n")
 
 
 # ---------------------------------------------------------------- cli flows
@@ -545,10 +551,13 @@ _OUTPUTS = {
         _bad_value(["label-shift", "--trials", "-1"], "--trials must be at least 1, got -1"),
         _bad_value(["label-shift", "--unseen-classes", "-1"], "--unseen-classes must be at least 0, got -1"),
         _bad_value(["label-shift", "--dirichlet-concentration", "0"],
-                   "--dirichlet-concentration must be positive, got 0.0"),
+                   "--dirichlet-concentration must be positive and finite, got 0.0"),
+        _bad_value(["label-shift", "--dirichlet-concentration", "inf"],
+                   "--dirichlet-concentration must be positive and finite, got inf"),
         _bad_value(["mixture", "--samples", "0"], "--samples must be at least 1, got 0"),
         _bad_value(["mixture", "--seed", "-1"], "--seed must lie in [0, 2**64), got -1"),
         _bad_value(["mixture", "--gamma-grid", "0:1"], "argument --gamma-grid: invalid grid value: '0:1'"),
+        _bad_value(["mixture", "--gamma-grid", "0.5,1.5"], "--gamma-grid must lie in [0, 1], got 1.5"),
         _bad_value(["mixture", "--gamma-grid", "0:inf:0.1"],
                    "argument --gamma-grid: '0:inf:0.1': step must be positive and the range finite"),
         _bad_value(["certify", "--max-loss", "0", "--rho", "0.1"], "--max-loss must be positive and finite, got 0.0"),
@@ -947,6 +956,10 @@ _ADVERSARIAL = [
     '{"loss": Infinity}', '{"loss": -Infinity}', '{"score": NaN, "label": 1}', '{"pred": NaN, "label": 1}',
     '{"loss": 2, "loss": 0.5}', '{"loss": 0.5, "loss": 2}', '{"score": 0.5, "label": 1, "label": 3}',
     '{"pred": 1, "label": 1, "pred": true}',
+    # Canonical layout at the edges of the JSON grammar: -0 is the integer 0, an integer beyond
+    # the float range or int64 is a bad value, and a number JSON does not spell is bad JSON.
+    '{"loss": -0}', '{"loss": 1' + "0" * 400 + "}", '{"loss": 01}', '{"loss": 1.}', '{"loss": .5}',
+    '{"loss": 1e}', '{ "loss" : 0.5 }', '{"pred": -0, "label": 1}', '{"pred": 9223372036854775808, "label": 1}',
 ]
 
 
@@ -989,14 +1002,19 @@ def _outcome(read, path, fmt, csv_format):
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data(), reader=st.sampled_from(sorted(_READERS)), jsonl=st.booleans())
-def test_fast_path_matches_per_line_parser(tmp_path, data, reader, jsonl):
-    """The vectorized pass returns exactly what the per-line parser returns, or leaves the file to it."""
+@given(data=st.data(), reader=st.sampled_from(sorted(_READERS)), jsonl=st.booleans(),
+       chunk=st.sampled_from([hio._CANONICAL_CHUNK, 1, 24]))
+def test_fast_path_matches_per_line_parser(tmp_path, data, reader, jsonl, chunk):
+    """The vectorized pass returns exactly what the per-line parser returns, or leaves the file to it.
+
+    Small canonical chunks put a chunk edge after every line or every few.
+    """
     read, csv_format, fields = _READERS[reader]
     path = tmp_path / "input"
     path.write_bytes(data.draw(_input_text(fields, jsonl)).encode("utf-8"))
     fmt = "jsonl" if jsonl else csv_format
-    fast = _outcome(read, path, fmt, csv_format)
+    with unittest.mock.patch.object(hio, "_CANONICAL_CHUNK", chunk):
+        fast = _outcome(read, path, fmt, csv_format)
     with unittest.mock.patch.object(hio, "_fast", return_value=None):
         assert fast == _outcome(read, path, fmt, csv_format)
 
@@ -1039,6 +1057,30 @@ def test_common_spellings_take_the_fast_path(tmp_path, fmt, fields, text, expect
     assert [c.tolist() for c in columns] == expected
     assert [c.dtype for c in columns] == list(fields.values())
     assert all(c.flags.c_contiguous for c in columns)
+
+
+@pytest.mark.parametrize("separators", [(", ", ": "), (",", ":")])
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+@pytest.mark.parametrize("ending", ["", "\n \r\n\t\n"])
+@pytest.mark.parametrize("chunk", [1 << 16, 1])
+@pytest.mark.parametrize("reader, records", [
+    ("losses", [{"loss": v} for v in (0.5, 1e-5, 0.0, -0.0, 1, 0, 5e-324, 0.1 + 0.2)]),
+    ("predictions", [{"pred": p, "label": y} for p, y in ((1, 2), (0, 0), (2**63 - 1, -2**63))]),
+    ("scores", [{"score": s, "label": y} for s, y in ((-1.5e300, 1), (2, -1), (-0.0, 1), (1e-320, -1))]),
+])
+def test_json_dumps_files_take_the_canonical_pass(tmp_path, monkeypatch, reader, records, separators, eol, ending,
+                                                  chunk):
+    """A file of ``json.dumps`` records is read by the canonical regex alone, as the per-line parser reads it,
+    with blank lines after the last record and with a chunk edge after every line."""
+    read, csv_format, _ = _READERS[reader]
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(("".join(json.dumps(r, separators=separators) + eol for r in records) + ending).encode())
+    monkeypatch.setattr(hio, "_scan_jsonl", unittest.mock.Mock(side_effect=AssertionError("scanner pass")))
+    monkeypatch.setattr(hio, "_CANONICAL_CHUNK", chunk)
+    columns = hio._fast("jsonl", path, path.read_bytes(), hio.FORMATS[csv_format])
+    assert [c.dtype for c in columns] == list(hio.FORMATS[csv_format].values())
+    with unittest.mock.patch.object(hio, "_fast", return_value=None):
+        assert [c.tobytes() for c in columns] == _outcome(read, path, "jsonl", csv_format)
 
 
 def _losses_as_per_line_parser_reads_them(path, fmt="csv_losses"):
