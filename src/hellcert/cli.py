@@ -46,7 +46,7 @@ from .rng import KEY_LIMIT
 
 # The library names the handlers use, by module, each bound as described above.
 _LIBRARY = {
-    "bounds": ("LossStatistics", "certificate_band", "upper_bound"),
+    "bounds": ("LossStatistics", "certificate_band", "classification_error_upper"),
     "experiments": ("LabelShiftPoint", "MixtureCell", "label_shift_experiment", "mixture_experiment"),
     "finite_sample": ("ConfidenceBudget", "EmpiricalSample", "corollary_lower_bound", "corollary_upper_bound",
                       "max_valid_radius_empirical", "max_valid_radius_empirical_lower"),
@@ -174,9 +174,9 @@ def _cmd_certify_accuracy(args):
     preds, labels = read_predictions(args.input, args.format)
     sample = zero_one_stats(PredictionSample(preds, labels))
     error = sample.empirical_mean
-    population = LossStatistics(error, error * (1.0 - error), 1.0)
     report = base_report("certify-accuracy", None, {})
-    report.update(empirical_error_rate=error, population_reference_upper=upper_bound(population, args.rho).bound)
+    upper = classification_error_upper(error, args.rho).bound
+    report.update(empirical_error_rate=error, population_reference_upper=upper)
     return _certify(args, report, sample, args.rho, args.direction)
 
 

@@ -215,10 +215,11 @@ def mixture_experiment(gamma_grid, seed: int = 0, n_samples: int = 10000):
     # 0 and 1, hence exact mixture loss 1 - gamma.
     loss_stats = LossStatistics(mean=0.0, variance=0.0, ceiling=1.0)
     pair_stats = LossStatistics(mean=1.0, variance=0.0, ceiling=1.0)
-    for cell_idx, gamma in enumerate(gamma_grid):
-        gamma = float(gamma)
+    grid = [float(gamma) for gamma in gamma_grid]
+    for gamma in grid:  # the whole grid, before any cell is drawn
         if not (0.0 <= gamma <= 1.0):
             raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+    for cell_idx, gamma in enumerate(grid):
         gen = stream(seed, cell_idx)
         from_p = gen.random(n_samples) < gamma
         feature = gen.integers(0, nf, size=n_samples) + np.where(from_p, 0, nf)

@@ -9,28 +9,30 @@ is binary64; an integer column takes only integers within int64.
 Files are UTF-8, split into lines at ``\\n`` alone.  Blank lines are skipped
 and whitespace around a line or a CSV field is ignored, so CRLF endings read
 like LF ones.  Each input is read once, and its bytes serve every pass, so a
-named pipe or ``/dev/stdin`` reads as a regular file does.  Each reader first
-parses in one vectorized pass, keeping only the numbers:
+named pipe or ``/dev/stdin`` reads as a regular file does.  Each format has
+two passes, which keep only the numbers, and only the second, a line parser,
+reports errors, with the file and the 1-based number of the first bad line:
 
-* a CSV body in one ``np.loadtxt`` call, which alone is given the path of a
-  regular file, so that its C reader takes the text in chunks, and never a
+* CSV: the body in one ``np.loadtxt`` call, which alone is given the path of
+  a regular file, so that its C reader takes the text in chunks, and never a
   file whose ``\\r`` count is not its ``\\r\\n`` count, since it reads with
-  universal newlines;
-* a JSONL file by one bytes regex, a chunk at a time, when every line but
-  blank ones at its end is a record in canonical layout (each key once, in
-  table order, a JSON number, an integer for an integer column, spaces or
-  tabs between tokens, a CR before the LF), as ``json.dumps`` writes one,
-  else by the JSON C scanner over each stripped line.
+  universal newlines.  A file it cannot take (it raises or warns) is parsed
+  again line by line.
+* JSONL: one bytes regex, a chunk at a time, while every line of the chunk is
+  a record in canonical layout (each key once, in table order, a JSON number,
+  an integer for an integer column, spaces or tabs between tokens, a CR
+  before the LF), as ``json.dumps`` writes one; then the JSON C scanner over
+  each line, from the first chunk out of that layout to the end of the file.
 
-Whatever that pass cannot take (it raises or warns) is parsed again line by
-line, and only that parser reports errors, with the file and the 1-based
-number of the first bad line.  All emitted numbers carry 17 significant
-digits (lossless for binary64) and JSON reports are pretty-printed with
-sorted keys, so identical inputs produce byte-identical outputs.
+All emitted numbers carry 17 significant digits (lossless for binary64) and
+JSON reports are pretty-printed with sorted keys, so identical inputs produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 import functools
 import itertools
 import json
@@ -130,7 +132,8 @@ def detect_format(path) -> str:
 
 
 def _loadtxt(path, data, fields):
-    """One array per field: the CSV body in one ``np.loadtxt`` call, one record per line.
+    """One array per field: the CSV body in one ``np.loadtxt`` call, one record per line, or None if
+    that call cannot take the file (any exception or warning): the per-line parser then reads it.
 
     The file's bytes ``data`` serve the checks, but loadtxt is given its path:
     from a path its C reader takes the text in large chunks, where from a
@@ -148,15 +151,17 @@ def _loadtxt(path, data, fields):
     characters as digits (``5\\u01fe`` as the integer 512); Python reads
     non-ASCII digits and spaces its own way.
     """
-    if not os.path.isfile(path):
-        raise ValueError("not a regular file")
-    if _header(next(_lines(path, data), (1, ""))[1]) != ",".join(fields):
-        raise ValueError("header")
-    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
-        raise ValueError("lone CR")
-    rows = np.loadtxt(os.path.abspath(path), dtype=list(fields.items()), delimiter=",", comments=None,
-                      skiprows=1, ndmin=1, encoding="ascii")
-    return [np.ascontiguousarray(rows[name]) for name in fields]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if (os.path.isfile(path) and _header(next(_lines(path, data), (1, ""))[1]) == ",".join(fields)
+                    and (b"\r" not in data or data.count(b"\r") == data.count(b"\r\n"))):
+                rows = np.loadtxt(os.path.abspath(path), dtype=list(fields.items()), delimiter=",",
+                                  comments=None, skiprows=1, ndmin=1, encoding="ascii")
+                return [np.ascontiguousarray(rows[name]) for name in fields]
+    except Exception:  # every failure is the per-line parser's to report
+        pass
+    return None
 
 
 _JSON_TYPES = {np.float64: {int, float}, np.int64: {int}}
@@ -177,7 +182,7 @@ def _canonical(columns):
 
 
 def _floats(literals):
-    """JSON number literals as binary64, as the per-line parser reads them: ``float`` of a
+    """JSON number literals as binary64, as the line parser reads them: ``float`` of a
     fraction or exponent, ``float(int(...))`` of an integer.  The two agree on an integer
     literal except where ``float`` gives -0.0 (``-0`` is the integer 0) or an infinity (the
     integer overflows the float range, an error), so only those are read again."""
@@ -188,83 +193,95 @@ def _floats(literals):
     return values
 
 
-def _scan_jsonl(data, fields):
-    """One array per field: each stripped line through the JSON C scanner, keeping its numbers only.
-
-    A line must be one JSON value from its first character to its last, as
-    ``json.loads(line.strip())`` in the per-line parser requires.  The bytes
-    are decoded a chunk at a time, so no decoded copy of the file is held.
-    """
-    scan = json.JSONDecoder().scan_once
-    numbers = operator.itemgetter(*fields)
-    rows = []
-    with TextIOWrapper(BytesIO(data), encoding="utf-8", newline="\n") as text_lines:
-        for text in map(str.strip, text_lines):
-            if text:
-                obj, end = scan(text, 0)
-                if end != len(text):
-                    raise ValueError("extra data")
-                rows.append(numbers(obj))
-    if not rows:
-        raise ValueError("no records")
-    columns = zip(*rows) if len(fields) > 1 else [rows]
-    arrays = []
-    for column, dtype in zip(columns, fields.values()):
-        if not set(map(type, column)) <= _JSON_TYPES[dtype]:  # booleans, strings, null, ...
-            raise TypeError(dtype)
-        arrays.append(np.array(column, dtype=dtype))
-    return arrays
-
-
 # Bytes the canonical pass reads at a time, cut after a line end: the first chunk with a line of
 # another layout ends the pass, and only one chunk's literals are held at a time.
 _CANONICAL_CHUNK = 1 << 16
 
 
 def _decode_jsonl(path, data, fields):
-    """One array per field of a JSONL file: by one regex when every line is a canonical record,
-    else by the scanner pass (keys in another order or repeated, other whitespace, a blank line before
-    the last record, ``NaN``).
+    """One array per field of a JSONL file, and index -> line number: the canonical regex over the
+    chunks it matches, then the line parser from the first chunk it does not match to the end.
 
-    The regex runs a chunk of whole lines at a time, up to the whitespace
-    that ends the file (trailing blank lines, which every pass skips), and the
-    first chunk with a line it does not match sends the whole file to the
-    scanner pass.  Matches lie within one line and at most one per line, so
-    every line of a chunk matched when they number as many as its lines.  A
-    matched file is ASCII, hence UTF-8.
+    A chunk is whole lines, up to the whitespace that ends the file.  Matches lie within one line, at
+    most one a line, so all its lines matched if they number as many; they are ASCII, one record a line.
     """
     canonical = _canonical(tuple(fields.items()))
-    tail = data[-4096:]  # a longer run of trailing whitespace goes to the scanner pass
+    tail = data[-4096:]  # a longer run of trailing whitespace goes to the line parser
     stop = len(data) - len(tail) + len(tail.rstrip())
     chunks, start = [], 0
     while start < stop:
         end = data.find(b"\n", start + _CANONICAL_CHUNK, stop) + 1 or stop
         records = canonical.findall(data, start, end)
         if len(records) != data.count(b"\n", start, end) + (not data.endswith(b"\n", start, end)):
-            return _scan_jsonl(data, fields)
+            break
         columns = zip(*records) if len(fields) > 1 else [records]
-        chunks.append([_floats(column) if dtype is np.float64 else np.array(list(map(int, column)), dtype=dtype)
-                       for column, dtype in zip(columns, fields.values())])
+        try:
+            chunks.append([_floats(column) if dtype is np.float64 else np.array(list(map(int, column)), dtype=dtype)
+                           for column, dtype in zip(columns, fields.values())])
+        except (OverflowError, ValueError):  # an integer beyond int64 or the float range
+            break
         start = end
-    if not chunks:
-        return _scan_jsonl(data, fields)
-    return [np.concatenate(column) for column in zip(*chunks)]
+    blanks = []  # the number of records before each blank line the line parser skips
+    if start < stop or not chunks:
+        chunks.append(_parse_jsonl(path, data, start, fields, sum(len(chunk[0]) for chunk in chunks), blanks))
+    columns = [np.concatenate(column) for column in zip(*chunks)]
+    return columns, lambda index: index + 1 + bisect.bisect_right(blanks, index)
 
 
-def _fast(fmt, path, data, fields):
-    """One array per field from one vectorized pass over the file's bytes, or None if that pass fails.
+def _parse_jsonl(path, data, start, fields, count, blanks, lines=None):
+    """One array per field of the records from byte ``start`` to the end of the file, which follows the
+    file's first ``count`` records, one a line: the line parser, which reports every JSONL error, at the
+    first bad line.  Each blank line appends the number of records before it to ``blanks``.
 
-    ``fields`` maps each CSV column or JSON key to its dtype.  Any exception or
-    warning means the file is not for this pass: the caller then parses it line
-    by line, which names the first bad line.
+    Each stripped line is one JSON value, read by the JSON C scanner, and each column takes one dtype
+    conversion; only a failure pays for its message.  The bytes are decoded a buffer at a time, and again
+    a line at a time by :func:`_lines` on one that is not UTF-8, so the first bad line is reported.
     """
-    parse = _decode_jsonl if fmt == "jsonl" else _loadtxt
+    buffer = BytesIO(data)
+    buffer.seek(start)
+    lines = lines or TextIOWrapper(buffer, encoding="utf-8", newline="\n")
+    scan, numbers, rows = json.JSONDecoder().scan_once, operator.itemgetter(*fields), []
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return parse(path, data, fields)
-    except Exception:  # every failure is the per-line parser's to report
-        return None
+        for text in map(str.strip, lines):
+            if not text:
+                blanks.append(count + len(rows))
+                continue
+            obj, end = scan(text, 0)
+            if end != len(text):
+                raise ValueError("extra data")
+            rows.append(numbers(obj))
+    except UnicodeDecodeError:
+        blanks.clear()
+        lines = itertools.islice(_lines(path, data), count, None)
+        return _parse_jsonl(path, data, start, fields, count, blanks, (line for _, line in lines))
+    except (StopIteration, ValueError, KeyError, TypeError, RecursionError) as exc:
+        _checked(path, rows, fields, count, blanks)  # a bad number on an earlier line comes first
+        if isinstance(exc, InputFormatError):  # a line that is not UTF-8, from _lines
+            raise
+        line_no = count + len(rows) + len(blanks) + 1
+        try:
+            json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as error:
+            raise InputFormatError(path, line_no, f"bad JSON: {getattr(error, 'msg', 'nested too deeply')}") from None
+        raise InputFormatError(path, line_no, f"object must carry keys {tuple(fields)}") from None
+    return _checked(path, rows, fields, count, blanks)
+
+
+def _checked(path, rows, fields, count, blanks):
+    """One array per field of the numbers ``rows`` hold, the file's records from ``count`` on: one
+    dtype conversion per column, else the per-line checks in file order, up to the first bad number."""
+    columns = [rows] if len(fields) == 1 else list(zip(*rows)) or [()] * len(fields)
+    with contextlib.suppress(OverflowError):  # an integer beyond int64 or the float range
+        if all(set(map(type, column)) <= _JSON_TYPES[dtype] for column, dtype in zip(columns, fields.values())):
+            return [np.array(column, dtype=dtype) for column, dtype in zip(columns, fields.values())]
+    checked = []
+    for index, values in enumerate(zip(*columns), count):
+        line_no = index + 1 + bisect.bisect_right(blanks, index)
+        for key, value in zip(fields, values):  # null, booleans and strings are not numbers
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InputFormatError(path, line_no, f"{key} must be a number, got {json.dumps(value)}")
+        checked.append([_value(path, line_no, raw, name, dtype) for raw, (name, dtype) in zip(values, fields.items())])
+    return [np.array(column, dtype=dtype) for column, dtype in zip(zip(*checked), fields.values())]
 
 
 def _iter_csv(path, data, fields):
@@ -281,27 +298,6 @@ def _iter_csv(path, data, fields):
         if len(parts) != len(fields):
             raise InputFormatError(path, i, f"expected {len(fields)} fields, got {len(parts)}")
         yield i, parts
-
-
-def _iter_jsonl(path, data, fields):
-    """Yield (line number, JSON numbers in table order) for each record of a JSONL file."""
-    for i, line in _lines(path, data):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(path, i, f"bad JSON: {exc.msg}") from exc
-        except RecursionError:
-            raise InputFormatError(path, i, "bad JSON: nested too deeply") from None
-        if not isinstance(obj, dict) or any(k not in obj for k in fields):
-            raise InputFormatError(path, i, f"object must carry keys {tuple(fields)}")
-        values = [obj[key] for key in fields]
-        for key, value in zip(fields, values):  # null, booleans and strings are not numbers
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise InputFormatError(path, i, f"{key} must be a number, got {json.dumps(value)}")
-        yield i, values
 
 
 def _value(path, line_no, raw, name, dtype):
@@ -327,8 +323,10 @@ def _columns(path, fmt, own, carries):
     if fmt not in (own, "jsonl"):
         raise InputFormatError(path, 0, f"format {fmt!r} does not carry {carries}")
     fields = FORMATS[own]
-    records = functools.partial(_iter_jsonl if fmt == "jsonl" else _iter_csv, path, data, fields)
-    columns = _fast(fmt, path, data, fields)
+    if fmt == "jsonl":
+        return _decode_jsonl(path, data, fields)
+    records = functools.partial(_iter_csv, path, data, fields)
+    columns = _loadtxt(path, data, fields)
     if columns is None:
         columns = [[] for _ in fields]
         for i, values in records():

@@ -300,3 +300,11 @@ def test_mixture_upper_cert_is_one_minus_gamma():
 def test_mixture_rejects_bad_gamma():
     with pytest.raises(ValueError):
         mixture_experiment([1.2], seed=0, n_samples=10)
+
+
+def test_mixture_checks_the_whole_grid_before_drawing_a_cell(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(experiments, "stream", lambda *key: drawn.append(key) or stream(*key))
+    with pytest.raises(ValueError, match=r"^gamma must lie in \[0, 1\], got 1\.5$"):
+        mixture_experiment([0.5, 1.5], seed=0, n_samples=10)
+    assert drawn == []

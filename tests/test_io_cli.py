@@ -5,6 +5,7 @@ import gzip
 import json
 import math
 import os
+import re
 import threading
 import unittest.mock
 from pathlib import Path
@@ -914,15 +915,46 @@ def test_prediction_beyond_int64_is_a_bad_line(tmp_path, capsys, name, text, lin
 def test_int64_extremes_are_read_on_both_paths(tmp_path, monkeypatch):
     f = tmp_path / "p.csv"
     f.write_text("pred,label\n9223372036854775807,-9223372036854775808\n")
-    columns = hio._fast("csv_predictions", f, f.read_bytes(), hio.FORMATS["csv_predictions"])
+    columns = hio._loadtxt(f, f.read_bytes(), hio.FORMATS["csv_predictions"])
     assert [c.tolist() for c in columns] == [[2**63 - 1], [-2**63]]
-    monkeypatch.setattr(hio, "_fast", lambda *args: None)
+    monkeypatch.setattr(hio, "_loadtxt", lambda *args: None)
     preds, labels = read_predictions(f)
     assert [preds.tolist(), labels.tolist()] == [[2**63 - 1], [-2**63]]
     assert preds.dtype == labels.dtype == np.int64
 
 
 # ---------------------------------------------------------------- fast path against the per-line parser
+
+
+def _jsonl_reference(path, data, fields):
+    """The JSONL reference for the line parser: ``json.loads`` of each line, decoded on its own, and the
+    checks of each record's numbers, in file order; one array per field and index -> line number."""
+    columns, line_nos = [[] for _ in fields], []
+    for i, line in hio._lines(path, data):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InputFormatError(path, i, f"bad JSON: {exc.msg}") from exc
+        except RecursionError:
+            raise InputFormatError(path, i, "bad JSON: nested too deeply") from None
+        if not isinstance(obj, dict) or any(key not in obj for key in fields):
+            raise InputFormatError(path, i, f"object must carry keys {tuple(fields)}")
+        for key in fields:
+            if isinstance(obj[key], bool) or not isinstance(obj[key], (int, float)):
+                raise InputFormatError(path, i, f"{key} must be a number, got {json.dumps(obj[key])}")
+        for column, (key, dtype) in zip(columns, fields.items()):
+            column.append(hio._value(path, i, obj[key], key, dtype))
+        line_nos.append(i)
+    return [np.array(column, dtype=dtype) for column, dtype in zip(columns, fields.values())], line_nos.__getitem__
+
+
+# The per-line parsers each reader's outcome is held to: CSV's, and json.loads of each JSONL line.
+_PER_LINE = {"_loadtxt": lambda path, data, fields: None, "_decode_jsonl": _jsonl_reference}
+# The JSONL line parser over the whole file: a canonical regex that matches no line.
+_LINE_PARSER_ONLY = {"_canonical": lambda columns: re.compile(b"(?!)")}
 
 # reader -> (function, its CSV format, {field: kind of value})
 _READERS = {
@@ -1001,37 +1033,48 @@ def _outcome(read, path, fmt, csv_format):
     return [a.tobytes() for a in arrays]
 
 
+def _as_per_line_parser_reads_it(read, path, fmt, csv_format):
+    """The reader's outcome, which must equal the per-line reference's and, for JSONL, the line parser's
+    over the whole file."""
+    outcome = _outcome(read, path, fmt, csv_format)
+    with unittest.mock.patch.multiple(hio, **_PER_LINE):
+        assert outcome == _outcome(read, path, fmt, csv_format)
+    if fmt == "jsonl":
+        with unittest.mock.patch.multiple(hio, **_LINE_PARSER_ONLY):
+            assert outcome == _outcome(read, path, fmt, csv_format)
+    return outcome
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), reader=st.sampled_from(sorted(_READERS)), jsonl=st.booleans(),
        chunk=st.sampled_from([hio._CANONICAL_CHUNK, 1, 24]))
 def test_fast_path_matches_per_line_parser(tmp_path, data, reader, jsonl, chunk):
-    """The vectorized pass returns exactly what the per-line parser returns, or leaves the file to it.
+    """The vectorized pass returns exactly what the per-line parser returns, or leaves the file to it;
+    for JSONL, the canonical chunks and the line parser after them return what ``json.loads`` of each
+    line and the line parser over the whole file return.
 
     Small canonical chunks put a chunk edge after every line or every few.
     """
     read, csv_format, fields = _READERS[reader]
     path = tmp_path / "input"
     path.write_bytes(data.draw(_input_text(fields, jsonl)).encode("utf-8"))
-    fmt = "jsonl" if jsonl else csv_format
     with unittest.mock.patch.object(hio, "_CANONICAL_CHUNK", chunk):
-        fast = _outcome(read, path, fmt, csv_format)
-    with unittest.mock.patch.object(hio, "_fast", return_value=None):
-        assert fast == _outcome(read, path, fmt, csv_format)
+        _as_per_line_parser_reads_it(read, path, "jsonl" if jsonl else csv_format, csv_format)
 
 
 @pytest.mark.parametrize("reader", sorted(_READERS))
-@pytest.mark.parametrize("jsonl", [False, True])
-def test_fast_path_matches_per_line_parser_on_each_adversarial_line(tmp_path, reader, jsonl):
+@pytest.mark.parametrize("jsonl, chunk", [(False, None), (True, 1 << 16), (True, 1), (True, 24)])
+def test_fast_path_matches_per_line_parser_on_each_adversarial_line(tmp_path, monkeypatch, reader, jsonl, chunk):
     read, csv_format, fields = _READERS[reader]
     fmt = "jsonl" if jsonl else csv_format
     valid = json.dumps(dict.fromkeys(fields, 1)) if jsonl else ",".join("1" * len(fields))
     path = tmp_path / "input"
+    if chunk is not None:
+        monkeypatch.setattr(hio, "_CANONICAL_CHUNK", chunk)
     for line in _ADVERSARIAL:
         header = [] if jsonl else [",".join(fields)]
         path.write_text("\n".join([*header, valid, line, valid]) + "\n", encoding="utf-8")
-        fast = _outcome(read, path, fmt, csv_format)
-        with unittest.mock.patch.object(hio, "_fast", return_value=None):
-            assert fast == _outcome(read, path, fmt, csv_format), line
+        _as_per_line_parser_reads_it(read, path, fmt, csv_format)
 
 
 @pytest.mark.parametrize(
@@ -1050,10 +1093,15 @@ def test_fast_path_matches_per_line_parser_on_each_adversarial_line(tmp_path, re
          [[-math.inf], [1]]),
     ],
 )
-def test_common_spellings_take_the_fast_path(tmp_path, fmt, fields, text, expected):
+def test_common_spellings_take_the_fast_path(tmp_path, monkeypatch, fmt, fields, text, expected):
+    # Neither loadtxt nor the JSONL line parser leaves these to the number-by-number checks.
     path = tmp_path / "input"
     path.write_text(text, newline="")
-    columns = hio._fast(fmt, path, path.read_bytes(), fields)
+    monkeypatch.setattr(hio, "_value", unittest.mock.Mock(side_effect=AssertionError("per-line checks")))
+    if fmt == "jsonl":
+        columns, _ = hio._decode_jsonl(path, path.read_bytes(), fields)
+    else:
+        columns = hio._loadtxt(path, path.read_bytes(), fields)
     assert [c.tolist() for c in columns] == expected
     assert [c.dtype for c in columns] == list(fields.values())
     assert all(c.flags.c_contiguous for c in columns)
@@ -1075,20 +1123,17 @@ def test_json_dumps_files_take_the_canonical_pass(tmp_path, monkeypatch, reader,
     read, csv_format, _ = _READERS[reader]
     path = tmp_path / "input.jsonl"
     path.write_bytes(("".join(json.dumps(r, separators=separators) + eol for r in records) + ending).encode())
-    monkeypatch.setattr(hio, "_scan_jsonl", unittest.mock.Mock(side_effect=AssertionError("scanner pass")))
+    monkeypatch.setattr(hio, "_parse_jsonl", unittest.mock.Mock(side_effect=AssertionError("line parser")))
     monkeypatch.setattr(hio, "_CANONICAL_CHUNK", chunk)
-    columns = hio._fast("jsonl", path, path.read_bytes(), hio.FORMATS[csv_format])
+    columns, _ = hio._decode_jsonl(path, path.read_bytes(), hio.FORMATS[csv_format])
     assert [c.dtype for c in columns] == list(hio.FORMATS[csv_format].values())
-    with unittest.mock.patch.object(hio, "_fast", return_value=None):
+    with unittest.mock.patch.multiple(hio, **_PER_LINE):
         assert [c.tobytes() for c in columns] == _outcome(read, path, "jsonl", csv_format)
 
 
 def _losses_as_per_line_parser_reads_them(path, fmt="csv_losses"):
     """read_losses' outcome, which must equal the per-line parser's."""
-    fast = _outcome(read_losses, path, fmt, "csv_losses")
-    with unittest.mock.patch.object(hio, "_fast", return_value=None):
-        assert fast == _outcome(read_losses, path, fmt, "csv_losses")
-    return fast
+    return _as_per_line_parser_reads_it(read_losses, path, fmt, "csv_losses")
 
 
 def test_csv_fast_pass_gives_loadtxt_a_path(tmp_path, monkeypatch):
@@ -1114,7 +1159,7 @@ def test_csv_fast_pass_leaves_a_lone_cr_to_the_per_line_parser(tmp_path, text):
     # Loadtxt, which reads with universal newlines, would end a line there; the per-line parser does not.
     path = tmp_path / "losses.csv"
     path.write_bytes(text)
-    assert hio._fast("csv_losses", path, path.read_bytes(), hio.FORMATS["csv_losses"]) is None
+    assert hio._loadtxt(path, path.read_bytes(), hio.FORMATS["csv_losses"]) is None
     _losses_as_per_line_parser_reads_them(path)
 
 
@@ -1130,7 +1175,7 @@ def test_csv_cr_screen_sees_across_its_read_boundary(tmp_path, lone):
         data[at + 1:at + 2] = b"0"
     path = tmp_path / "losses.csv"
     path.write_bytes(bytes(data))
-    fast = hio._fast("csv_losses", path, path.read_bytes(), hio.FORMATS["csv_losses"])
+    fast = hio._loadtxt(path, path.read_bytes(), hio.FORMATS["csv_losses"])
     assert (fast is None) == lone
     outcome = _losses_as_per_line_parser_reads_them(path)
     if lone:
@@ -1219,12 +1264,60 @@ def test_named_pipe_reads_as_a_regular_file(tmp_path, capsys, name, data, comman
     '{"loss": 0.5} {"loss": 0.5}', '{"loss": 0.5}{"loss": 0.5}', '{"loss": 0.5,}', '{"loss": 0.5},',
     '[{"loss": 0.5}]', "0.5", '"0.5"', "{", '{"loss": 0.5} x',
 ])
-def test_jsonl_fast_pass_leaves_lines_that_are_not_one_object(tmp_path, line):
+def test_jsonl_fast_pass_leaves_lines_that_are_not_one_object(tmp_path, monkeypatch, line):
+    # With a chunk edge after every line, the canonical pass hands the line parser the file from line 2.
     path = tmp_path / "input.jsonl"
     path.write_text('{"loss": 0.25}\n' + line + "\n", encoding="utf-8")
-    assert hio._fast("jsonl", path, path.read_bytes(), {"loss": np.float64}) is None
+    monkeypatch.setattr(hio, "_CANONICAL_CHUNK", 1)
+    parse = unittest.mock.Mock(wraps=hio._parse_jsonl)
+    monkeypatch.setattr(hio, "_parse_jsonl", parse)
     with pytest.raises(InputFormatError, match=r"input\.jsonl:2: "):
         read_losses(path)
+    assert parse.call_args.args[2:5] == (len('{"loss": 0.25}\n'), {"loss": np.float64}, 1)
+
+
+def _canonical_losses(n):
+    return b"".join(json.dumps({"loss": i / 300}).encode() + b"\n" for i in range(n))
+
+
+@pytest.mark.parametrize("chunk", [1, 24, 512])
+def test_line_parser_reads_only_from_the_first_chunk_the_regex_misses(tmp_path, monkeypatch, chunk):
+    # The last line has an extra key: the chunks before it stay with the regex, the line parser reads its chunk.
+    path = tmp_path / "losses.jsonl"
+    path.write_bytes(_canonical_losses(299) + b'{"loss": 0.5, "id": 7}\n')
+    monkeypatch.setattr(hio, "_CANONICAL_CHUNK", chunk)
+    seen = []
+
+    class Spy(hio.TextIOWrapper):
+        def __next__(self):
+            seen.append(super().__next__())
+            return seen[-1]
+
+    monkeypatch.setattr(hio, "TextIOWrapper", Spy)
+    assert read_losses(path).tolist() == [*(np.arange(299) / 300), 0.5]
+    lines = path.read_text().splitlines(keepends=True)
+    assert 1 <= len(seen) <= 1 + chunk // len(lines[0]) and seen == lines[-len(seen):]
+    _losses_as_per_line_parser_reads_them(path, "jsonl")
+
+
+@pytest.mark.parametrize("lines, line_no, message", [
+    ([b'{"loss": NaN}'], 300, "loss nan is outside [0, inf]"),
+    ([b'{"loss": true}'], 300, "loss must be a number, got true"),
+    ([b'{"loss": 0.5\xff}'], 300, "not UTF-8 (invalid start byte, byte 0xff)"),
+    ([b'{"loss": true}', b"", b"\xff"], 300, "loss must be a number, got true"),
+    ([b"\xff", b"", b'{"loss": tru'], 300, "not UTF-8 (invalid start byte, byte 0xff)"),
+    ([b'{"loss": 0.5}', b"", b"\xfe", b'{"loss": true}'], 302, "not UTF-8 (invalid start byte, byte 0xfe)"),
+    ([b'{"loss": 0.5}', b" ", b'{"loss": 1, "loss": -1}'], 302, "loss -1.0 is outside [0, inf]"),
+    # The bad byte lies beyond the text decoded first, which has a blank line: the second reading counts it once.
+    ([b'{"loss": 0.5}', b"", *[b'{"loss": 0.25}'] * 600, b'{"loss": true}', b"\xff"], 902,
+     "loss must be a number, got true"),
+])
+def test_bad_line_after_the_canonical_chunks_is_reported_at_its_line(tmp_path, monkeypatch, lines, line_no, message):
+    # The first bad line is reported, whether its fault is UTF-8, JSON or its number, after a blank line too.
+    path = tmp_path / "losses.jsonl"
+    path.write_bytes(_canonical_losses(299) + b"\n".join(lines) + b"\n")
+    monkeypatch.setattr(hio, "_CANONICAL_CHUNK", 512)
+    assert _losses_as_per_line_parser_reads_them(path, "jsonl") == f"{path}:{line_no}: {message}"
 
 
 # ---------------------------------------------------------------- CLI fuzz
