@@ -6,18 +6,18 @@ and their dtypes; its header is the column names joined by commas, and
 detected from the extension and header, or forced by flag.  A float column
 is binary64; an integer column takes only integers within int64.
 
-Files are UTF-8, split into lines at ``\\n`` alone.  Blank lines are skipped
-and whitespace around a line or a CSV field is ignored, so CRLF endings read
-like LF ones.  Each input is read once, and its bytes serve every pass, so a
-named pipe or ``/dev/stdin`` reads as a regular file does.  Each format has
-two passes, which keep only the numbers, and only the second, a line parser,
-reports errors, with the file and the 1-based number of the first bad line:
+Files are UTF-8, split into lines at ``\\n`` alone.  Blank lines, which
+:meth:`str.strip` empties, are skipped and whitespace around a line or a CSV
+field is ignored, so CRLF endings read like LF ones.  Each input is read
+once, and its bytes serve every pass, so a named pipe or ``/dev/stdin``
+reads as a regular file does.  Each format has two passes, which keep only
+the numbers, and only the second, a line parser, reports errors, with the
+file and the 1-based number of the first bad line; a number that fails a
+check after the parse is named at the line :func:`_line_of` finds for it:
 
-* CSV: the body in one ``np.loadtxt`` call, which alone is given the path of
-  a regular file, so that its C reader takes the text in chunks, and never a
-  file whose ``\\r`` count is not its ``\\r\\n`` count, since it reads with
-  universal newlines.  A file it cannot take (it raises or warns) is parsed
-  again line by line.
+* CSV: the body in one ``np.loadtxt`` call, given only the path of a regular
+  file it reads as the line parser does (see :func:`_loadtxt`).  A file it
+  cannot take (it raises or warns) is parsed again line by line.
 * JSONL: one bytes regex, a chunk at a time, while every line of the chunk is
   a record in canonical layout (each key once, in table order, a JSON number,
   an integer for an integer column, spaces or tabs between tokens, a CR
@@ -40,6 +40,7 @@ import math
 import operator
 import os
 import re
+import sys
 import warnings
 from io import BytesIO, TextIOWrapper
 from typing import Iterable
@@ -218,20 +219,19 @@ def _decode_jsonl(path, data, fields):
         try:
             chunks.append([_floats(column) if dtype is np.float64 else np.array(list(map(int, column)), dtype=dtype)
                            for column, dtype in zip(columns, fields.values())])
-        except (OverflowError, ValueError):  # an integer beyond int64 or the float range
+        except (OverflowError, ValueError):  # an integer beyond int64, the float range or int()'s digit limit
             break
         start = end
-    blanks = []  # the number of records before each blank line the line parser skips
+    count = sum(len(chunk[0]) for chunk in chunks)
+    line_of = _line_of(data, start, count + 1, count)
     if start < stop or not chunks:
-        chunks.append(_parse_jsonl(path, data, start, fields, sum(len(chunk[0]) for chunk in chunks), blanks))
-    columns = [np.concatenate(column) for column in zip(*chunks)]
-    return columns, lambda index: index + 1 + bisect.bisect_right(blanks, index)
+        chunks.append(_parse_jsonl(path, data, start, fields, count, line_of))
+    return [np.concatenate(column) for column in zip(*chunks)], line_of
 
 
-def _parse_jsonl(path, data, start, fields, count, blanks, lines=None):
-    """One array per field of the records from byte ``start`` to the end of the file, which follows the
-    file's first ``count`` records, one a line: the line parser, which reports every JSONL error, at the
-    first bad line.  Each blank line appends the number of records before it to ``blanks``.
+def _parse_jsonl(path, data, start, fields, count, line_of, lines=None):
+    """One array per field of the records from byte ``start`` on, after the file's first ``count`` records,
+    one a line: the line parser, which reports every JSONL error, at the first bad line.
 
     Each stripped line is one JSON value, read by the JSON C scanner, and each column takes one dtype
     conversion; only a failure pays for its message.  The bytes are decoded a buffer at a time, and again
@@ -242,32 +242,31 @@ def _parse_jsonl(path, data, start, fields, count, blanks, lines=None):
     lines = lines or TextIOWrapper(buffer, encoding="utf-8", newline="\n")
     scan, numbers, rows = json.JSONDecoder().scan_once, operator.itemgetter(*fields), []
     try:
-        for text in map(str.strip, lines):
-            if not text:
-                blanks.append(count + len(rows))
-                continue
-            obj, end = scan(text, 0)
-            if end != len(text):
-                raise ValueError("extra data")
-            rows.append(numbers(obj))
+        for line_no, text in enumerate(map(str.strip, lines), count + 1):
+            if text:
+                obj, end = scan(text, 0)
+                if end != len(text):
+                    raise ValueError("extra data")
+                rows.append(numbers(obj))
     except UnicodeDecodeError:
-        blanks.clear()
         lines = itertools.islice(_lines(path, data), count, None)
-        return _parse_jsonl(path, data, start, fields, count, blanks, (line for _, line in lines))
+        return _parse_jsonl(path, data, start, fields, count, line_of, (line for _, line in lines))
     except (StopIteration, ValueError, KeyError, TypeError, RecursionError) as exc:
-        _checked(path, rows, fields, count, blanks)  # a bad number on an earlier line comes first
+        _checked(path, rows, fields, count, line_of)  # a bad number on an earlier line comes first
         if isinstance(exc, InputFormatError):  # a line that is not UTF-8, from _lines
             raise
-        line_no = count + len(rows) + len(blanks) + 1
         try:
             json.loads(text)
         except (json.JSONDecodeError, RecursionError) as error:
             raise InputFormatError(path, line_no, f"bad JSON: {getattr(error, 'msg', 'nested too deeply')}") from None
+        except ValueError:  # an integer literal of more digits than int() converts
+            limit = sys.get_int_max_str_digits()
+            raise InputFormatError(path, line_no, f"bad JSON: integer of more than {limit} digits") from None
         raise InputFormatError(path, line_no, f"object must carry keys {tuple(fields)}") from None
-    return _checked(path, rows, fields, count, blanks)
+    return _checked(path, rows, fields, count, line_of)
 
 
-def _checked(path, rows, fields, count, blanks):
+def _checked(path, rows, fields, count, line_of):
     """One array per field of the numbers ``rows`` hold, the file's records from ``count`` on: one
     dtype conversion per column, else the per-line checks in file order, up to the first bad number."""
     columns = [rows] if len(fields) == 1 else list(zip(*rows)) or [()] * len(fields)
@@ -276,7 +275,7 @@ def _checked(path, rows, fields, count, blanks):
             return [np.array(column, dtype=dtype) for column, dtype in zip(columns, fields.values())]
     checked = []
     for index, values in enumerate(zip(*columns), count):
-        line_no = index + 1 + bisect.bisect_right(blanks, index)
+        line_no = line_of(index)
         for key, value in zip(fields, values):  # null, booleans and strings are not numbers
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise InputFormatError(path, line_no, f"{key} must be a number, got {json.dumps(value)}")
@@ -314,6 +313,22 @@ def _value(path, line_no, raw, name, dtype):
     raise InputFormatError(path, line_no, f"bad {name}: {raw!r}")
 
 
+def _line_of(data, start, line, count=0):
+    """index -> line number of a file's records: before ``count``, one a line from line 1; from it, one a
+    line from byte ``start``, which begins line ``line``, skipping blank lines, those :meth:`str.strip` empties,
+    as the line parsers do.  The first call finds them, once: one regex finds each line of ASCII whitespace and
+    non-ASCII bytes, and only those are decoded."""
+    @functools.cache
+    def blanks():  # the number of records from ``start`` before each blank line
+        text, at = (data, start - 1) if start else (b"\n" + data, 0)  # from the LF before the line at start
+        lines = re.compile(rb"\n([\t\v\f\r\x1c- \x80-\xff]*)$", re.MULTILINE).finditer(text, at)
+        ends = [m.start() for m in lines if not m[1].decode("utf-8", "replace").strip()]
+        counts = itertools.accumulate(map(text.count, itertools.repeat(b"\n"), [at, *ends], ends))
+        return [n - j for j, n in enumerate(counts)]
+
+    return lambda index: line + index - count + bisect.bisect_right(blanks(), index - count)
+
+
 def _columns(path, fmt, own, carries):
     """The columns of CSV format ``own``, typed by :data:`FORMATS`, and index -> line number."""
     # A forced format that does not carry these columns is refused before the file is read.
@@ -325,16 +340,14 @@ def _columns(path, fmt, own, carries):
     fields = FORMATS[own]
     if fmt == "jsonl":
         return _decode_jsonl(path, data, fields)
-    records = functools.partial(_iter_csv, path, data, fields)
     columns = _loadtxt(path, data, fields)
     if columns is None:
         columns = [[] for _ in fields]
-        for i, values in records():
+        for i, values in _iter_csv(path, data, fields):
             for column, raw, (name, dtype) in zip(columns, values, fields.items()):
                 column.append(_value(path, i, raw, name, dtype))
         columns = [np.array(column, dtype=dtype) for column, dtype in zip(columns, fields.values())]
-    # Only the failing path pays for the second pass over the bytes that recovers a line number.
-    return columns, lambda index: next(itertools.islice(records(), index, None))[0]
+    return columns, _line_of(data, data.find(b"\n") + 1, 2)
 
 
 def read_losses(path, fmt: str = "auto", ceiling: float = math.inf) -> np.ndarray:

@@ -1,11 +1,14 @@
 import ast
 import collections
 import csv
+import functools
 import gzip
 import json
 import math
 import os
+import random
 import re
+import sys
 import threading
 import unittest.mock
 from pathlib import Path
@@ -37,7 +40,7 @@ from hellcert.io import (
     write_csv,
 )
 from hellcert.losses import PredictionSample, zero_one_stats
-from hellcert.oracle import GAP_TOL
+from hellcert.oracle import GAP_TOL, DiscreteInstance
 from hellcert.rng import stream
 from test_golden import CASES, run_case
 
@@ -940,6 +943,9 @@ def _jsonl_reference(path, data, fields):
             raise InputFormatError(path, i, f"bad JSON: {exc.msg}") from exc
         except RecursionError:
             raise InputFormatError(path, i, "bad JSON: nested too deeply") from None
+        except ValueError:  # an integer literal of more digits than int() converts
+            limit = sys.get_int_max_str_digits()
+            raise InputFormatError(path, i, f"bad JSON: integer of more than {limit} digits") from None
         if not isinstance(obj, dict) or any(key not in obj for key in fields):
             raise InputFormatError(path, i, f"object must carry keys {tuple(fields)}")
         for key in fields:
@@ -992,6 +998,9 @@ _ADVERSARIAL = [
     # the float range or int64 is a bad value, and a number JSON does not spell is bad JSON.
     '{"loss": -0}', '{"loss": 1' + "0" * 400 + "}", '{"loss": 01}', '{"loss": 1.}', '{"loss": .5}',
     '{"loss": 1e}', '{ "loss" : 0.5 }', '{"pred": -0, "label": 1}', '{"pred": 9223372036854775808, "label": 1}',
+    # Integer literals longer than int() converts (4,300 digits by default).
+    "1" + "0" * 5000, "1,1" + "0" * 5000, '{"loss": 1' + "0" * 5000 + "}",
+    '{"score": 0.5, "label": 1' + "0" * 5000 + "}", '{"pred": 1, "label": 1' + "0" * 5000 + "}",
 ]
 
 
@@ -1320,6 +1329,70 @@ def test_bad_line_after_the_canonical_chunks_is_reported_at_its_line(tmp_path, m
     assert _losses_as_per_line_parser_reads_them(path, "jsonl") == f"{path}:{line_no}: {message}"
 
 
+@pytest.mark.parametrize("command, text", [
+    ("certify", '{"loss": 0.5}\n{"loss": 1' + "0" * 5000 + "}\n"),
+    ("certify-accuracy", '{"pred": 1, "label": 1}\n{"pred": 1, "label": 1' + "0" * 5000 + "}\n"),
+], ids=["loss", "label"])
+def test_jsonl_integer_beyond_the_digit_limit_is_a_bad_line(tmp_path, capsys, command, text):
+    # JSON's scanner raises a plain ValueError past int()'s digit limit; it is a bad line, not a fault of the file.
+    f = tmp_path / "big.jsonl"
+    f.write_text(text)
+    assert main([arg.format(path=f, dir=tmp_path) for arg in _FILE_COMMANDS[command]]) == 1
+    err = f"error: {f}:2: bad JSON: integer of more than {sys.get_int_max_str_digits()} digits\n"
+    assert capsys.readouterr().err == err
+
+
+# Lines for the line-number helper: whitespace str.strip removes (ASCII and not, JSON's or not), and other text.
+_SPACES = " \t\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000"
+_LINE = (st.text(alphabet=_SPACES, max_size=3)
+         | st.text(alphabet=_SPACES + "0.5\xe9\u01fe\u0663", min_size=1, max_size=4))
+
+
+@settings(max_examples=500, deadline=None)
+@given(lines=st.lists(_LINE, max_size=12), header=st.booleans(), final_lf=st.booleans(), data=st.data())
+def test_line_of_numbers_records_as_the_line_parsers_read_them(lines, header, final_lf, data):
+    """Each record's line, from the bytes, is the one a ``_lines`` enumeration gives the record: a CSV's from
+    the byte after its header, a JSONL file's from a handoff after some records one a line, or from byte 0."""
+    raw = ("\n".join(["loss"] * header + lines) + "\n" * final_lf).encode("utf-8")
+    numbered = list(hio._lines("input", raw))[header:]
+    records = [i for i, line in numbered if line.strip()]
+    if header:
+        line_of = hio._line_of(raw, raw.find(b"\n") + 1, 2)
+    else:  # the first ``count`` lines are records, read one a line before the handoff
+        leading = next((k for k, (_, line) in enumerate(numbered) if not line.strip()), len(numbered))
+        count = data.draw(st.integers(0, leading))
+        start = min(len(raw), sum(len(line.encode("utf-8")) for _, line in numbered[:count]))
+        line_of = hio._line_of(raw + b"\n\xff \xc2\n", start, count + 1, count)  # bytes not UTF-8 after the records
+    assert [line_of(i) for i in range(len(records))] == records
+
+
+_NAN_LAST = "loss\n0.5\n\n0.25\n\n\nnan\n0.125\n"
+
+
+@pytest.mark.parametrize("text, read, line, message, per_line", [
+    (_NAN_LAST, read_losses, 7, "loss nan is outside [0, inf]", False),
+    (_NAN_LAST.replace("\n\n\n", "\n \t\n\x1c\n"), read_losses, 7, "loss nan is outside [0, inf]", True),
+    (_NAN_LAST.replace("\n\n\n", "\n\u2028\n\n"), read_losses, 7, "loss nan is outside [0, inf]", True),
+    (_NAN_LAST.replace("nan", "2"), functools.partial(read_losses, ceiling=1.0), 7,
+     "loss 2.0 is outside [0, 1.0]", False),
+    ("score,label\n\n0.5,1\n\n0.25,0\n", read_scores, 5, "label 0 is not -1 or +1", False),
+    ("score,label\n\x0b\n0.5,1\n\n0.25,0\n", read_scores, 5, "label 0 is not -1 or +1", True),
+], ids=["nan-loadtxt", "nan-per-line", "nan-per-line-u2028", "above-ceiling-loadtxt", "label-loadtxt",
+        "label-per-line"])
+def test_csv_bad_value_after_blank_lines_is_reported_at_its_line(tmp_path, monkeypatch, text, read, line, message,
+                                                                 per_line):
+    # A value that fails its check after the parse is named at its line, which the bytes give: the per-line
+    # parser runs only for a file loadtxt cannot take, whitespace-only lines here, never to find a line.
+    path = tmp_path / "input.csv"
+    path.write_text(text, encoding="utf-8")
+    iter_csv = unittest.mock.Mock(wraps=hio._iter_csv)
+    monkeypatch.setattr(hio, "_iter_csv", iter_csv)
+    with pytest.raises(InputFormatError) as raised:
+        read(path)
+    assert str(raised.value) == f"{path}:{line}: {message}"
+    assert iter_csv.call_count == per_line
+
+
 # ---------------------------------------------------------------- CLI fuzz
 
 _FILE_COMMANDS = {
@@ -1366,3 +1439,89 @@ def test_cli_any_bytes_exits_with_a_code_and_no_traceback(tmp_path, capsys, comm
         argv += ["--format", fmt]
     assert main(argv) in (0, 1, 2, 3)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- seeded fuzz of the golden inputs
+
+# golden input -> the subcommands that read it, each with the reader and CSV format it reads the input by
+# (None: the oracle, which reads one JSON instance)
+_LOSSES = (functools.partial(read_losses, ceiling=1.0), "csv_losses")  # certify's default --max-loss
+_PREDICTIONS = (read_predictions, "csv_predictions")
+_READ_BY = {
+    "losses.csv": {"certify": _LOSSES},
+    "losses.jsonl": {"certify": _LOSSES},
+    "preds.csv": {"certify-accuracy": _PREDICTIONS, "label-shift": _PREDICTIONS},
+    "scores.csv": {"certify-auc": (read_scores, "csv_scores")},
+    "inst.json": {"oracle": None},
+    "off_support.json": {"oracle": None},
+}
+_NUMBER = re.compile(rb"-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
+
+
+def _mutants(data, rng):
+    """One seeded mutant of ``data`` of each kind: a flipped bit, a truncation, an integer literal beyond int()'s
+    digit limit, a NUL, a CR, a BOM, a JSON key given twice (the last value wins) and a huge exponent."""
+    at = rng.randrange(len(data))
+    number = rng.choice(list(_NUMBER.finditer(data)))
+    keys = list(re.finditer(rb'"\w+": ?', data))
+    yield data[:at] + bytes([data[at] ^ 1 << rng.randrange(8)]) + data[at + 1:]
+    yield data[:at]
+    yield data[:number.start()] + b"1" + b"0" * 5000 + data[number.end():]
+    yield data[:at] + b"\0" + data[at:]
+    yield data[:at] + b"\r" + data[at:]
+    yield b"\xef\xbb\xbf" + data
+    if keys:
+        key = rng.choice(keys)
+        yield data[:key.start()] + key[0] + rng.choice([b"-1", b"2", b"true", b"0.5"]) + b", " + data[key.start():]
+    yield data[:number.start()] + rng.choice([b"1e999999", b"-1e400", b"1e-400", b"2e308"]) + data[number.end():]
+
+
+def _run(argv, tmp_path):
+    """main's exit code and every file it writes, each removed once read."""
+    code = main(argv + ["--output", str(tmp_path / "report.json")])
+    outputs = {}
+    for name in ("report.json", "scatter.csv", "curve.csv"):
+        if (tmp_path / name).exists():
+            outputs[name] = (tmp_path / name).read_bytes()
+            (tmp_path / name).unlink()
+    return code, outputs
+
+
+@pytest.mark.parametrize("name", sorted(_READ_BY))
+def test_every_golden_input_mutated_exits_0_or_1_at_its_first_bad_line(tmp_path, capsys, name):
+    """Each mutant, to each subcommand that reads it, in process: exit 0 with the report the library gives on the
+    reference reader's numbers, or exit 1 naming the first bad line that reader finds, as ``file:N:`` with N >= 1.
+    ``file:0`` is left for a fault of the whole sample (n < 2, one AUC class) or of an oracle instance, a single
+    JSON document."""
+    golden = (Path(__file__).parent / "golden" / "inputs" / name).read_bytes()
+    path = tmp_path / "in" / name
+    path.parent.mkdir()
+    for seed in range(20):
+        for data in _mutants(golden, random.Random(f"{name}-{seed}")):
+            path.write_bytes(data)
+            for command, reader in _READ_BY[name].items():
+                argv = [arg.format(path=path, dir=tmp_path) for arg in _FILE_COMMANDS[command]]
+                code, outputs = _run(argv, tmp_path)
+                err = capsys.readouterr().err
+                if reader is None:  # the oracle: a byte not UTF-8 at its line, else the instance is read whole
+                    try:
+                        text = hio.read_text(path)
+                    except InputFormatError as exc:
+                        assert (code, err) == (1, f"error: {exc}\n") and exc.line_no >= 1
+                        continue
+                    if code == 1:
+                        assert err.startswith(f"error: {path}:0: bad instance file: ")
+                    else:
+                        instance = json.loads(DiscreteInstance.from_json(text).to_json())
+                        assert (code, json.loads(outputs["report.json"])["instance"]) == (0, instance)
+                    continue
+                fmt = "jsonl" if name.endswith(".jsonl") else "auto"  # as detected: the line parser is checked too
+                outcome = _as_per_line_parser_reads_it(reader[0], path, fmt, reader[1])
+                if isinstance(outcome, str):  # the reader's first bad line
+                    assert (code, err) == (1, f"error: {outcome}\n")
+                    assert re.match(rf"{re.escape(str(path))}:[1-9][0-9]*: ", outcome)
+                    continue
+                with unittest.mock.patch.multiple(hio, **_PER_LINE):
+                    assert (code, outputs) == _run(argv, tmp_path)
+                    assert err == capsys.readouterr().err
+                assert code == 0 or err.startswith(f"error: {path}:0: ")
