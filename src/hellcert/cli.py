@@ -20,11 +20,11 @@ held in reference cycles get no finalizer at exit; every file hellcert opens,
 to read or to write, is closed in a ``with`` block before :func:`main`
 returns, so nothing it does relies on such a finalizer.
 
-Exit codes: 0 success, 1 input error (usage errors included), 3 solver
-diagnostic.  Beyond a certificate's validity radius the certify commands
-report the trivial bound, flagged ``vacuous``, and exit 0.  All randomness
-flows through seeded counter-based streams and reports carry a null
-timestamp, so identical command lines produce byte-identical outputs.
+Exit codes: 0 success, 1 input error (usage errors and allocation failures
+included), 3 solver diagnostic.  Beyond a certificate's validity radius the
+certify commands report the trivial bound, flagged ``vacuous``, and exit 0.
+All randomness flows through seeded counter-based streams and reports carry
+a null timestamp, so identical command lines produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -34,14 +34,13 @@ import atexit
 import dataclasses
 import gc
 import importlib
-import json
 import math
 import operator
 import sys
 
 from . import __version__
-from .io import (FORMATS, InputFormatError, base_report, json_document, read_losses,
-                 read_predictions, read_scores, read_text, write_csv)
+from .io import (FORMATS, InputFormatError, base_report, json_document, read_instance, read_losses,
+                 read_predictions, read_scores, write_csv)
 from .rng import KEY_LIMIT
 
 # The library names the handlers use, by module, each bound as described above.
@@ -196,13 +195,7 @@ def _extremum(result, point: str) -> dict:
 
 
 def _cmd_oracle(args):
-    text = read_text(args.input)
-    try:
-        inst = DiscreteInstance.from_json(text)
-    except RecursionError:
-        raise ValueError("bad instance file: nested too deeply") from None
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"bad instance file: {exc}") from None
+    inst = DiscreteInstance(*read_instance(args.input))
     sup = worst_case_sup(inst)
     inf = worst_case_inf(inst)
     mean, variance = inst.moments()
@@ -210,7 +203,7 @@ def _cmd_oracle(args):
     lower, lower_trivial, upper, upper_trivial = certificate_band(stats, inst.rho)
     report = base_report("oracle", None, {"duality_gap_tol": GAP_TOL * inst.ceiling})
     report.update(
-        instance=json.loads(inst.to_json()),
+        instance={"p": inst.p.probs, "losses": inst.losses, "M": inst.ceiling, "rho": inst.rho},
         sup=_extremum(sup, "maximizer"),
         inf=_extremum(inf, "minimizer"),
         certificates={"mean": mean, "variance": variance, "upper": upper,
@@ -384,7 +377,7 @@ def main(argv=None) -> int:
             raise
         print(f"solver diagnostic: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:  # NumPy's MemoryError names the array it could not allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -24,6 +24,10 @@ check after the parse is named at the line :func:`_line_of` finds for it:
   before the LF), as ``json.dumps`` writes one; then the JSON C scanner over
   each line, from the first chunk out of that layout to the end of the file.
 
+An oracle instance, one JSON object, is parsed as a failing JSONL line is, and
+its numbers read by JSONL's rule (:func:`read_instance`): a byte that is not
+UTF-8 or a syntax error is at its line, any other fault at line 0.
+
 All emitted numbers carry 17 significant digits (lossless for binary64) and
 JSON reports are pretty-printed with sorted keys, so identical inputs produce
 byte-identical outputs.
@@ -54,7 +58,7 @@ __all__ = [
     "FORMATS",
     "InputFormatError",
     "detect_format",
-    "read_text",
+    "read_instance",
     "read_losses",
     "read_predictions",
     "read_scores",
@@ -101,11 +105,6 @@ def _lines(path, data):
             raise InputFormatError(
                 path, i, f"not UTF-8 ({exc.reason}, byte 0x{raw[exc.start]:02x})") from None
         yield i, line
-
-
-def read_text(path) -> str:
-    """The whole of a UTF-8 text file; a byte that is not UTF-8 is an error at its line."""
-    return "".join(line for _, line in _lines(path, _read(path)))
 
 
 def _header(line: str) -> str:
@@ -253,17 +252,36 @@ def _parse_jsonl(path, data, start, fields, count, line_of, lines=None):
         return _parse_jsonl(path, data, start, fields, count, line_of, (line for _, line in lines))
     except (StopIteration, ValueError, KeyError, TypeError, RecursionError) as exc:
         _checked(path, rows, fields, count, line_of)  # a bad number on an earlier line comes first
-        if isinstance(exc, InputFormatError):  # a line that is not UTF-8, from _lines
-            raise
-        try:
-            json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as error:
-            raise InputFormatError(path, line_no, f"bad JSON: {getattr(error, 'msg', 'nested too deeply')}") from None
-        except ValueError:  # an integer literal of more digits than int() converts
-            limit = sys.get_int_max_str_digits()
-            raise InputFormatError(path, line_no, f"bad JSON: integer of more than {limit} digits") from None
-        raise InputFormatError(path, line_no, f"object must carry keys {tuple(fields)}") from None
+        if not isinstance(exc, InputFormatError):  # which is a line not UTF-8, from _lines, named already
+            _record(path, line_no, text, fields)  # json.loads fails where the scanner did, and names the fault
+        raise
     return _checked(path, rows, fields, count, line_of)
+
+
+def _record(path, line_no, text, keys):
+    """The values of ``keys`` in the JSON object ``text``, or an error at line ``line_no``; if that is 0, as for a
+    document of many lines, a syntax error is at the line JSON names."""
+    try:
+        return operator.itemgetter(*keys)(json.loads(text))
+    except json.JSONDecodeError as error:
+        raise InputFormatError(path, line_no or error.lineno, f"bad JSON: {error.msg}") from None
+    except RecursionError:
+        raise InputFormatError(path, line_no, "bad JSON: nested too deeply") from None
+    except ValueError:  # an integer literal of more digits than int() converts
+        limit = sys.get_int_max_str_digits()
+        raise InputFormatError(path, line_no, f"bad JSON: integer of more than {limit} digits") from None
+    except (KeyError, TypeError):  # not an object, or one without every key
+        raise InputFormatError(path, line_no, f"object must carry keys {tuple(keys)}") from None
+
+
+def _number(path, line_no, key, value, dtype=np.float64):
+    """A JSON value as a Python number of ``dtype`` by :func:`_value`, or an error at its line if it is no number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        got = "a value nested too deeply"
+        with contextlib.suppress(RecursionError):  # nested nearly as deep as json.loads reads
+            got = json.dumps(value)
+        raise InputFormatError(path, line_no, f"{key} must be a number, got {got}")
+    return _value(path, line_no, value, key, dtype)
 
 
 def _checked(path, rows, fields, count, line_of):
@@ -273,13 +291,8 @@ def _checked(path, rows, fields, count, line_of):
     with contextlib.suppress(OverflowError):  # an integer beyond int64 or the float range
         if all(set(map(type, column)) <= _JSON_TYPES[dtype] for column, dtype in zip(columns, fields.values())):
             return [np.array(column, dtype=dtype) for column, dtype in zip(columns, fields.values())]
-    checked = []
-    for index, values in enumerate(zip(*columns), count):
-        line_no = line_of(index)
-        for key, value in zip(fields, values):  # null, booleans and strings are not numbers
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise InputFormatError(path, line_no, f"{key} must be a number, got {json.dumps(value)}")
-        checked.append([_value(path, line_no, raw, name, dtype) for raw, (name, dtype) in zip(values, fields.items())])
+    checked = [[_number(path, line_of(index), key, value, dtype) for value, (key, dtype) in zip(values, fields.items())]
+               for index, values in enumerate(zip(*columns), count)]
     return [np.array(column, dtype=dtype) for column, dtype in zip(zip(*checked), fields.values())]
 
 
@@ -377,6 +390,15 @@ def read_scores(path, fmt: str = "auto"):
             raise InputFormatError(path, line_no, f"score {float(scores[i])!r} is not finite")
         raise InputFormatError(path, line_no, f"label {int(labels[i])} is not -1 or +1")
     return scores, labels
+
+
+def read_instance(path):
+    """[p, losses, M, rho] of an oracle instance, one JSON object read as a JSONL record is: a byte that is not UTF-8
+    or a JSON syntax error at its line, any other fault at line 0.  Each is a float or, in p and losses, floats."""
+    keys = ("p", "losses", "M", "rho")
+    values = _record(path, 0, "".join(line for _, line in _lines(path, _read(path))), keys)
+    return [[_number(path, 0, key, x) for x in value] if key in ("p", "losses") and isinstance(value, list)
+            else _number(path, 0, key, value) for key, value in zip(keys, values)]
 
 
 def format_number(x) -> str:

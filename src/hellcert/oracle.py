@@ -23,14 +23,15 @@ as plain bisection does, after about 4.5 evaluations where bisection takes
 about 50 on the benchmark's seed-1 oracle round (3.3 per solve with the
 closed forms included); ``OracleResult.root_steps`` counts them.  One
 evaluation is 15 NumPy passes over the support.  Points with p_i = 0 only
-constrain nu: they receive mass only when the affinity already
-meets c at nu = max loss, where the optimum is in closed form.  A radius
-at the feasibility edge puts the root at nu -> max loss, where the KKT
-family leaves the float range; the first non-finite evaluation there ends
-the search at the feasible end of the bracket.  An instance whose proven
-gap exceeds ``GAP_TOL`` times its ceiling M is raised with the instance
-attached rather than returned: the gap is in loss units, and the problem
-scales with M.
+constrain nu: they receive mass only when the affinity already meets c at
+nu = max loss, where the optimum is in closed form.  A radius at the
+feasibility edge puts the root at nu -> max loss, where the KKT family
+leaves the float range; the first non-finite evaluation there ends the
+search at the feasible end of the bracket.  An instance whose proven gap
+exceeds ``GAP_TOL`` times its ceiling M is raised rather than returned, with
+the instance attached as :meth:`DiscreteInstance.to_json` writes it: the
+JSON object of p, losses, M and rho that :func:`hellcert.io.read_instance`
+reads.  The gap is in loss units, and the problem scales with M.
 """
 
 from __future__ import annotations
@@ -113,24 +114,8 @@ class DiscreteInstance:
         return mean, float(np.add.reduce(p * (dev * dev)))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "p": [float(x) for x in self.p.probs],
-                "losses": [float(x) for x in self.losses],
-                "M": self.ceiling,
-                "rho": self.rho,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiscreteInstance":
-        obj = json.loads(text)
-        for key in ("p", "losses", "M", "rho"):
-            value = obj[key]
-            for x in value if isinstance(value, list) else [value]:
-                if type(x) not in (int, float):  # booleans, strings, null and lists are not numbers
-                    raise ValueError(f"{key}: {json.dumps(x)} is not a number")
-        return cls(p=obj["p"], losses=obj["losses"], ceiling=obj["M"], rho=obj["rho"])
+        p, losses = self.p.probs.tolist(), self.losses.tolist()
+        return json.dumps({"p": p, "losses": losses, "M": self.ceiling, "rho": self.rho})
 
 
 @dataclass(frozen=True)

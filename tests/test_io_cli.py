@@ -34,6 +34,7 @@ from hellcert.io import (
     detect_format,
     format_number,
     json_document,
+    read_instance,
     read_losses,
     read_predictions,
     read_scores,
@@ -745,6 +746,48 @@ def test_read_predictions_rejects_boolean_and_fractional_jsonl(tmp_path):
     f.write_text('{"pred": 1.5, "label": 1}\n')
     with pytest.raises(InputFormatError, match=r":1: bad pred"):
         read_predictions(f)
+    # One rule per value, in key order: the first key's bad number is named before the second key's non-number.
+    f.write_text('{"pred": 1.5, "label": true}\n')
+    with pytest.raises(InputFormatError, match=r":1: bad pred: 1.5$"):
+        read_predictions(f)
+
+
+_KEYS = "object must carry keys ('p', 'losses', 'M', 'rho')"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("[1, 2]", 0, _KEYS),
+    ('{"p": [0.5, 0.5], "losses": [0.1, 0.9], "M": 1}', 0, _KEYS),
+    ('{\n  "p": [0.5, 0.5],\n  "losses": [0.1, 0.9],\n  "M": 1, \'rho\': 0.1\n}\n', 4,
+     "bad JSON: Expecting property name enclosed in double quotes"),
+    ('{"p": [0.5, 0.5], "losses": [0.1, 0.9], "M": 1' + "0" * 5000 + ', "rho": 0.1}', 0,
+     f"bad JSON: integer of more than {sys.get_int_max_str_digits()} digits"),
+    ('{"p": [0.5, 0.5], "losses": [0.1, 0.9], "M": 1' + "0" * 400 + ', "rho": 0.1}', 0, "bad M: 1" + "0" * 400),
+    ('{"p": [0.5, 0.5], "losses": [0.1, 0.9], "M": [1], "rho": 0.1}', 0, "M must be a number, got [1]"),
+    ('{"p": [0.5, 0.5], "losses": [0.1, 1' + "0" * 400 + '], "M": 1, "rho": 0.1}', 0, "bad losses: 1" + "0" * 400),
+    ('{"p": 0.5, "losses": [0.1], "M": 1, "rho": 0.1}', 0, "probs must be a non-empty 1-d vector"),
+], ids=["list", "no-rho", "syntax-line-4", "digit-limit", "beyond-float-range", "listed-M", "loss-beyond-float-range",
+        "scalar-p"])
+def test_oracle_instance_fault_is_one_error_line_in_the_jsonl_wording(tmp_path, capsys, text, line, message):
+    inst = tmp_path / "inst.json"
+    inst.write_text(text)
+    assert main(["oracle", str(inst)]) == 1
+    assert capsys.readouterr().err == f"error: {inst}:{line}: {message}\n"
+
+
+@pytest.mark.parametrize("command, name", [
+    (["mixture", "--samples", "1000000000000", "--csv", "{dir}/m.csv"], "mixture_experiment"),
+    (["synthetic-compare", "--n-train", "1000000000000", "--csv", "{dir}/s.csv"], "compare_certificates"),
+])
+def test_allocation_failure_exits_1_without_a_traceback(tmp_path, capsys, monkeypatch, command, name):
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64"
+
+    def allocate(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, name, allocate)
+    assert main([arg.format(dir=tmp_path) for arg in command]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_oracle_directory_exit_1(tmp_path, capsys):
@@ -805,7 +848,7 @@ def test_oracle_gap_above_tolerance_exits_3(tmp_path, capsys, monkeypatch):
     assert err.startswith("solver diagnostic: oracle duality gap")
     assert '"rho": 0.2' in err
     with pytest.raises(oracle.OracleGapError):
-        oracle.worst_case_sup(oracle.DiscreteInstance.from_json(inst.read_text()))
+        oracle.worst_case_sup(oracle.DiscreteInstance(*read_instance(inst)))
 
 
 def test_oracle_gap_tolerance_is_relative_to_the_ceiling(tmp_path, capsys):
@@ -853,7 +896,34 @@ def test_deeply_nested_oracle_instance_exit_1(tmp_path, capsys):
     inst = tmp_path / "deep.json"
     inst.write_text('{"p": ' + _nested(100_000) + ', "losses": [0.5], "M": 1, "rho": 0.1}')
     assert main(["oracle", str(inst)]) == 1
-    assert f"error: {inst}:0: bad instance file: nested too deeply\n" == capsys.readouterr().err
+    assert f"error: {inst}:0: bad JSON: nested too deeply\n" == capsys.readouterr().err
+
+
+def test_value_nested_nearly_as_deep_as_json_reads_is_a_bad_line(tmp_path, capsys):
+    # json.dumps, which names the value in the message, can run deeper in the stack than the json.loads that read it.
+    messages = set()
+    for depth in range(sys.getrecursionlimit() - 300, sys.getrecursionlimit()):
+        for command, name, text, line in [
+                ("certify", "deep.jsonl", '{"loss": 0.5}\n{"loss": %s}\n', 2),
+                ("oracle", "deep.json", '{"p": [%s], "losses": [0.5], "M": 1, "rho": 0.1}', 0)]:
+            f = tmp_path / name
+            f.write_text(text % _nested(depth))
+            assert main([arg.format(path=f, dir=tmp_path) for arg in _FILE_COMMANDS[command]]) == 1
+            err = capsys.readouterr().err
+            assert re.fullmatch(rf"error: {re.escape(str(f))}:{line}: (?:(?:loss|p) must be a number, got (?:\[+\]+|a "
+                                rf"value nested too deeply)|bad JSON: nested too deeply)\n", err), err[:200]
+            messages.add(err.split(": ", 2)[2].split(", got [")[0])
+    if sys.version_info < (3, 12):  # the C code's recursion is counted with the interpreter's frames
+        assert "loss must be a number, got a value nested too deeply\n" in messages
+
+
+def test_number_too_deep_to_name_is_still_named_as_no_number():
+    value = []
+    for _ in range(100_000):  # beyond every interpreter's recursion limit, for Python and C code alike
+        value = [value]
+    with pytest.raises(InputFormatError) as raised:
+        hio._number("deep.jsonl", 7, "loss", value)
+    assert str(raised.value) == "deep.jsonl:7: loss must be a number, got a value nested too deeply"
 
 
 def test_non_utf8_byte_is_reported_at_its_line(tmp_path, capsys):
@@ -876,17 +946,17 @@ def test_non_utf8_byte_is_reported_at_its_line(tmp_path, capsys):
         ("label-shift", "preds.csv", "pred,label\n", "prediction sample must be non-empty"),
         ("certify-auc", "scores.csv", "score,label\n0.5,1\n0.6,1\n", "degenerate sample: both classes must be present"),
         ("oracle", "inst.json", '{"p": [0.5, 0.5], "losses": [0.1, 0.9], "M": 1, "rho": Infinity}',
-         "bad instance file: rho must lie in [0, 1], got inf"),
+         "rho must lie in [0, 1], got inf"),
         ("oracle", "inst.json", '{"p": [0.5, 0.5], "losses": [NaN, 0.5], "M": 1, "rho": 0.1}',
-         "bad instance file: losses must lie in [0, 1]"),
+         "losses must lie in [0, 1.0]"),
         ("oracle", "inst.json", '{"p": [0.5, 0.5], "losses": [0.1, 0.9], "M": 1, "rho": true}',
-         "bad instance file: rho: true is not a number"),
+         "rho must be a number, got true"),
         ("oracle", "inst.json", '{"p": [0.5, 0.5], "losses": [0.1, 0.9], "M": true, "rho": 0.1}',
-         "bad instance file: M: true is not a number"),
+         "M must be a number, got true"),
         ("oracle", "inst.json", '{"p": [true, false], "losses": [0.1, 0.9], "M": 1, "rho": 0.1}',
-         "bad instance file: p: true is not a number"),
+         "p must be a number, got true"),
         ("oracle", "inst.json", '{"p": [0.5, 0.5], "losses": [0.1, false], "M": 1, "rho": 0.1}',
-         "bad instance file: losses: false is not a number"),
+         "losses must be a number, got false"),
     ],
 )
 @pytest.mark.cpu_bits
@@ -948,10 +1018,9 @@ def _jsonl_reference(path, data, fields):
             raise InputFormatError(path, i, f"bad JSON: integer of more than {limit} digits") from None
         if not isinstance(obj, dict) or any(key not in obj for key in fields):
             raise InputFormatError(path, i, f"object must carry keys {tuple(fields)}")
-        for key in fields:
+        for column, (key, dtype) in zip(columns, fields.items()):  # each value in key order, checked, then read
             if isinstance(obj[key], bool) or not isinstance(obj[key], (int, float)):
                 raise InputFormatError(path, i, f"{key} must be a number, got {json.dumps(obj[key])}")
-        for column, (key, dtype) in zip(columns, fields.items()):
             column.append(hio._value(path, i, obj[key], key, dtype))
         line_nos.append(i)
     return [np.array(column, dtype=dtype) for column, dtype in zip(columns, fields.values())], line_nos.__getitem__
@@ -1492,7 +1561,7 @@ def test_every_golden_input_mutated_exits_0_or_1_at_its_first_bad_line(tmp_path,
     """Each mutant, to each subcommand that reads it, in process: exit 0 with the report the library gives on the
     reference reader's numbers, or exit 1 naming the first bad line that reader finds, as ``file:N:`` with N >= 1.
     ``file:0`` is left for a fault of the whole sample (n < 2, one AUC class) or of an oracle instance, a single
-    JSON document."""
+    JSON document, other than a byte that is not UTF-8 or a JSON syntax error."""
     golden = (Path(__file__).parent / "golden" / "inputs" / name).read_bytes()
     path = tmp_path / "in" / name
     path.parent.mkdir()
@@ -1503,17 +1572,25 @@ def test_every_golden_input_mutated_exits_0_or_1_at_its_first_bad_line(tmp_path,
                 argv = [arg.format(path=path, dir=tmp_path) for arg in _FILE_COMMANDS[command]]
                 code, outputs = _run(argv, tmp_path)
                 err = capsys.readouterr().err
-                if reader is None:  # the oracle: a byte not UTF-8 at its line, else the instance is read whole
+                if reader is None:  # the oracle: a byte not UTF-8 or a JSON syntax error at its line, else line 0
                     try:
-                        text = hio.read_text(path)
+                        json.loads("".join(line for _, line in hio._lines(path, data)))
                     except InputFormatError as exc:
                         assert (code, err) == (1, f"error: {exc}\n") and exc.line_no >= 1
                         continue
-                    if code == 1:
-                        assert err.startswith(f"error: {path}:0: bad instance file: ")
-                    else:
-                        instance = json.loads(DiscreteInstance.from_json(text).to_json())
-                        assert (code, json.loads(outputs["report.json"])["instance"]) == (0, instance)
+                    except json.JSONDecodeError as exc:
+                        assert exc.lineno >= 1
+                        assert (code, err) == (1, f"error: {path}:{exc.lineno}: bad JSON: {exc.msg}\n")
+                        continue
+                    except (RecursionError, ValueError):  # nested too deeply, or beyond int()'s digit limit
+                        pass
+                    try:
+                        instance = DiscreteInstance(*read_instance(path))
+                    except ValueError as exc:  # any other fault, the instance's own checks' too, at line 0
+                        assert (code, err) == (1, f"error: {path}:0: {str(exc).removeprefix(f'{path}:0: ')}\n")
+                        continue
+                    echo = json.loads(outputs["report.json"])["instance"]
+                    assert (code, echo) == (0, json.loads(instance.to_json()))
                     continue
                 fmt = "jsonl" if name.endswith(".jsonl") else "auto"  # as detected: the line parser is checked too
                 outcome = _as_per_line_parser_reads_it(reader[0], path, fmt, reader[1])

@@ -12,6 +12,7 @@ from hellcert.bounds import (
     max_valid_radius_upper,
     upper_bound,
 )
+from hellcert.io import read_instance
 from hellcert.oracle import (
     GAP_TOL,
     DiscreteInstance,
@@ -58,12 +59,14 @@ def test_on_support_is_taken_from_the_normalized_masses():
     assert worst_case_inf(inst).value == 0.2858945454936633
 
 
-def test_instance_json_round_trip():
-    inst = DiscreteInstance([0.25, 0.75], [0.2, 0.9], 1.0, 0.3)
-    again = DiscreteInstance.from_json(inst.to_json())
-    assert np.allclose(again.p.probs, inst.p.probs)
-    assert np.allclose(again.losses, inst.losses)
-    assert again.rho == inst.rho
+def test_instance_json_round_trip(tmp_path):
+    inst = DiscreteInstance([0.25, 0.0, 0.75], [0.2, 0.5, 0.9], 2.0, 0.3)
+    path = tmp_path / "inst.json"
+    path.write_text(inst.to_json())
+    again = DiscreteInstance(*read_instance(path))
+    assert np.array_equal(again.p.probs, inst.p.probs)
+    assert np.array_equal(again.losses, inst.losses)
+    assert (again.ceiling, again.rho) == (inst.ceiling, inst.rho)
 
 
 def test_sup_zero_radius_is_expectation():
