@@ -323,7 +323,10 @@ def _value(path, line_no, raw, name, dtype):
             return value
     except (ValueError, OverflowError):
         pass
-    raise InputFormatError(path, line_no, f"bad {name}: {raw!r}")
+    text = repr(raw)
+    if isinstance(raw, int) and len(text) > 20:  # an integer beyond the float range or int64: its head and length
+        text = f"{text[:20]}... ({len(text.lstrip('-'))} digits)"
+    raise InputFormatError(path, line_no, f"bad {name}: {text}")
 
 
 def _line_of(data, start, line, count=0):

@@ -14,15 +14,17 @@ and g'(nu) = 0 exactly where the KKT family u_i ~ sqrt(p_i) / (nu - loss_i)
 has affinity <sqrt(p), u> = c.  One root search on nu therefore yields both
 a feasible primal (taken at the feasible end of the bracket) and a proven
 optimality gap g(nu) - primal.  The search is a safeguarded Newton iteration
-on deficit^-1/2 - (1 - c^2)^-1/2, with deficit = 1 - affinity^2, started at
-the smaller of two estimates of the root, one from each end of that curve,
-and kept inside a bracket whose upper end is always feasible; it bisects
-whenever a Newton step would leave the bracket or stops shrinking.  It
-stops on the feasible side within the same relative width 1e-13 of the root
-as plain bisection does, after about 4.5 evaluations where bisection takes
-about 50 on the benchmark's seed-1 oracle round (3.3 per solve with the
-closed forms included); ``OracleResult.root_steps`` counts them.  One
-evaluation is 15 NumPy passes over the support.  Points with p_i = 0 only
+on deficit^-1/2 - (1 - c^2)^-1/2, with deficit = 1 - affinity^2, started
+where a quadratic model of 1 / deficit, exact for two-point laws, meets
+1 / (1 - c^2), and kept inside a bracket whose upper end is always
+feasible; it bisects whenever a Newton step would leave the bracket or
+stops shrinking.  It stops on the feasible side within the same relative
+width 1e-13 of the root as plain bisection does, or at a feasible deficit
+within rounding of 1 - c^2, after about 4.0 evaluations where bisection
+takes about 50 on the benchmark's seed-1 oracle round (3.0 per solve with
+the closed forms included); ``OracleResult.root_steps`` counts them.  One
+evaluation is 15 NumPy passes over the support, 10 when it ends the search
+at the deficit after a converged step.  Points with p_i = 0 only
 constrain nu: they receive mass only when the affinity already meets c at
 nu = max loss, where the optimum is in closed form.  A radius at the
 feasibility edge puts the root at nu -> max loss, where the KKT family
@@ -81,7 +83,7 @@ class DiscreteInstance:
 
     def __init__(self, p, losses, ceiling: float, rho: float):
         if not isinstance(p, DiscreteDistribution):
-            p = DiscreteDistribution(p)
+            p = DiscreteDistribution(p, "p")
         losses = np.asarray(losses, dtype=float)
         if losses.shape != (len(p),):
             raise ValueError("losses must match the support size")
@@ -155,10 +157,10 @@ def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float, lmax: float, lmin:
     value) depend on their order, so nothing held elsewhere can stand in for
     them.
     On the benchmark's seed-1 oracle round (2-core AVX-512 box, Python
-    3.11.7, NumPy 2.4.6) a sup+inf operation spends about 70 us in its 6.68
-    KKT evaluations; everything else took about 63 us and takes about 53 us
-    with the values read from the instance, so the KKT share of its CPU rose
-    from 53% to 57%.
+    3.11.7, NumPy 2.4.6, each evaluation timed) a sup+inf spent about 57 us
+    in 6.68 KKT evaluations and 45 us on the rest when the search started at
+    the smaller of two line estimates; from the model's root it spends about
+    52 us in 6.03 evaluations and 43 us on the rest, 55% of it in the KKT.
     """
     e = rho * rho * (2.0 - rho * rho)  # 1 - c^2 without cancellation
     if e == 0.0:  # rho = 0, or so small that rho^2 underflows: the ball is {p}
@@ -185,7 +187,7 @@ def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float, lmax: float, lmin:
         d = lmax - losses[support]
         dmax = float(np.maximum.reduce(d))
 
-    def kkt_at(t):
+    def kkt_at(t, final=False):
         """r = k / (nu - loss), S, k^2 T, 1 - affinity^2 and a Newton step at nu = lmax + t.
 
         With k = t + max d, r stays near 1 however large t gets, so nothing
@@ -210,6 +212,8 @@ def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float, lmax: float, lmin:
         dev = d - b / s
         dev *= dev
         deficit = s * s * float(pr.dot(dev)) / t2 / k / k
+        if final and 0.5 * e <= deficit <= e:
+            return r, s / k, t2, deficit, 0.0
         np.subtract(d, float(pr.dot(d)) / t2, out=dev)
         dev *= dev
         pr *= r
@@ -222,6 +226,7 @@ def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float, lmax: float, lmin:
 
     steps = 0
     lo = 0.0
+    g0 = 1.0 / off_top  # 1 / deficit at t = 0 when a max-loss point carries mass; else set below
     if not top_on_support:
         # Every max-loss point is off-support, so nu = lmax is dual feasible.
         r, s, t2, deficit, _ = kkt_at(0.0)
@@ -235,6 +240,7 @@ def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float, lmax: float, lmin:
             q[support] = (1.0 - left) * p_s * r * r / t2
             q[int(np.argmax(top))] = left
             return q, 0.0, steps
+        g0 = 1.0 / deficit
 
     # Safeguarded Newton inside the bracket [lo, hi], hi always feasible.  The
     # Newton step from the newest point aims a quarter of the stopping width
@@ -243,22 +249,25 @@ def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float, lmax: float, lmin:
     # stays inside the bracket and moves at most half as far as the move
     # before last; otherwise the step doubles t until a feasible point is
     # known, then takes the geometric midpoint (from hi * 2^-64 while lo is
-    # 0).  The search ends when the bracket is within the stopping width, or
-    # at a feasible point near the root (deficit above e / 2) whose Newton
-    # step is within half of it.  Below t = dmax * 2^-64, r ~ dmax / t and
-    # its powers can leave the float range (a root at the feasibility edge
-    # lies at t -> 0): there the first evaluation with a non-finite S, T or
-    # deficit counts as a step and ends the search at hi.
+    # 0).  The search ends when the bracket is within the stopping width, at
+    # a feasible point near the root (deficit above e / 2) whose Newton step
+    # is within half of it, or at a feasible deficit within 2^-52 of e, where
+    # a deficit flat in t leaves a step only rounding to follow.  After a move
+    # within half the width, the evaluation stops at the deficit when that
+    # ends the search, before the slope's 5 passes.  Below t = dmax * 2^-64,
+    # r ~ dmax / t and its powers can leave the float range (a root at the
+    # feasibility edge lies at t -> 0): there the first evaluation with a
+    # non-finite S, T or deficit counts as a step and ends the search at hi.
     #
-    # The search starts from whichever end of h(t) = deficit^-1/2 gives the
-    # smaller t above that limit.  For large t, h = (t + mu + k3 / var) / sigma
-    # + O(1/t), with mu, var = sigma^2 and k3 the mean, variance and third
-    # central moment of d under p, so h reaches e^-1/2 near
-    # t_a = sigma / sqrt(e) - mu - k3 / var.  With a max-loss point on
-    # the support, h(0) = m^-1/2 for the mass m off the max loss, and the line
-    # from there at the asymptotic slope 1 / sigma reaches e^-1/2 at
-    # t_b = sigma (e^-1/2 - m^-1/2).  Without either, it starts at
-    # t = sigma / sqrt(e), the small-radius root.
+    # The search starts where the model G(0) + ((t + a)^2 - a^2) / var of
+    # G = 1 / deficit meets 1 / e, with a = mu + k3 / var from the mean, the
+    # variance and the third central moment of d under p: the model keeps G's
+    # large-t asymptote (t + a)^2 / var, takes G(0) from g0 and is exact for a
+    # two-point law.  With w^2 = var (1 / e - G(0)), formed from sigma / sqrt(e)
+    # so that 1 / e cannot overflow, that is t0 = hypot(w, a) - a, written
+    # w^2 / (hypot(w, a) + a) when a > 0 so that it does not cancel.  The
+    # start aims a quarter of the stopping width beyond t0, as a Newton step
+    # does; it is sigma / sqrt(e) (dmax if var = 0) if t0 <= dmax * 2^-64.
     mean = float(p_s.dot(d))
     dev = d - mean
     sq = dev * dev
@@ -266,28 +275,27 @@ def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float, lmax: float, lmin:
     sigma = math.sqrt(var)
     t = sigma / math.sqrt(e) or dmax
     tiny = dmax * 2.0**-64
-    starts = []
     if var > 0.0:
         sq *= dev
-        starts.append(t - mean - float(p_s.dot(sq)) / var)
-    if top_on_support:
-        starts.append(t - sigma / math.sqrt(off_top))
-    t = min((x for x in starts if x > tiny), default=t)
-    hi, at_hi = math.inf, None
+        a = mean + float(p_s.dot(sq)) / var
+        w = t * math.sqrt(1.0 - e * g0)
+        x = w * (w / (math.hypot(w, a) + a)) if a > 0.0 else math.hypot(w, a) - a
+        t = x * (1.0 + 0.25 * ROOT_WIDTH) if x > tiny else t
+    hi, at_hi, final = math.inf, None, False
     before_last = last = math.inf
     while steps < 300:
         if t < tiny:
             with np.errstate(all="ignore"):
-                point = kkt_at(t)
+                point = kkt_at(t, final)
         else:
-            point = kkt_at(t)
+            point = kkt_at(t, final)
         steps += 1
         if t < tiny and not all(map(math.isfinite, point[1:4])):
             break
         deficit, step = point[3], point[4]
         if deficit <= e:
             hi, at_hi = t, point
-            if deficit >= 0.5 * e and abs(step) <= 0.5 * ROOT_WIDTH * t:
+            if deficit >= 0.5 * e and abs(step) <= 0.5 * ROOT_WIDTH * t or deficit >= e - e * 2.0**-52:
                 break
         else:
             lo = t
@@ -297,6 +305,7 @@ def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float, lmax: float, lmin:
         if not (lo < x < hi and abs(x - t) <= 0.5 * before_last):
             x = 2.0 * t if hi == math.inf else math.sqrt(max(lo, hi * 2.0**-64)) * math.sqrt(hi)
         before_last, last = last, abs(x - t)
+        final = last <= 0.5 * ROOT_WIDTH * t
         t = x
     if at_hi is None:
         return p.copy(), math.inf, steps

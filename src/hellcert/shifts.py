@@ -28,27 +28,27 @@ class DiscreteDistribution:
     """Probability vector on a finite support, normalized on construction.
 
     Valid masses are told apart by one ``min`` and one ``sum``; the checks
-    that name a failure run only after those two reject the vector.  Finite
-    masses whose sum overflows are divided by the largest one first.
+    that name a failure (and the vector, as ``name``) run only after those two
+    reject it.  Finite masses whose sum overflows are divided by the largest one first.
     """
 
     probs: np.ndarray
 
-    def __init__(self, probs):
+    def __init__(self, probs, name: str = "probs"):
         probs = np.asarray(probs, dtype=float)
         if probs.ndim != 1 or probs.size < 1:
-            raise ValueError("probs must be a non-empty 1-d vector")
+            raise ValueError(f"{name} must be a non-empty 1-d vector")
         total = math.nan
         if np.minimum.reduce(probs) >= 0.0:  # False on NaN as well
             with np.errstate(over="ignore"):
                 total = float(np.add.reduce(probs))
         if not 0.0 < total < math.inf:
             if not np.isfinite(probs).all():
-                raise ValueError("probs must be finite")
+                raise ValueError(f"{name} must be finite")
             if (probs < 0.0).any():
-                raise ValueError("probs must be non-negative")
+                raise ValueError(f"{name} must be non-negative")
             if total <= 0.0:
-                raise ValueError("probs must have positive total mass")
+                raise ValueError(f"{name} must have positive total mass")
             probs = probs / probs.max()
             total = float(probs.sum())
         probs = probs / total

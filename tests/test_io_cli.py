@@ -762,12 +762,17 @@ _KEYS = "object must carry keys ('p', 'losses', 'M', 'rho')"
      "bad JSON: Expecting property name enclosed in double quotes"),
     ('{"p": [0.5, 0.5], "losses": [0.1, 0.9], "M": 1' + "0" * 5000 + ', "rho": 0.1}', 0,
      f"bad JSON: integer of more than {sys.get_int_max_str_digits()} digits"),
-    ('{"p": [0.5, 0.5], "losses": [0.1, 0.9], "M": 1' + "0" * 400 + ', "rho": 0.1}', 0, "bad M: 1" + "0" * 400),
+    ('{"p": [0.5, 0.5], "losses": [0.1, 0.9], "M": 1' + "0" * 400 + ', "rho": 0.1}', 0,
+     "bad M: 1" + "0" * 19 + "... (401 digits)"),
     ('{"p": [0.5, 0.5], "losses": [0.1, 0.9], "M": [1], "rho": 0.1}', 0, "M must be a number, got [1]"),
-    ('{"p": [0.5, 0.5], "losses": [0.1, 1' + "0" * 400 + '], "M": 1, "rho": 0.1}', 0, "bad losses: 1" + "0" * 400),
-    ('{"p": 0.5, "losses": [0.1], "M": 1, "rho": 0.1}', 0, "probs must be a non-empty 1-d vector"),
+    ('{"p": [0.5, 0.5], "losses": [0.1, -1' + "0" * 400 + '], "M": 1, "rho": 0.1}', 0,
+     "bad losses: -1" + "0" * 18 + "... (401 digits)"),
+    ('{"p": 0.5, "losses": [0.1], "M": 1, "rho": 0.1}', 0, "p must be a non-empty 1-d vector"),
+    ('{"p": [], "losses": [], "M": 1, "rho": 0.1}', 0, "p must be a non-empty 1-d vector"),
+    ('{"p": [0, 0.0], "losses": [0.1, 0.9], "M": 1, "rho": 0.1}', 0, "p must have positive total mass"),
+    ('{"p": [0.5, -0.25], "losses": [0.1, 0.9], "M": 1, "rho": 0.1}', 0, "p must be non-negative"),
 ], ids=["list", "no-rho", "syntax-line-4", "digit-limit", "beyond-float-range", "listed-M", "loss-beyond-float-range",
-        "scalar-p"])
+        "scalar-p", "empty-p", "massless-p", "negative-p"])
 def test_oracle_instance_fault_is_one_error_line_in_the_jsonl_wording(tmp_path, capsys, text, line, message):
     inst = tmp_path / "inst.json"
     inst.write_text(text)
@@ -890,6 +895,14 @@ def test_deeply_nested_jsonl_is_a_bad_line(tmp_path, capsys):
     f.write_text('{"loss": 0.5}\n{"loss": ' + _nested(100_000) + "}\n")
     assert main(["certify", str(f), "--rho", "0.1"]) == 1
     assert f"error: {f}:2: bad JSON: nested too deeply\n" == capsys.readouterr().err
+
+
+def test_jsonl_integer_beyond_the_float_range_is_echoed_by_its_head_and_length(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.jsonl").write_text('{"loss": 0.5}\n{"loss": 1' + "0" * 3999 + "}\n")
+    assert main(["certify", "big.jsonl", "--rho", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: big.jsonl:2: bad loss: 1" + "0" * 19 + "... (4000 digits)\n" and len(err) < 200
 
 
 def test_deeply_nested_oracle_instance_exit_1(tmp_path, capsys):
