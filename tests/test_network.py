@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hellcert.losses import jsd_loss_and_logit_grad, jsd_loss_vector, softmax_rows
+from hellcert.losses import jsd_loss_and_logit_grad, jsd_loss_vector, softmax_rows, true_class_positions
 from hellcert.network import (
     ROWS_PER_PASS,
     SmallNetwork,
@@ -222,7 +223,7 @@ def test_jsd_head_maximizer_interior():
 
 def test_input_gradients_match_exp_backprop_reference():
     # Reference backprop with ELU' = exp(z) on the pre-activations; the
-    # library takes expm1(min(z, 0)) + 1 from its forward pass, equal to rounding.
+    # library takes (exp(min(z, 0)) - 1) + 1 from its forward pass, equal to rounding.
     net = SmallNetwork.initialize(hidden=(8, 8), seed=5)
     gen = stream(13)
     x = 3.0 * gen.standard_normal((200, 2))
@@ -242,8 +243,16 @@ def test_input_gradients_match_exp_backprop_reference():
 # ------------------------------------------- references that allocate freshly
 
 
+def _ref_elu_slope(z):
+    # ELU' - 1 by the exp rule; its + 1 is exp(min(z, 0)) where that is >= 1/2.
+    return np.exp(np.minimum(z, 0.0)) - 1.0
+
+
 def _ref_elu(z):
-    return np.where(z > 0.0, z, np.expm1(np.minimum(z, 0.0)))
+    # The exp rule's branching form: z where z > 0, else exp(z) - 1, or z
+    # itself where exp(z) rounds below 1 + z (only for |z| below about 2^-26).
+    em1 = _ref_elu_slope(z)
+    return np.where(z > 0.0, z, np.where(em1 < z, z, em1))
 
 
 def _ref_softmax(logits):
@@ -253,10 +262,11 @@ def _ref_softmax(logits):
 
 
 def _ref_losses_and_param_grads(weights, x, y):
-    posts = [x]
+    posts, pres = [x], []
     for w in weights:
         # The library's forward operand: a C-contiguous (in, out) copy.
-        posts.append(_ref_elu(posts[-1] @ w.T.copy()))
+        pres.append(posts[-1] @ w.T.copy())
+        posts.append(_ref_elu(pres[-1]))
     p = _ref_softmax(posts[-1])
     n = x.shape[0]
     py = p[np.arange(n), y]
@@ -267,7 +277,7 @@ def _ref_losses_and_param_grads(weights, x, y):
     d = d / n
     grads = [None] * len(weights)
     for j in range(len(weights) - 1, -1, -1):
-        d = d * (np.minimum(posts[j + 1], 0.0) + 1.0)
+        d = d * (_ref_elu_slope(pres[j]) + 1.0)
         grads[j] = d.T @ posts[j]
         if j > 0:
             d = d @ weights[j]
@@ -299,7 +309,7 @@ def _ref_train(net, x, y, steps, check_every):
 
 
 def _elu_inputs():
-    # Tiny negatives and subnormals are where expm1(z) rounds to z itself.
+    # Tiny negatives and subnormals are where exp(z) rounds to 1 and expm1(z) to z.
     edges = [0.0, -0.0, -1e-300, 1e-300, -5e-324, -2.0**-60, -1e-17, -800.0, 800.0,
              np.inf, -np.inf, np.nan]
     return np.concatenate([3.0 * stream(21).standard_normal(4988), edges]).reshape(-1, 8)
@@ -320,12 +330,40 @@ def test_elu_inplace_equals_branching_form():
 @pytest.mark.cpu_bits
 def test_kept_slope_is_the_derivative_from_the_post_activation():
     # Backprop takes ELU' as the forward's slope + 1; it must be, bit for
-    # bit, min(a, 0) + 1 of the post-activation a = elu(z).
+    # bit, (exp(min(z, 0)) - 1) + 1, and within one rounding of min(a, 0) + 1
+    # of the post-activation a = elu(z), which is exp(z) - 1 or z itself.
     z = _elu_inputs()
     slope = np.empty_like(z)
-    _elu_inplace(z.copy(), slope)
-    ref = np.minimum(_ref_elu(z), 0.0) + 1.0
+    post = _elu_inplace(z.copy(), slope)
+    ref = _ref_elu_slope(z) + 1.0
     assert np.array_equal((slope + 1.0).view(np.int64), ref.view(np.int64))
+    finite = np.isfinite(post)
+    assert np.all(np.abs(slope + 1.0 - (np.minimum(post, 0.0) + 1.0))[finite] <= 2.0**-53)
+
+
+@pytest.mark.cpu_bits
+def test_elu_and_its_slope_are_within_2_pow_minus_52_of_expm1_and_exp():
+    # Against correctly rounded references, on the kernel inputs plus dense
+    # linear and logarithmic grids over [-40, 0].
+    z = np.concatenate([_elu_inputs().ravel(), np.linspace(-40.0, 0.0, 100_001),
+                        -(10.0 ** np.linspace(-20.0, math.log10(40.0), 20_001))])
+    slope = np.empty_like(z)
+    post = _elu_inplace(z.copy(), slope)
+    finite = np.isfinite(z)
+    pos, neg = finite & (z > 0.0), finite & (z <= 0.0)
+    assert np.array_equal(post[pos].view(np.int64), z[pos].view(np.int64))
+    assert np.all(post[neg] >= z[neg])
+    expm1 = np.array([math.expm1(v) for v in z[neg]])
+    assert np.max(np.abs(post[neg] - expm1)) <= 2.0**-52
+    exp = np.array([math.exp(min(v, 0.0)) for v in z[finite]])
+    assert np.max(np.abs(slope[finite] + 1.0 - exp)) <= 2.0**-52
+    # ±0, ±inf, NaN and -800 give what the expm1 rule gave.
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -800.0])
+    slope = np.empty_like(special)
+    post = _elu_inplace(special.copy(), slope)
+    old_slope = np.expm1(np.minimum(special, 0.0))
+    assert np.array_equal(post, np.maximum(special, old_slope), equal_nan=True)
+    assert np.array_equal(slope + 1.0, old_slope + 1.0, equal_nan=True)
 
 
 @pytest.mark.parametrize("classes", [2, 8])
@@ -383,6 +421,26 @@ def test_passes_leave_the_callers_input_alone(n):
     for ws in (None, Workspace.per_sample(net, n)):
         per_sample_losses_and_input_grads(net, x, y, ws)
         assert np.array_equal(x.view(np.int64), kept.view(np.int64))
+
+
+def test_warm_training_pass_allocates_nothing_of_layer_size():
+    # The gradients and the loss head's (n, 2) error are fresh; nothing as
+    # large as one (n, 16) layer buffer may be.
+    n = 2000
+    net = SmallNetwork.initialize(hidden=(16, 16), seed=28)
+    gen = stream(28)
+    x = 3.0 * gen.standard_normal((n, 2))
+    y = gen.integers(0, 2, size=n)
+    ws = Workspace(net, n)
+    positions = true_class_positions(y, 2)
+    batch_loss_and_param_grads(net, x, y, ws, positions)
+    tracemalloc.start()
+    try:
+        batch_loss_and_param_grads(net, x, y, ws, positions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 16 * 8
 
 
 @pytest.mark.cpu_bits

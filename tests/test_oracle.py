@@ -1,6 +1,8 @@
 import importlib.util
 import json
 import math
+import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +325,37 @@ def test_tiny_radii_neither_overflow_nor_stall():
             assert res.root_steps <= 4, (inst.to_json(), res.root_steps)
             assert res.certified_gap <= 3e-14 * ceiling, inst.to_json()
             assert abs(res.value - mean) <= 1e-12 * ceiling, inst.to_json()
+
+
+@pytest.mark.cpu_bits
+@pytest.mark.parametrize("rho", [0.7811070516949911, 0.781107051694991])
+def test_search_ends_feasible_when_its_evaluation_leaves_the_float_range(monkeypatch, rho):
+    # The sup's feasibility edge and the float below it: the saturation test
+    # fails, so the search runs towards nu = max loss, where below t = dmax *
+    # 2^-64 r = k / t and its powers leave the float range.  The search must
+    # reach its non-finite break and end at the feasible end of its bracket.
+    from hellcert import oracle
+
+    non_finite = []
+
+    def isfinite(v):
+        if not math.isfinite(v):
+            non_finite.append(v)
+        return math.isfinite(v)
+
+    checked = types.SimpleNamespace(**{name: getattr(math, name) for name in dir(math)
+                                       if not name.startswith("_")})
+    checked.isfinite = isfinite
+    inst = DiscreteInstance([0.152, 0.03, 0.818], [0.6, 0.18, 0.46], 1.0, rho)
+    monkeypatch.setattr(oracle, "math", checked)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = [worst_case_sup(inst)]
+        assert non_finite, "the sup's search no longer reaches the non-finite break"
+        results.append(worst_case_inf(inst))
+    for res in results:
+        assert res.certified_gap <= GAP_TOL * inst.ceiling
+        assert hellinger_to(inst.p.probs, res.maximizer.probs) <= inst.rho + 1e-12
 
 
 def stress_instances():
