@@ -3,17 +3,20 @@
 Each CSV input format is declared once, in :data:`FORMATS`, as its columns
 and their dtypes; its header is the column names joined by commas, and
 ``jsonl`` is one JSON object per line with the same keys.  The format is
-detected from the extension and header, or forced by flag.  A float column
-is binary64; an integer column takes only integers within int64.
+detected from the extension and the first line that is not blank, or forced
+by flag.  A float column is binary64; an integer column takes only integers
+within int64.
 
 Files are UTF-8, split into lines at ``\\n`` alone.  Blank lines, which
 :meth:`str.strip` empties, are skipped and whitespace around a line or a CSV
-field is ignored, so CRLF endings read like LF ones.  Each input is read
-once, and its bytes serve every pass, so a named pipe or ``/dev/stdin``
-reads as a regular file does.  Each format has two passes, which keep only
-the numbers, and only the second, a line parser, reports errors, with the
-file and the 1-based number of the first bad line; a number that fails a
-check after the parse is named at the line :func:`_line_of` finds for it:
+field is ignored, so CRLF endings read like LF ones.  Each input's bytes are
+read once and serve every pass, so a named pipe or ``/dev/stdin`` reads as a
+regular file does; only ``np.loadtxt`` reads a regular CSV file a second
+time, from its path, while those bytes are held.  Each format has two
+passes, which keep only the numbers, and only the second, a line parser,
+reports errors, with the file and the 1-based number of the first bad line;
+a number that fails a check after the parse is named at the line
+:func:`_line_of` finds for it:
 
 * CSV: the body in one ``np.loadtxt`` call, given only the path of a regular
   file it reads as the line parser does (see :func:`_loadtxt`).  A file it
@@ -28,9 +31,11 @@ An oracle instance, one JSON object, is parsed as a failing JSONL line is, and
 its numbers read by JSONL's rule (:func:`read_instance`): a byte that is not
 UTF-8 or a syntax error is at its line, any other fault at line 0.
 
-All emitted numbers carry 17 significant digits (lossless for binary64) and
-JSON reports are pretty-printed with sorted keys, so identical inputs produce
-byte-identical outputs.
+Every number written is :func:`format_number`'s text: a float's is ``repr``,
+the shortest that reads back as the same binary64 (``certify --rho 0.05``
+reports ``"radius": 0.05``, not 0.050000000000000003).  A JSON report is
+``json.dumps``, indented, with sorted keys and no NaN or infinity, so
+identical inputs give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -114,7 +119,7 @@ def _header(line: str) -> str:
 def _detect(path, data) -> str:
     if str(path).endswith(".jsonl"):
         return "jsonl"
-    first = next(_lines(path, data), (1, ""))[1].strip()
+    line_no, first = next(((i, line.strip()) for i, line in _lines(path, data) if line.strip()), (1, ""))
     if not first:
         raise InputFormatError(path, 1, "empty file")
     header = _header(first)
@@ -123,7 +128,7 @@ def _detect(path, data) -> str:
             return fmt
     if header.startswith("{"):
         return "jsonl"
-    raise InputFormatError(path, 1, f"unrecognized header {first!r}")
+    raise InputFormatError(path, line_no, f"unrecognized header {first!r}")
 
 
 def detect_format(path) -> str:
@@ -405,47 +410,23 @@ def read_instance(path):
 
 
 def format_number(x) -> str:
-    """17 significant digits: binary64 round-trips losslessly through this."""
+    """One CSV cell: a float as ``repr``, its shortest text that reads back as the same binary64 (``0.05``,
+    not ``0.050000000000000003``); ``true``/``false`` for a flag, an integer's digits."""
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return format(float(x), ".17g")
-
-
-def _json_fragment(obj, indent):
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (bool, np.bool_, int, np.integer, float, np.floating)):
-        return format_number(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{inner}{json.dumps(str(k))}: {_json_fragment(v, indent + 2)}'
-            for k, v in sorted(obj.items())
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        items = [f"{inner}{_json_fragment(v, indent + 2)}" for v in seq]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return repr(float(x))
 
 
 def json_document(obj) -> str:
-    """Deterministic pretty JSON: sorted keys, 17-significant-digit floats, LF."""
-    return _json_fragment(obj, 0) + "\n"
+    """Deterministic pretty JSON, LF-ended: sorted keys, floats as :func:`format_number` writes them, NumPy
+    scalars and arrays as their values; NaN or an infinity raises ValueError, so a report is strict JSON."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=lambda o: o.tolist()) + "\n"
 
 
 def write_csv(path, header: Iterable[str], rows) -> None:
-    """CSV with LF endings and 17-significant-digit numbers; None is an empty cell."""
+    """CSV with LF endings and cells by :func:`format_number`; None is an empty cell."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join("" if v is None else v if isinstance(v, str) else format_number(v)

@@ -63,7 +63,7 @@ class OracleGapError(RuntimeError):
 
     def __init__(self, instance: "DiscreteInstance", gap: float):
         super().__init__(
-            f"oracle duality gap {gap:.17g} exceeds {GAP_TOL:g} times M = {instance.ceiling!r} "
+            f"oracle duality gap {gap!r} exceeds {GAP_TOL:g} times M = {instance.ceiling!r} "
             f"on instance {instance.to_json()}"
         )
         self.instance = instance

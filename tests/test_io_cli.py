@@ -68,6 +68,37 @@ def test_json_document_round_trip_and_determinism():
     assert text.index('"a"') < text.index('"b"') < text.index('"nested"')
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan"), np.array([1.0, np.inf])])
+def test_json_document_refuses_nan_and_infinities(bad):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        json_document({"x": [0.5, {"y": bad}]})
+
+
+def test_json_document_writes_numpy_scalars_and_arrays_as_their_values():
+    doc = {"f": np.float64(0.05), "g": np.float32(0.1), "i": np.int64(-3), "b": np.bool_(True),
+           "a": np.array([[0.1, 2.0], [3.0, 1e-300]]), "e": np.zeros(0), "t": (np.int32(1), np.False_)}
+    assert json_document(doc) == (
+        '{\n  "a": [\n    [\n      0.1,\n      2.0\n    ],\n    [\n      3.0,\n      1e-300\n    ]\n  ],\n'
+        '  "b": true,\n  "e": [],\n  "f": 0.05,\n  "g": 0.10000000149011612,\n  "i": -3,\n'
+        '  "t": [\n    1,\n    false\n  ]\n}\n')
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def _shortest(literal):
+    assert literal == repr(float(literal)), f"{literal} is not the shortest text of its float"
+    return float(literal)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_every_golden_report_is_strict_json_at_the_writers_fixed_point(tmp_path, case):
+    # Each float is the shortest text of its value, and read back and written again, a report keeps its bytes.
+    text = run_case(CASES[case], tmp_path / case)["report.json"]
+    assert json_document(json.loads(text, parse_constant=_no_constant, parse_float=_shortest)) == text
+
+
 def test_detect_format(tmp_path):
     f = tmp_path / "a.csv"
     f.write_text("loss\n0.5\n")
@@ -82,6 +113,29 @@ def test_detect_format(tmp_path):
     f.write_text("foo\n1\n")
     with pytest.raises(InputFormatError):
         detect_format(f)
+
+
+def test_detect_format_skips_blank_lines_as_jsonl_does(tmp_path):
+    f = tmp_path / "x.txt"
+    f.write_text('\n{"loss": 0.5}\n \t\r\n{"loss": 0.25}\n')
+    assert detect_format(f) == "jsonl"
+    assert np.array_equal(read_losses(f), [0.5, 0.25])
+    assert np.array_equal(read_losses(f), read_losses(f, "jsonl"))
+
+
+@pytest.mark.parametrize("text, fmt, message", [
+    ("", "auto", ":1: empty file"),
+    ("\n \r\n\t\n", "auto", ":1: empty file"),
+    ("\n\nfoo\n1\n", "auto", ":3: unrecognized header 'foo'"),
+    # A CSV header must be the first line, detected or forced.
+    ("\nloss\n0.5\n", "auto", ":1: expected header 'loss'"),
+    ("\nloss\n0.5\n", "csv_losses", ":1: expected header 'loss'"),
+])
+def test_detect_format_reports_a_file_without_a_header_at_its_line(tmp_path, text, fmt, message):
+    f = tmp_path / "x.txt"
+    f.write_text(text)
+    with pytest.raises(InputFormatError, match=re.escape(message)):
+        read_losses(f, fmt)
 
 
 def test_read_losses_csv_and_jsonl(tmp_path):
@@ -119,12 +173,12 @@ def test_write_csv(tmp_path):
     f = tmp_path / "out.csv"
     write_csv(f, ("a", "b"), [(1.5, "x"), (0.1, "y")])
     text = f.read_bytes().decode()
-    assert text == "a,b\n1.5,x\n0.10000000000000001,y\n"
+    assert text == "a,b\n1.5,x\n0.1,y\n"
     # Every kind of cell: floats of each width, None, flags and integers of Python and NumPy.
     rows = [(0.1, None, True, 3), (np.float64(0.1), None, np.False_, np.int64(-3)),
             (np.float32(0.1), "z", np.True_, 2**70), (0.5, None, False, 0)]
     write_csv(f, "abcd", rows)
-    assert f.read_bytes().decode() == ("a,b,c,d\n0.10000000000000001,,true,3\n0.10000000000000001,,false,-3\n"
+    assert f.read_bytes().decode() == ("a,b,c,d\n0.1,,true,3\n0.1,,false,-3\n"
                                        "0.10000000149011612,z,true,1180591620717411303424\n0.5,,false,0\n")
 
 
@@ -496,7 +550,7 @@ def test_synthetic_compare_radius_beyond_gramian_validity_exit_0(tmp_path):
     assert code == 0
     with open(sweep, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
-    assert [row["norm_delta"] for row in rows] == ["0.01", "0.5", "1", "1.5", "2"]
+    assert [row["norm_delta"] for row in rows] == ["0.01", "0.5", "1.0", "1.5", "2.0"]
     for row in rows:
         valid = float(row["hellinger"]) <= float(row["gramian_max_valid_radius"])
         assert (row["gramian_cert"] != "") == valid
@@ -514,7 +568,7 @@ def test_synthetic_compare_with_a_huge_shift_exits_0(tmp_path, capsys):
     assert code == 0 and capsys.readouterr().err == ""
     with open(sweep, newline="", encoding="utf-8") as fh:
         (row,) = csv.DictReader(fh)
-    assert row["dual_cert"] == "inf" and row["hellinger"] == "1"
+    assert row["dual_cert"] == "inf" and row["hellinger"] == "1.0"
     assert math.isfinite(float(row["empirical_loss_shifted"]))
     assert math.isfinite(float(row["lipschitz_cert"]))
 
