@@ -2,8 +2,12 @@
 
 Each subcommand is one entry of :data:`COMMANDS` (``hellcert --help`` lists
 them): its help, its handler, its arguments, from which the parser is built,
-and the library modules the handler uses.  A handler returns the report, and
-:func:`main` writes it and picks the exit code.
+the library modules the handler uses and its report's fixed decisions.
+:func:`main` builds every report's envelope: the tool version, the command,
+its seed (null for a command without ``--seed``), the generator, a copy of
+those decisions and a null timestamp.  The handler adds what it computes, and
+the decisions that depend on its inputs, to that report; :func:`main` then
+writes it and picks the exit code.
 
 Importing this module imports only :mod:`hellcert.io` and :mod:`hellcert.rng`.
 A library name the handlers use is imported at its first lookup (PEP 562), or
@@ -39,9 +43,9 @@ import operator
 import sys
 
 from . import __version__
-from .io import (FORMATS, InputFormatError, base_report, json_document, read_instance, read_losses,
-                 read_predictions, read_scores, write_csv)
-from .rng import KEY_LIMIT
+from .io import (FORMATS, InputFormatError, json_document, read_instance, read_losses, read_predictions,
+                 read_scores, write_csv)
+from .rng import GENERATOR_NAME, KEY_LIMIT
 
 # The library names the handlers use, by module, each bound as described above.
 _LIBRARY = {
@@ -73,13 +77,6 @@ def __getattr__(name):
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_SOLVER = 3
-
-_AUC_DECISIONS = {
-    "auc_tie_policy": "ties_count_as_success",
-    "auc_pairing": "disjoint_random_pairs",
-    "auc_formulation": "lower_bound_on_success_indicator",
-}
-
 
 # List flags: argparse converts their text (the default's too) with these, and
 # names the flag and the converter when a conversion fails.
@@ -158,35 +155,31 @@ def _certify(args, report: dict, sample: EmpiricalSample, radius: float, directi
                         "unbiased_variance": sample.unbiased_variance, **inputs}
     report.update(direction=direction, radius=radius, max_valid_radius=valid_radius(sample, budget),
                   vacuous=cert.vacuous, bound=cert.bound, raw_bound=cert.raw_bound, confidence=cert.confidence)
-    report["decisions"].update(delta_split="two_way" if upper else "three_way",
-                               radius_policy="trivial_bound_beyond_validity")
-    return report
+    report["decisions"]["delta_split"] = "two_way" if upper else "three_way"
 
 
-def _cmd_certify(args):
+def _cmd_certify(args, report: dict):
     losses = read_losses(args.input, args.format, ceiling=args.max_loss)
     sample = EmpiricalSample(losses, ceiling=args.max_loss)
-    return _certify(args, base_report("certify", None, {}), sample, args.rho, args.direction)
+    _certify(args, report, sample, args.rho, args.direction)
 
 
-def _cmd_certify_accuracy(args):
+def _cmd_certify_accuracy(args, report: dict):
     preds, labels = read_predictions(args.input, args.format)
     sample = zero_one_stats(PredictionSample(preds, labels))
     error = sample.empirical_mean
-    report = base_report("certify-accuracy", None, {})
     upper = classification_error_upper(error, args.rho).bound
     report.update(empirical_error_rate=error, population_reference_upper=upper)
-    return _certify(args, report, sample, args.rho, args.direction)
+    _certify(args, report, sample, args.rho, args.direction)
 
 
-def _cmd_certify_auc(args):
+def _cmd_certify_auc(args, report: dict):
     scored = ScoredSample(*read_scores(args.input, args.format))
     pairs = auc_pair_sample(scored, args.seed)
     composite = auc_composite_radius(args.rho_conditional)
-    report = base_report("certify-auc", args.seed, dict(_AUC_DECISIONS))
     report.update(radius_conditional=args.rho_conditional, auc_point_estimate=auc_estimate(scored))
-    return _certify(args, report, pairs, composite, "lower",
-                    n_positive=int(scored.positives.size), n_negative=int(scored.negatives.size))
+    _certify(args, report, pairs, composite, "lower",
+             n_positive=int(scored.positives.size), n_negative=int(scored.negatives.size))
 
 
 def _extremum(result, point: str) -> dict:
@@ -194,14 +187,14 @@ def _extremum(result, point: str) -> dict:
             "certified_gap": result.certified_gap, "root_steps": result.root_steps}
 
 
-def _cmd_oracle(args):
+def _cmd_oracle(args, report: dict):
     inst = DiscreteInstance(*read_instance(args.input))
     sup = worst_case_sup(inst)
     inf = worst_case_inf(inst)
     mean, variance = inst.moments()
     stats = LossStatistics(mean, variance, inst.ceiling)
     lower, lower_trivial, upper, upper_trivial = certificate_band(stats, inst.rho)
-    report = base_report("oracle", None, {"duality_gap_tol": GAP_TOL * inst.ceiling})
+    report["decisions"]["duality_gap_tol"] = GAP_TOL * inst.ceiling
     report.update(
         instance={"p": inst.p.probs, "losses": inst.losses, "M": inst.ceiling, "rho": inst.rho},
         sup=_extremum(sup, "maximizer"),
@@ -210,7 +203,6 @@ def _cmd_oracle(args):
                       "upper_is_trivial": upper_trivial, "lower": lower,
                       "lower_is_trivial": lower_trivial},
     )
-    return report
 
 
 def _write_records(path, cls, records) -> None:
@@ -219,7 +211,7 @@ def _write_records(path, cls, records) -> None:
     write_csv(path, names, map(operator.attrgetter(*names), records))
 
 
-def _cmd_label_shift(args):
+def _cmd_label_shift(args, report: dict):
     preds, labels = read_predictions(args.input, args.format)
     result = label_shift_experiment(preds, labels, trials=args.trials, seed=args.seed,
                                     unseen_classes=args.unseen_classes,
@@ -228,42 +220,29 @@ def _cmd_label_shift(args):
               zip(result.hellinger.tolist(), result.loss.tolist(), result.mechanism))
     write_csv(args.curve_csv, ("rho", "lower", "lower_is_trivial", "upper", "upper_is_trivial"),
               result.curve)
-    report = base_report("label-shift", args.seed, {
-        "unseen_class_loss": "ceiling",
-        "mechanism_cycle": "trial_index_mod_3",
-        "dirichlet_concentration": args.dirichlet_concentration,
-    })
+    report["decisions"]["dirichlet_concentration"] = args.dirichlet_concentration
     stats = result.stats
     report.update(trials=args.trials, unseen_classes=args.unseen_classes,
                   inputs={"n": int(len(preds)), "n_classes": int(result.class_priors.size),
                           "empirical_mean": stats.mean, "variance": stats.variance,
                           "max_loss": stats.ceiling},
                   scatter_csv=args.scatter_csv, curve_csv=args.curve_csv)
-    return report
 
 
-def _cmd_mixture(args):
+def _cmd_mixture(args, report: dict):
     cells = mixture_experiment(args.gamma_grid, seed=args.seed, n_samples=args.samples)
     _write_records(args.csv, MixtureCell, cells)
-    report = base_report("mixture", args.seed, dict(
-        _AUC_DECISIONS, mixture_reference="classifier perfect on P, inverted on Q"))
     report.update(gamma_grid=args.gamma_grid, samples=args.samples, csv=args.csv)
-    return report
 
 
-def _cmd_synthetic_compare(args):
+def _cmd_synthetic_compare(args, report: dict):
     sizes = dict(widths=args.widths, depths=args.depths, delta_grid=args.delta_grid,
                  n_train=args.n_train, n_eval=args.n_eval)
     rows = compare_certificates(**sizes, seed=args.seed, confidence_delta=args.delta,
                                 train_steps=args.train_steps)
     _write_records(args.csv, SweepRow, rows)
-    report = base_report("synthetic-compare", args.seed, {
-        "wasserstein_budget": "squared",
-        "dual_gamma_grid": "geometric 24 points, L* to 64 L*",
-        "training": f"full-batch gradient descent, {args.train_steps} steps",
-    })
+    report["decisions"]["training"] = f"full-batch gradient descent, {args.train_steps} steps"
     report.update(sizes, confidence_delta=args.delta, csv=args.csv)
-    return report
 
 
 def _arg(*flags, check=None, **options):
@@ -282,35 +261,42 @@ _CSV = _arg("--csv", required=True)
 _FORMAT = _arg("--format", default="auto", choices=("auto", *FORMATS, "jsonl"))
 _OUTPUT = _arg("--output", default=None, help="write the JSON report here (default: stdout)")
 
-# name -> (help, handler, arguments, the _LIBRARY modules the handler uses);
-# every subcommand also takes --output.
+# Decisions of several commands: every certify report's rule beyond the validity
+# radius, and the AUC's rule for ties, which certify-auc and mixture share.
+_RADIUS_POLICY = {"radius_policy": "trivial_bound_beyond_validity"}
+_AUC_TIES = {"auc_tie_policy": "ties_count_as_success"}
+
+# name -> (help, handler, arguments, the _LIBRARY modules the handler uses,
+# the report's fixed decisions); every subcommand also takes --output.
 COMMANDS = {
     "certify": ("finite-sample certificate for a file of losses", _cmd_certify, [
         _FILE, _RHO, _DELTA, _arg("--max-loss", type=float, default=1.0, check=_positive_finite),
         _DIRECTION, _FORMAT,
-    ], ("bounds", "finite_sample")),
+    ], ("bounds", "finite_sample"), _RADIUS_POLICY),
     "certify-accuracy": ("0-1 loss certificate from (pred, label) records", _cmd_certify_accuracy, [
         _FILE, _RHO, _DELTA, _DIRECTION, _FORMAT,
-    ], ("bounds", "finite_sample", "losses")),
+    ], ("bounds", "finite_sample", "losses"), _RADIUS_POLICY),
     "certify-auc": ("AUC lower certificate from (score, label) records", _cmd_certify_auc, [
         _FILE, _arg("--rho-conditional", type=float, required=True, check=_radius), _DELTA, _SEED,
         _FORMAT,
-    ], ("bounds", "finite_sample", "losses", "shifts")),
+    ], ("bounds", "finite_sample", "losses", "shifts"), {
+        **_RADIUS_POLICY, **_AUC_TIES, "auc_pairing": "disjoint_random_pairs",
+        "auc_formulation": "lower_bound_on_success_indicator"}),
     "oracle": ("exact discrete worst case for an instance JSON", _cmd_oracle, [
         _arg("input", metavar="instance"),
-    ], ("bounds", "oracle")),
+    ], ("bounds", "oracle"), {}),
     "label-shift": ("random label-shift scatter vs. certificate curve", _cmd_label_shift, [
         _arg("--dataset", dest="input", metavar="DATASET", required=True), _FORMAT, _SEED,
         _arg("--trials", type=int, default=10000, check=_at_least(1)),
         _arg("--unseen-classes", type=int, default=2, check=_at_least(0)),
         _arg("--dirichlet-concentration", type=float, default=10.0, check=_positive_finite),
         _arg("--scatter-csv", required=True), _arg("--curve-csv", required=True),
-    ], ("experiments",)),
+    ], ("experiments",), {"unseen_class_loss": "ceiling", "mechanism_cycle": "trial_index_mod_3"}),
     "mixture": ("disjoint-support mixture curve (0-1 loss and AUC)", _cmd_mixture, [
         _arg("--gamma-grid", type=grid, default="0.05:1.0:0.05", check=_radius),
         _arg("--samples", type=int, default=10000, check=_at_least(1)),
         _SEED, _CSV,
-    ], ("experiments",)),
+    ], ("experiments",), {**_AUC_TIES, "mixture_reference": "classifier perfect on P, inverted on Q"}),
     "synthetic-compare": ("Gaussian-mixture sweep against Wasserstein baselines",
                           _cmd_synthetic_compare, [
         _arg("--widths", type=integer_list, default="16", check=_at_least(1)),
@@ -321,7 +307,7 @@ COMMANDS = {
         _arg("--n-eval", type=int, default=10000, check=_at_least(2)),
         _arg("--train-steps", type=int, default=2000, check=_at_least(0)),
         _SEED, _DELTA, _CSV,
-    ], ("synthetic",)),
+    ], ("synthetic",), {"wasserstein_budget": "squared", "dual_gamma_grid": "geometric 24 points, L* to 64 L*"}),
 }
 
 
@@ -339,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Certified worst-case loss bounds over Hellinger balls.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, arguments, _) in COMMANDS.items():
+    for name, (help_text, _, arguments, _, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flags, options, _ in (*arguments, _OUTPUT):
             p.add_argument(*flags, **options)
@@ -353,14 +339,16 @@ def main(argv=None) -> int:
     atexit.register(gc.freeze)
     try:
         args = build_parser().parse_args(argv)
-        _, handler, arguments, modules = COMMANDS[args.command]
+        _, handler, arguments, modules, decisions = COMMANDS[args.command]
         for flags, _, check in arguments:
             if check is not None:  # argparse's dest for the flag: --n-eval -> n_eval
                 check(flags[0], getattr(args, flags[0].lstrip("-").replace("-", "_")))
         for module in modules:
             _bind(module)
+        report = {"tool_version": __version__, "command": args.command, "seed": getattr(args, "seed", None),
+                  "rng": GENERATOR_NAME, "decisions": dict(decisions), "timestamp": None}
         try:
-            report = handler(args)
+            handler(args, report)
         except ValueError as exc:  # a fault of the whole input: name its file, as a reader does
             if isinstance(exc, InputFormatError) or getattr(args, "input", None) is None:
                 raise

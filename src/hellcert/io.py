@@ -56,9 +56,6 @@ from typing import Iterable
 
 import numpy as np
 
-from . import __version__
-from .rng import GENERATOR_NAME
-
 __all__ = [
     "FORMATS",
     "InputFormatError",
@@ -70,7 +67,6 @@ __all__ = [
     "format_number",
     "json_document",
     "write_csv",
-    "base_report",
 ]
 
 
@@ -433,16 +429,3 @@ def write_csv(path, header: Iterable[str], rows) -> None:
                               for v in row))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def base_report(command: str, seed, decisions: dict) -> dict:
-    """Common envelope every subcommand report starts from; its timestamp is
-    null, so that identical command lines give byte-identical reports."""
-    return {
-        "tool_version": __version__,
-        "command": command,
-        "seed": seed,
-        "rng": GENERATOR_NAME,
-        "decisions": decisions,
-        "timestamp": None,
-    }

@@ -102,11 +102,19 @@ def jsd_loss_vector(p_true: np.ndarray) -> np.ndarray:
         1 + (p log2(p) - (1 + p) log2(1 + p)) / 2,
 
     which decreases from 1 at p = 0 to 0 at p = 1; x log x is taken as 0 at 0.
+    With q = 1 - p, which is exact for p >= 1/2, it is evaluated as
+
+        q/2 + (p ln(p) - (1 + p) log1p(-q/2)) / (2 ln 2),
+
+    whose second term is O(q^2), so the loss keeps its relative precision
+    near p = 1, where the form above cancels O(1) terms.  ln(p) is
+    log1p(-q) for p >= 1/2 and log(p) below; each log's argument is kept
+    away from 0, so no case warns.
     """
     p = np.asarray(p_true, dtype=float)
-    # The log's argument is at least 1e-300, so no case needs an errstate.
-    xlogx = np.where(p > 0.0, p * np.log(np.maximum(p, 1e-300)) / _LN2, 0.0)
-    return 1.0 + 0.5 * (xlogx - (1.0 + p) * np.log1p(p) / _LN2)
+    q = 1.0 - p
+    ln_p = np.where(p >= 0.5, np.log1p(-np.minimum(q, 0.5)), np.log(np.maximum(p, 1e-300)))
+    return 0.5 * q + (p * ln_p - (1.0 + p) * np.log1p(-0.5 * q)) / (2.0 * _LN2)
 
 
 def _by_column(op, a: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -157,10 +157,8 @@ def _solve_max(p: np.ndarray, losses: np.ndarray, rho: float, lmax: float, lmin:
     value) depend on their order, so nothing held elsewhere can stand in for
     them.
     On the benchmark's seed-1 oracle round (2-core AVX-512 box, Python
-    3.11.7, NumPy 2.4.6, each evaluation timed) a sup+inf spent about 57 us
-    in 6.68 KKT evaluations and 45 us on the rest when the search started at
-    the smaller of two line estimates; from the model's root it spends about
-    52 us in 6.03 evaluations and 43 us on the rest, 55% of it in the KKT.
+    3.11.7, NumPy 2.4.6, each evaluation timed) a sup+inf spends about 52 us
+    in 6.03 KKT evaluations and 43 us on the rest, 55% of it in the KKT.
     """
     e = rho * rho * (2.0 - rho * rho)  # 1 - c^2 without cancellation
     if e == 0.0:  # rho = 0, or so small that rho^2 underflows: the ball is {p}

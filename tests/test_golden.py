@@ -30,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from hellcert.cli import main
+from hellcert.cli import COMMANDS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -103,13 +103,33 @@ def assert_matches(name, got: str, want: str):
         assert _close(a, b), f"{name}: number {i} is {a!r}, golden {b!r}"
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_golden_outputs(tmp_path, case):
-    outputs = run_case(CASES[case], tmp_path / case)
+def assert_golden(case, outputs: dict):
     golden = GOLDEN / case
     assert sorted(outputs) == sorted(p.name for p in golden.iterdir())
     for name, text in outputs.items():
         assert_matches(f"{case}/{name}", text, (golden / name).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_outputs(tmp_path, case):
+    assert_golden(case, run_case(CASES[case], tmp_path / case))
+
+
+def test_cases_in_one_process_leave_the_command_table_as_it_was(tmp_path):
+    """Every report starts from a copy of its command's decisions in COMMANDS.
+
+    The cases run twice in one process, forward and then backward, and each
+    must match its golden both times; a decision that a handler wrote into
+    the table instead of its report would stay in the table for every later
+    run.  The two default-size sweeps are left out: they take most of the
+    suite's time, and the small sweep runs the same handler.
+    """
+    table = {name: dict(entry[4]) for name, entry in COMMANDS.items()}
+    cases = sorted(set(CASES) - {"synthetic-compare-defaults", "synthetic-compare-depth-0"})
+    for order, run in (("forward", cases), ("backward", cases[::-1])):
+        for case in run:
+            assert_golden(case, run_case(CASES[case], tmp_path / order / case))
+    assert {name: entry[4] for name, entry in COMMANDS.items()} == table
 
 
 def test_comparison_catches_a_moved_number():

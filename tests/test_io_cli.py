@@ -464,6 +464,16 @@ def test_mixture_command(tmp_path):
     assert rep["gamma_grid"] == [0.5, 1.0]
 
 
+def test_mixture_report_claims_no_pair_sample(tmp_path):
+    """mixture takes its AUC band over all pairs, so it shares only the tie rule with certify-auc."""
+    code, rep = run_report(
+        tmp_path, ["mixture", "--gamma-grid", "0.5", "--samples", "50", "--csv", str(tmp_path / "mix.csv")]
+    )
+    assert code == 0
+    assert rep["decisions"] == {"auc_tie_policy": "ties_count_as_success",
+                                "mixture_reference": "classifier perfect on P, inverted on Q"}
+
+
 def test_gamma_grid_parser_colon_form(tmp_path):
     csv = tmp_path / "mix.csv"
     code, rep = run_report(
